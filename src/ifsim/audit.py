@@ -17,9 +17,12 @@ inequalities are checked with zero slack; violations whose margin is below
 config.tolerance are reported as "indeterminate at tolerance" instead of
 fail, separating genuine axiom violations from floating-point noise.
 
-Heavy pairwise sweeps (the full grid x grid matrix) run through the
-measure's vectorized batch kernel when it has one; the kernel is
-cross-checked against the scalar evaluator on a subsample first.  Measures
+Heavy pairwise sweeps (every unordered grid pair i <= j, in cache-sized
+blocks) run through the measure's vectorized batch kernel when it has one;
+the kernel is cross-checked against the scalar evaluator on a subsample
+first.  Covering each unordered pair once relies on the kernel being exactly
+symmetric, which S3 checks; for a symmetric kernel the witnesses and the sup
+pair are those of the full ordered matrix in row-major order.  Measures
 registered without a batch kernel fall back to a reduced pairing of the grid
 against random partners, and the S1/S2/S5 entries say so.
 """
@@ -40,7 +43,7 @@ _ENDPOINTS = ((0.0, 1.0), (1.0, 0.0))
 _PINNED_CHAIN = ((0.33, 0.36), (1.0 / 3.0, 1.0 / 3.0), (0.334, 0.333333))
 _PINNED_E4_PAIR = ((0.1, 0.8), (0.3, 0.5))
 _BATCH_CROSSCHECK = 50
-_GRID_CHUNK_ROWS = 256
+_GRID_BLOCK_CELLS = 1 << 15  # 256 KiB per float64 kernel temporary
 
 
 @dataclass(frozen=True)
@@ -353,8 +356,16 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
 
 
 def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float) -> dict:
-    """Full grid x grid pass tracking range, off-diagonal minimum, and the
-    supremum over non-endpoint pairs; chunked to bound memory."""
+    """Grid x grid pass over the unordered pairs i <= j, tracking range,
+    off-diagonal minimum, and the supremum over non-endpoint pairs.
+
+    Rows are taken in blocks [lo, hi) against the columns lo: only, i.e. the
+    upper triangle plus the diagonal tile, each block sized to stay in cache.
+    This relies on the kernel being exactly symmetric (S3 checks it): a
+    witness at (i, j) with j < i is mirrored by (j, i) in an earlier row, so
+    the first witness and the first argmax in row-major order of the full
+    matrix are the ones found here.
+    """
     g = len(grid)
     # the two extreme values sit in the grid only when step divides 1
     end_idx = {}
@@ -362,50 +373,51 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float) -> di
         hit = np.nonzero((grid[:, 0] == e[0]) & (grid[:, 1] == e[1]))[0]
         if hit.size:
             end_idx[k] = int(hit[0])
+    end_pairs = ((end_idx[0], end_idx[1]), (end_idx[1], end_idx[0])) if len(end_idx) == 2 else ()
     sup, sup_pair = -np.inf, None
     vmin, vmax = np.inf, -np.inf
     min_off = np.inf
     range_witness = positivity_witness = near_one_witness = None
     mu, nu = grid[:, 0], grid[:, 1]
-    for lo in range(0, g, _GRID_CHUNK_ROWS):
-        hi = min(lo + _GRID_CHUNK_ROWS, g)
-        block = _eval_pairs(m, mu[lo:hi, None], nu[lo:hi, None], mu[None, :], nu[None, :])
-        vmin = min(vmin, float(block.min()))
-        vmax = max(vmax, float(block.max()))
-        if range_witness is None:
-            oi, oj = np.nonzero((block < 0.0) | (block > 1.0))
-            if oi.size:
-                range_witness = {
-                    "a": _fmt_ifv(*grid[lo + oi[0]]), "b": _fmt_ifv(*grid[oj[0]]),
-                    "d": f"{block[oi[0], oj[0]]:.17g}",
-                }
-        local = np.arange(hi - lo)
-        work = block.copy()
-        work[local, np.arange(lo, hi)] = np.inf  # mask the diagonal for the off-diagonal min
-        if positivity_witness is None:
-            zi, zj = np.nonzero(work <= 0.0)
-            if zi.size:
-                positivity_witness = {
-                    "a": _fmt_ifv(*grid[lo + zi[0]]), "b": _fmt_ifv(*grid[zj[0]]),
-                    "d": f"{block[zi[0], zj[0]]:.17g}",
-                }
-        min_off = min(min_off, float(work.min()))
-        work = block.copy()
-        work[local, np.arange(lo, hi)] = -np.inf
-        if len(end_idx) == 2:
-            for ei, ej in ((end_idx[0], end_idx[1]), (end_idx[1], end_idx[0])):
-                if lo <= ei < hi:
-                    work[ei - lo, ej] = -np.inf  # the two endpoint pairs are exempt
-        bi, bj = np.unravel_index(int(np.argmax(work)), work.shape)
-        if work[bi, bj] > sup:
-            sup, sup_pair = float(work[bi, bj]), (lo + int(bi), int(bj))
-        if near_one_witness is None:
-            wi, wj = np.nonzero(work >= 1.0 - tol)
-            if wi.size:
-                near_one_witness = {
-                    "a": _fmt_ifv(*grid[lo + wi[0]]), "b": _fmt_ifv(*grid[wj[0]]),
-                    "d": f"{block[wi[0], wj[0]]:.17g}",
-                }
+
+    def witness(mask: np.ndarray, lo: int, block: np.ndarray) -> dict | None:
+        wi, wj = np.nonzero(mask)
+        if not wi.size:
+            return None
+        i, j = int(wi[0]), int(wj[0])
+        return {
+            "a": _fmt_ifv(*grid[lo + i]), "b": _fmt_ifv(*grid[lo + j]),
+            "d": f"{block[i, j]:.17g}",
+        }
+
+    lo = 0
+    while lo < g:
+        hi = min(lo + max(1, _GRID_BLOCK_CELLS // (g - lo)), g)
+        block = _eval_pairs(m, mu[lo:hi, None], nu[lo:hi, None], mu[None, lo:], nu[None, lo:])
+        if not (block.flags.owndata and block.flags.writeable):
+            block = block.copy()  # masked in place below; never write into kernel-owned memory
+        bmin, bmax = float(block.min()), float(block.max())
+        vmin, vmax = min(vmin, bmin), max(vmax, bmax)
+        # negated so that a nan also triggers the exact scan
+        if range_witness is None and not (bmin >= 0.0 and bmax <= 1.0):
+            range_witness = witness((block < 0.0) | (block > 1.0), lo, block)
+        diag = np.arange(hi - lo)
+        block[diag, diag] = np.inf  # off-diagonal minimum
+        off_min = float(block.min())
+        min_off = min(min_off, off_min)
+        if positivity_witness is None and not off_min > 0.0:
+            positivity_witness = witness(block <= 0.0, lo, block)
+        block[diag, diag] = -np.inf  # the supremum skips the diagonal
+        for ei, ej in end_pairs:
+            if lo <= ei < hi and ej >= lo:
+                block[ei - lo, ej - lo] = -np.inf  # the two endpoint pairs are exempt
+        bi, bj = np.unravel_index(int(np.argmax(block)), block.shape)
+        top = block[bi, bj]
+        if top > sup:
+            sup, sup_pair = float(top), (lo + int(bi), lo + int(bj))
+        if near_one_witness is None and not top < 1.0 - tol:
+            near_one_witness = witness(block >= 1.0 - tol, lo, block)
+        lo = hi
     return {
         "min": vmin, "max": vmax, "min_off_diagonal": min_off,
         "sup": sup, "sup_pair": (grid[sup_pair[0]], grid[sup_pair[1]]),

@@ -2,6 +2,7 @@
 branches, and the verified J_1 = ln2 * d_xiao**2 per-element relation."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ YC_EX4_NEAR = 0.2307608835156416
 YC_EX4_FAR = 0.13098988043445462
 JG1_FROZEN = 0.042474759198849368    # J_1(<0.5,0.25>, <0.25,0.5>)
 JG05_FROZEN = 0.035276180410083049   # J_0.5 of the same pair
+JG1_SUBNORMAL = 0.0067017818222676760  # J_1(<5e-324,0.2>, <0,0.3>)
 
 
 def _one(mu, nu):
@@ -150,6 +152,18 @@ class TestJGamma:
         # one-ulp pi difference (x**0.5 amplifies 4e-17 to 1e-9)
         a, b = IFV(0.3, 0.7), IFV(0.7, 0.3)
         assert j_gamma(a, b, 0.5) == pytest.approx(0.05966195666770677, abs=1e-14)
+
+    def test_subnormal_membership_stays_finite(self):
+        # (x+y)/2 underflows to 0 for x+y = 5e-324; the (x+y)*ln((x+y)/2)
+        # term used to become -inf and J_1 inf, with a divide-by-zero warning
+        a, b = IFV(5e-324, 0.2), IFV(0.0, 0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = j_gamma(a, b, 1.0)
+            batch = j_gamma_batch(np.array([5e-324, 0.0]), np.array([0.2, 0.2]),
+                                  np.zeros(2), np.full(2, 0.3), 1.0)
+        assert v == pytest.approx(JG1_SUBNORMAL, rel=1e-12)
+        assert batch[0] == v and np.isfinite(batch).all()
 
     @pytest.mark.parametrize("gamma", [0.0, -2.0])
     def test_invalid_gamma(self, gamma):

@@ -187,6 +187,14 @@ class TestJsNorm:
         if max(abs(a.mu - b.mu), abs(a.nu - b.nu)) > 1e-12:
             assert d > 0.0
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "false zero: the two log2 terms of L(1-mu_a, 1-mu_b) cancel to "
+        "~delta**2 = 1e-18, below their rounding error; fixed by the "
+        "cancellation-free kernel of ROADMAP item 2"))
+    def test_tiny_degrees_positive(self):
+        # the falsifying example hypothesis found for the test above
+        assert js_norm(IFV(1e-9, 1e-9), IFV(2.22e-16, 1e-9)) > 0.0
+
     @given(ifvs(), ifvs())
     @settings(max_examples=300)
     def test_square_matches_half_z(self, a, b):
