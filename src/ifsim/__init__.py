@@ -32,7 +32,6 @@ from .core import (
     ifs_strict_subset,
     ifs_subset,
     indeterminacy,
-    make_ifv,
     uniform_weights,
 )
 from .datasets import (
@@ -93,7 +92,7 @@ __all__ = [
     "IFS", "IFV", "IfsimError", "OutOfRangeError", "SimplexViolationError",
     "UniverseMismatchError", "WeightLengthMismatchError", "WeightVector",
     "atanassov_strict_subset", "atanassov_subset", "complement",
-    "ifs_strict_subset", "ifs_subset", "indeterminacy", "make_ifv", "uniform_weights",
+    "ifs_strict_subset", "ifs_subset", "indeterminacy", "uniform_weights",
     "BUILTIN_DATASET_NAMES", "DatasetParseError", "DatasetValidationError",
     "builtin_dataset", "dumps_dataset", "load_dataset", "parse_dataset",
     "resolve_dataset", "save_dataset",

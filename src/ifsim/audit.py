@@ -17,14 +17,13 @@ inequalities are checked with zero slack; violations whose margin is below
 config.tolerance are reported as "indeterminate at tolerance" instead of
 fail, separating genuine axiom violations from floating-point noise.
 
-Heavy pairwise sweeps (every unordered grid pair i <= j, in cache-sized
-blocks) run through the measure's vectorized batch kernel when it has one;
-the kernel is cross-checked against the scalar evaluator on a subsample
-first.  Covering each unordered pair once relies on the kernel being exactly
-symmetric, which S3 checks; for a symmetric kernel the witnesses and the sup
-pair are those of the full ordered matrix in row-major order.  Measures
-registered without a batch kernel fall back to a reduced pairing of the grid
-against random partners, and the S1/S2/S5 entries say so.
+Every value is computed by the measure's elementwise kernel (pair_batch).
+Each built-in evaluator aggregates that same kernel over a universe, so the
+audit checks exactly what the set API computes.  The grid sweep covers
+every unordered grid pair i <= j once, in cache-sized blocks.  That relies
+on the kernel being exactly symmetric, which S3 checks; for a symmetric
+kernel the witnesses and the sup pair are those of the full ordered matrix
+in row-major order.
 """
 
 from __future__ import annotations
@@ -35,14 +34,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .core import IFS, IFV, OutOfRangeError, uniform_weights
-from .measures import NumericalConsistencyError, entropy_ifv, js_norm_batch
+from .core import IFV, OutOfRangeError
+from .measures import entropy_ifv, js_norm_batch
 from .registry import MeasureDescriptor
 
 _ENDPOINTS = ((0.0, 1.0), (1.0, 0.0))
 _PINNED_CHAIN = ((0.33, 0.36), (1.0 / 3.0, 1.0 / 3.0), (0.334, 0.333333))
 _PINNED_E4_PAIR = ((0.1, 0.8), (0.3, 0.5))
-_BATCH_CROSSCHECK = 50
 _GRID_BLOCK_CELLS = 1 << 15  # 256 KiB per float64 kernel temporary
 
 
@@ -194,41 +192,8 @@ def sample_strict_chain(config: AuditConfig) -> Iterator[tuple[IFV, IFV, IFV]]:
 # measure evaluation plumbing
 # ---------------------------------------------------------------------------
 
-def _singleton(v: IFV) -> IFS:
-    return IFS(("x",), (v,))
-
-
-def _scalar_eval(m: MeasureDescriptor, a: IFV, b: IFV) -> float:
-    return m.evaluator(_singleton(a), _singleton(b), uniform_weights(1))
-
-
 def _eval_pairs(m: MeasureDescriptor, mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
-    if m.pair_batch is not None:
-        return np.asarray(m.pair_batch(mu_a, nu_a, mu_b, nu_b), dtype=float)
-    mu_a, nu_a, mu_b, nu_b = np.broadcast_arrays(
-        *(np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
-    )
-    flat = np.empty(mu_a.size, dtype=float)
-    it = zip(mu_a.ravel(), nu_a.ravel(), mu_b.ravel(), nu_b.ravel())
-    for i, (ma, na, mb, nb) in enumerate(it):
-        flat[i] = _scalar_eval(m, IFV(ma, na), IFV(mb, nb))
-    return flat.reshape(mu_a.shape)
-
-
-def _crosscheck_batch(m: MeasureDescriptor, pts: np.ndarray) -> None:
-    """Assert the batch kernel agrees with the scalar evaluator on a subsample."""
-    if m.pair_batch is None:
-        return
-    k = min(_BATCH_CROSSCHECK, len(pts) // 2)
-    a, b = pts[:k], pts[k : 2 * k]
-    batch = np.asarray(m.pair_batch(a[:, 0], a[:, 1], b[:, 0], b[:, 1]), dtype=float)
-    for i in range(k):
-        scalar = _scalar_eval(m, IFV(a[i, 0], a[i, 1]), IFV(b[i, 0], b[i, 1]))
-        if abs(scalar - batch[i]) > 1e-9:
-            raise NumericalConsistencyError(
-                f"batch kernel of {m.label()} disagrees with its evaluator: "
-                f"{batch[i]!r} vs {scalar!r}"
-            )
+    return np.asarray(m.pair_batch(mu_a, nu_a, mu_b, nu_b), dtype=float)
 
 
 def _fmt_ifv(mu: float, nu: float) -> str:
@@ -255,8 +220,6 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
     ta, tb, tc = tri[0::3], tri[1::3], tri[2::3]
     chains = _chains_array(config)
 
-    _crosscheck_batch(m, np.vstack([grid, pair_pts[: 2 * _BATCH_CROSSCHECK]]))
-
     checks: list[AxiomCheck] = []
 
     # S3 symmetry on the random pairs (exact comparison)
@@ -273,11 +236,7 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
         checks.append(AxiomCheck("S3", "pass", detail="exact equality on all sampled pairs"))
 
     # grid x grid sweep: range, positivity off the diagonal, maximality sup
-    full_matrix = m.pair_batch is not None
-    if full_matrix:
-        sweep = _grid_matrix_sweep(m, grid, tol)
-    else:
-        sweep = _grid_fallback_sweep(m, grid, config, tol)
+    sweep = _grid_matrix_sweep(m, grid, tol)
     rng_min, rng_max = min(sweep["min"], float(np.min(d_ab))), max(sweep["max"], float(np.max(d_ab)))
 
     # S1 range [0, 1]
@@ -291,8 +250,7 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
     else:
         checks.append(AxiomCheck(
             "S1", "pass",
-            detail=f"observed range [{rng_min:.17g}, {rng_max:.17g}]"
-            + ("" if full_matrix else "; reduced grid coverage (no batch kernel)"),
+            detail=f"observed range [{rng_min:.17g}, {rng_max:.17g}]",
             stats={"min": rng_min, "max": rng_max},
         ))
 
@@ -422,43 +380,7 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float) -> di
         "min": vmin, "max": vmax, "min_off_diagonal": min_off,
         "sup": sup, "sup_pair": (grid[sup_pair[0]], grid[sup_pair[1]]),
         "range_witness": range_witness, "positivity_witness": positivity_witness,
-        "near_one_witness": near_one_witness, "full": True,
-    }
-
-
-def _grid_fallback_sweep(m: MeasureDescriptor, grid: np.ndarray, config: AuditConfig, tol: float) -> dict:
-    """Reduced sweep for measures without a batch kernel: each grid point is
-    paired with a fixed number of seeded random partners."""
-    rng = np.random.default_rng([config.seed, 3])
-    partners = _random_simplex(rng, 8 * len(grid)).reshape(len(grid), 8, 2)
-    sup, sup_pair = -np.inf, (grid[0], grid[0])
-    vmin, vmax = np.inf, -np.inf
-    min_off = np.inf
-    range_witness = positivity_witness = near_one_witness = None
-    for i, (mu, nu) in enumerate(grid):
-        a = IFV(mu, nu)
-        for pmu, pnu in partners[i]:
-            if pmu == mu and pnu == nu:
-                continue
-            d = _scalar_eval(m, a, IFV(pmu, pnu))
-            vmin, vmax = min(vmin, d), max(vmax, d)
-            min_off = min(min_off, d)
-            wit = {"a": _fmt_ifv(mu, nu), "b": _fmt_ifv(pmu, pnu), "d": f"{d:.17g}"}
-            if range_witness is None and not (0.0 <= d <= 1.0):
-                range_witness = wit
-            if positivity_witness is None and d <= 0.0:
-                positivity_witness = wit
-            is_endpoint_pair = {(mu, nu), (pmu, pnu)} == {_ENDPOINTS[0], _ENDPOINTS[1]}
-            if not is_endpoint_pair:
-                if d > sup:
-                    sup, sup_pair = d, (grid[i], np.array([pmu, pnu]))
-                if near_one_witness is None and d >= 1.0 - tol:
-                    near_one_witness = wit
-    return {
-        "min": vmin, "max": vmax, "min_off_diagonal": min_off,
-        "sup": sup, "sup_pair": sup_pair,
-        "range_witness": range_witness, "positivity_witness": positivity_witness,
-        "near_one_witness": near_one_witness, "full": False,
+        "near_one_witness": near_one_witness,
     }
 
 
@@ -520,7 +442,6 @@ def _maximality_check(m: MeasureDescriptor, sweep: dict, config: AuditConfig, to
     return AxiomCheck("S5", "pass", detail=(
         f"endpoints at 1; sup over non-endpoint pairs {sweep['sup']:.17g} "
         f"at {_fmt_ifv(*sup_a)} vs {_fmt_ifv(*sup_b)}"
-        + ("" if sweep["full"] else "; reduced grid coverage (no batch kernel)")
     ), stats={"sup_non_endpoint": float(sweep["sup"]), "endpoint_value": d_end})
 
 

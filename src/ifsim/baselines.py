@@ -25,8 +25,8 @@ import math
 
 import numpy as np
 
-from .core import IFS, IFV, IfsimError, _require_same_universe
-from .measures import NumericalConsistencyError, _clamp_nonneg, l_divergence_batch
+from .core import IFS, IFV, IfsimError
+from .measures import NumericalConsistencyError, _clamp_nonneg, aggregate, l_divergence_batch
 
 ARCCOS_CLAMP = 1e-12
 GAMMA_BRANCH_TOL = 1e-12
@@ -56,9 +56,7 @@ def xiao_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
 
 def dist_xiao(a: IFS, b: IFS) -> float:
     """Xiao's JS distance with fixed 1/n weighting, exactly as published."""
-    _require_same_universe(a, b)
-    per_element = xiao_elem_batch(a.mu_array(), a.nu_array(), b.mu_array(), b.nu_array())
-    return float(np.mean(per_element))
+    return aggregate(xiao_elem_batch, a, b)
 
 
 def sim_xiao(a: IFS, b: IFS) -> float:
@@ -88,9 +86,7 @@ def yc_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
 
 def dist_yc(a: IFS, b: IFS) -> float:
     """Yang-Chiclana spherical distance, averaged over the universe."""
-    _require_same_universe(a, b)
-    per_element = yc_elem_batch(a.mu_array(), a.nu_array(), b.mu_array(), b.nu_array())
-    return float(np.mean(per_element))
+    return aggregate(yc_elem_batch, a, b)
 
 
 def _power_branch(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:

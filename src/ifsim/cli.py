@@ -13,9 +13,10 @@ Subcommands::
 --data accepts a file path or a built-in dataset name (tableI_case1 ..
 tableI_case5, tableIII).  --weights accepts "uniform" or a path to a JSON
 list; when omitted, the dataset's own weights are used if present, else
-uniform.  Numeric output is printed with 17 significant digits; CSV output
-is byte-stable for fixed inputs (fixed column order, fixed formatting,
-newline-terminated rows).
+uniform.  Every command takes --out (a path, or 'stdout'); classify and
+curve also take --format text|csv.  Numeric output is printed with 17
+significant digits; CSV output is byte-stable for fixed inputs (fixed
+column order, fixed formatting, newline-terminated rows).
 
 Exit codes: 0 success, 1 any audit or scenario check failed, 2 usage or
 parse errors (malformed input never produces a bare traceback).
@@ -50,9 +51,8 @@ def _add_measure_flags(p: argparse.ArgumentParser, choices=MEASURE_NAMES) -> Non
     p.add_argument("--gamma", type=float, default=None, help="order for jgamma (> 0)")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_out_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default="stdout", help="output path or 'stdout'")
-    p.add_argument("--format", choices=("text", "csv"), default="text")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,13 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--left", required=True, help="name of the first set")
         p.add_argument("--right", required=True, help="name of the second set")
         p.add_argument("--weights", default=None, help="'uniform' or a JSON list file")
-        _add_common_flags(p)
+        _add_out_flag(p)
 
     p = sub.add_parser("entropy", help="weighted entropy of a set")
     p.add_argument("--data", required=True)
     p.add_argument("--set", dest="set_name", required=True)
     p.add_argument("--weights", default=None)
-    _add_common_flags(p)
+    _add_out_flag(p)
 
     p = sub.add_parser("audit", help="axiom audit of a measure")
     _add_measure_flags(p, choices=_AUDIT_CHOICES)
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="random pairs and triples (chains are samples/10)")
     p.add_argument("--tolerance", type=float, default=1e-12)
     p.add_argument("--seed", type=int, default=20220714)
-    _add_common_flags(p)
+    _add_out_flag(p)
 
     p = sub.add_parser("classify", help="classify a sample against the other sets")
     _add_measure_flags(p)
@@ -94,19 +94,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", required=True, help="name of the test sample set")
     p.add_argument("--tie-tol", type=float, default=1e-4)
     p.add_argument("--weights", default=None)
-    _add_common_flags(p)
+    _add_out_flag(p)
+    p.add_argument("--format", choices=("text", "csv"), default="text")
 
     p = sub.add_parser("repro", help="run golden-value scenarios")
     p.add_argument("--scenario", required=True,
                    help=f"'all' or one of: {', '.join(SCENARIO_IDS)}")
-    p.add_argument("--seed", type=int, default=20220714, help="accepted for uniformity; scenarios are deterministic")
-    _add_common_flags(p)
+    _add_out_flag(p)
 
     p = sub.add_parser("curve", help="tabulate a figure family")
     p.add_argument("--family", required=True,
                    help=f"one of: {', '.join(FAMILY_IDS)} (fig3 = entropy-surface)")
     p.add_argument("--steps", type=int, default=101)
-    p.add_argument("--out", default="stdout")
+    _add_out_flag(p)
     p.add_argument("--format", choices=("text", "csv"), default="csv")
 
     return parser

@@ -65,11 +65,6 @@ class IFV:
         return f"IFV({self.mu:g}, {self.nu:g})"
 
 
-def make_ifv(mu: float, nu: float) -> IFV:
-    """Validate and build an IFV; raises OutOfRangeError / SimplexViolationError."""
-    return IFV(mu, nu)
-
-
 def indeterminacy(a: IFV) -> float:
     """Indeterminacy degree 1 - (mu + nu), clamped at 0 so the validation
     slack never yields a negative degree.  The grouped sum makes the degree

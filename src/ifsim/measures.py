@@ -17,9 +17,11 @@ pair {<0,1>, <1,0>}, strictly monotone along Atanassov chains, and a metric.
 dist_wu extends it to IFSs as a weighted elementwise sum; entropy is induced
 by the distance from a value to its complement.
 
-All functions are pure; scalar entry points operate on IFV / IFS objects,
-*_batch variants operate on equal-shaped float arrays of mu / nu components
-(the same kernels drive both, so audits exercise the real implementation).
+All functions are pure.  Every measure is one elementwise *_batch kernel on
+equal-shaped float arrays of mu / nu components.  Its IFV function evaluates
+the kernel on one pair, and its IFS value is aggregate() of the kernel: a
+weighted sum over the universe, or the plain 1/n mean.  Audits run the same
+kernels, so they exercise exactly what the set API computes.
 
 Numeric conventions: each term p*log2(2p/s) is evaluated only where p > 0
 and defined as 0 where p == 0 (avoiding 0 * -inf); the ratio 2p/s is formed
@@ -32,6 +34,7 @@ NumericalConsistencyError because it indicates a bug, not rounding.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -189,22 +192,22 @@ def shannon_interval_entropy(a: IFV) -> float:
 # weighted measures on IFSs
 # ---------------------------------------------------------------------------
 
-def _components(a: IFS, b: IFS) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def aggregate(kernel: Callable[..., np.ndarray], a: IFS, b: IFS, w: WeightVector | None = None) -> float:
+    """Set-level value of an elementwise kernel: sum_j w_j * kernel(a_j, b_j),
+    or the plain 1/n mean when w is None.  Raises UniverseMismatchError unless
+    a and b share a universe, and WeightLengthMismatchError for a w of the
+    wrong length."""
     _require_same_universe(a, b)
-    return (
-        np.array(a.mu_array(), dtype=float),
-        np.array(a.nu_array(), dtype=float),
-        np.array(b.mu_array(), dtype=float),
-        np.array(b.nu_array(), dtype=float),
-    )
+    per_element = kernel(a.mu_array(), a.nu_array(), b.mu_array(), b.nu_array())
+    if w is None:
+        return float(np.mean(per_element))
+    check_weights(w, len(a))
+    return float(np.dot(np.asarray(w.weights), per_element))
 
 
 def dist_wu(a: IFS, b: IFS, w: WeightVector) -> float:
     """Weighted elementwise js_norm; the strict distance on IFSs, in [0, 1]."""
-    mu_a, nu_a, mu_b, nu_b = _components(a, b)
-    check_weights(w, len(a))
-    per_element = js_norm_batch(mu_a, nu_a, mu_b, nu_b)
-    return float(np.dot(np.asarray(w.weights), per_element))
+    return aggregate(js_norm_batch, a, b, w)
 
 
 def sim_wu(a: IFS, b: IFS, w: WeightVector) -> float:
@@ -224,10 +227,7 @@ def dist_wu_lambda(a: IFS, b: IFS, w: WeightVector, lam: float) -> float:
     dist_wu.  0**lam = 0 for lam > 0.
     """
     _check_lambda(lam)
-    mu_a, nu_a, mu_b, nu_b = _components(a, b)
-    check_weights(w, len(a))
-    per_element = js_norm_lambda_batch(mu_a, nu_a, mu_b, nu_b, lam)
-    return float(np.dot(np.asarray(w.weights), per_element))
+    return aggregate(lambda *c: js_norm_lambda_batch(*c, lam), a, b, w)
 
 
 def sim_wu_lambda(a: IFS, b: IFS, w: WeightVector, lam: float) -> float:

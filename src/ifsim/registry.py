@@ -1,14 +1,16 @@
 """Named, parameterized measure descriptors shared by audit / classify / CLI.
 
-A MeasureDescriptor bundles an IFS-level evaluator (pattern classification,
-CLI) with an optional vectorized per-IFV batch kernel (axiom audits sweep
-millions of value pairs).  Both views are built from the same kernels, so an
-audit exercises exactly the code the scalar API runs.
+A MeasureDescriptor is one elementwise kernel, pair_batch, on mu / nu
+component arrays, plus the IFS-level evaluator that aggregates it over a
+universe (measures.aggregate).  The audit sweeps millions of value pairs
+through the kernel alone; classification and the CLI call the evaluator.
+Both fields are required, so every measure has a kernel to audit.
 
 Built-in names: wu, wu-lambda (param lambda > 0), xiao, yc,
-jgamma (param gamma > 0).  xiao, yc and jgamma ignore the weight vector:
-xiao and yc average with fixed 1/n as published, and jgamma is a per-value
-divergence exposed through its unweighted elementwise mean.
+jgamma (param gamma > 0).  wu and wu-lambda aggregate as a weighted sum
+(uniform weights when none are given).  xiao, yc and jgamma ignore the
+weight vector: xiao and yc average with fixed 1/n as published, and jgamma
+is a per-value divergence exposed through its unweighted elementwise mean.
 """
 
 from __future__ import annotations
@@ -41,13 +43,13 @@ class MeasureDescriptor:
     kind: str  # "distance" or "similarity"
     params: Mapping[str, float] = field(default_factory=dict)
     evaluator: Evaluator = None  # type: ignore[assignment]
-    pair_batch: BatchKernel | None = None
+    pair_batch: BatchKernel = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.kind not in ("distance", "similarity"):
             raise InvalidMeasureParamsError(f"kind must be distance/similarity, got {self.kind!r}")
-        if self.evaluator is None:
-            raise InvalidMeasureParamsError("evaluator is required")
+        if self.evaluator is None or self.pair_batch is None:
+            raise InvalidMeasureParamsError("evaluator and pair_batch kernel are required")
 
     def label(self) -> str:
         if not self.params:
@@ -58,53 +60,6 @@ class MeasureDescriptor:
 
 def _weights_or_uniform(a: IFS, w: WeightVector | None) -> WeightVector:
     return w if w is not None else uniform_weights(len(a))
-
-
-def _make_wu() -> MeasureDescriptor:
-    def ev(a: IFS, b: IFS, w: WeightVector | None) -> float:
-        return measures.dist_wu(a, b, _weights_or_uniform(a, w))
-
-    return MeasureDescriptor("wu", "distance", {}, ev, measures.js_norm_batch)
-
-
-def _make_wu_lambda(lam: float) -> MeasureDescriptor:
-    measures._check_lambda(lam)
-
-    def ev(a: IFS, b: IFS, w: WeightVector | None) -> float:
-        return measures.dist_wu_lambda(a, b, _weights_or_uniform(a, w), lam)
-
-    def batch(mu_a, nu_a, mu_b, nu_b):
-        return measures.js_norm_lambda_batch(mu_a, nu_a, mu_b, nu_b, lam)
-
-    return MeasureDescriptor("wu-lambda", "distance", {"lambda": float(lam)}, ev, batch)
-
-
-def _make_xiao() -> MeasureDescriptor:
-    def ev(a: IFS, b: IFS, w: WeightVector | None) -> float:
-        return baselines.dist_xiao(a, b)
-
-    return MeasureDescriptor("xiao", "distance", {}, ev, baselines.xiao_elem_batch)
-
-
-def _make_yc() -> MeasureDescriptor:
-    def ev(a: IFS, b: IFS, w: WeightVector | None) -> float:
-        return baselines.dist_yc(a, b)
-
-    return MeasureDescriptor("yc", "distance", {}, ev, baselines.yc_elem_batch)
-
-
-def _make_jgamma(gamma: float) -> MeasureDescriptor:
-    if not (gamma > 0.0):
-        raise baselines.InvalidGammaError(f"gamma must be > 0, got {gamma!r}")
-
-    def ev(a: IFS, b: IFS, w: WeightVector | None) -> float:
-        vals = baselines.j_gamma_batch(a.mu_array(), a.nu_array(), b.mu_array(), b.nu_array(), gamma)
-        return float(np.mean(vals))
-
-    def batch(mu_a, nu_a, mu_b, nu_b):
-        return baselines.j_gamma_batch(mu_a, nu_a, mu_b, nu_b, gamma)
-
-    return MeasureDescriptor("jgamma", "distance", {"gamma": float(gamma)}, ev, batch)
 
 
 _PARAM_NAMES = {
@@ -135,12 +90,26 @@ def get_measure(name: str, **params: float) -> MeasureDescriptor:
         raise InvalidMeasureParamsError(f"measure {name!r} requires parameter(s): {', '.join(missing)}")
     if extra:
         raise InvalidMeasureParamsError(f"measure {name!r} does not take: {', '.join(extra)}")
+    params = {k: float(v) for k, v in params.items()}
+    # evaluators look the dist_* functions up on their modules at call time
     if name == "wu":
-        return _make_wu()
-    if name == "wu-lambda":
-        return _make_wu_lambda(float(params["lambda"]))
-    if name == "xiao":
-        return _make_xiao()
-    if name == "yc":
-        return _make_yc()
-    return _make_jgamma(float(params["gamma"]))
+        kernel = measures.js_norm_batch
+        ev = lambda a, b, w: measures.dist_wu(a, b, _weights_or_uniform(a, w))
+    elif name == "wu-lambda":
+        lam = params["lambda"]
+        measures._check_lambda(lam)
+        kernel = lambda *c: measures.js_norm_lambda_batch(*c, lam)
+        ev = lambda a, b, w: measures.dist_wu_lambda(a, b, _weights_or_uniform(a, w), lam)
+    elif name == "xiao":
+        kernel = baselines.xiao_elem_batch
+        ev = lambda a, b, w: baselines.dist_xiao(a, b)
+    elif name == "yc":
+        kernel = baselines.yc_elem_batch
+        ev = lambda a, b, w: baselines.dist_yc(a, b)
+    else:
+        gamma = params["gamma"]
+        if not (gamma > 0.0):
+            raise baselines.InvalidGammaError(f"gamma must be > 0, got {gamma!r}")
+        kernel = lambda *c: baselines.j_gamma_batch(*c, gamma)
+        ev = lambda a, b, w: measures.aggregate(kernel, a, b)
+    return MeasureDescriptor(name, "distance", params, ev, kernel)

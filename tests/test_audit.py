@@ -17,6 +17,7 @@ from ifsim import (
     sample_strict_chain,
     uniform_weights,
 )
+from ifsim.measures import js_norm_batch
 from ifsim.registry import MeasureDescriptor
 
 SMALL = AuditConfig(grid_step=0.05, random_pairs=3000, random_triples=3000,
@@ -149,18 +150,10 @@ class TestAuditPlumbing:
         sim = MeasureDescriptor(
             "sim-wu", "similarity", {},
             lambda a, b, w: 1.0 - dist_wu(a, b, w if w is not None else uniform_weights(len(a))),
+            lambda *c: 1.0 - js_norm_batch(*c),
         )
         with pytest.raises(OutOfRangeError):
             audit_distance(sim, SMALL)
-
-    def test_fallback_without_batch_kernel(self):
-        md = get_measure("wu")
-        scalar_only = MeasureDescriptor("wu-scalar", "distance", {}, md.evaluator, None)
-        tiny = AuditConfig(grid_step=0.25, random_pairs=200, random_triples=200,
-                           chain_samples=100, seed=2)
-        report = audit_distance(scalar_only, tiny)
-        assert report.passed
-        assert "reduced grid coverage" in report.entry("S5").detail
 
     def test_counts_reported(self):
         report = audit_distance(get_measure("wu"), SMALL)

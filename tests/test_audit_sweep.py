@@ -76,7 +76,6 @@ def _reference_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float) -> dict
         "range_witness": _first((d < 0.0) | (d > 1.0), grid, d),
         "positivity_witness": _first(off & (d <= 0.0), grid, d),
         "near_one_witness": _first(eligible >= 1.0 - tol, grid, d),
-        "full": True,
     }
 
 

@@ -138,6 +138,25 @@ class TestReproCommand:
         assert "inconsistent with their stated inputs" in out
 
 
+class TestRemovedFlags:
+    # these flags were accepted and ignored; classify and curve keep --format
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--measure", "wu", "--data", "tableI_case1", "--left", "A", "--right", "B",
+         "--format", "text"],
+        ["sim", "--measure", "wu", "--data", "tableI_case1", "--left", "A", "--right", "B",
+         "--format", "csv"],
+        ["entropy", "--data", "tableIII", "--set", "P1", "--format", "text"],
+        ["audit", "--measure", "wu", *AUDIT_FAST, "--format", "text"],
+        ["repro", "--scenario", "ex1-xiao-s4", "--format", "text"],
+        ["repro", "--scenario", "ex1-xiao-s4", "--seed", "1"],
+    ])
+    def test_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+
 class TestCurveCommand:
     def test_csv_header_and_shape(self, capsys):
         code, out, _ = run(capsys, "curve", "--family", "fig7", "--steps", "5")

@@ -17,35 +17,36 @@ from ifsim import (
     ifs_strict_subset,
     ifs_subset,
     indeterminacy,
-    make_ifv,
     uniform_weights,
 )
 
 
 class TestMakeIfv:
+    """Building an IFV validates its degrees."""
+
     def test_valid_pairs(self):
-        assert make_ifv(0.33, 0.36) == IFV(0.33, 0.36)
-        assert make_ifv(1.0, 0.0) == IFV(1.0, 0.0)
-        assert make_ifv(0.0, 0.0) == IFV(0.0, 0.0)
+        for mu, nu in ((0.33, 0.36), (1.0, 0.0), (0.0, 0.0)):
+            v = IFV(mu, nu)
+            assert (v.mu, v.nu) == (mu, nu)
 
     def test_simplex_violation(self):
         with pytest.raises(SimplexViolationError):
-            make_ifv(0.7, 0.4)
+            IFV(0.7, 0.4)
 
     @pytest.mark.parametrize("mu,nu", [(-0.1, 0.2), (1.1, 0.0), (0.2, -0.1), (0.0, 1.0001)])
     def test_out_of_range(self, mu, nu):
         with pytest.raises(OutOfRangeError):
-            make_ifv(mu, nu)
+            IFV(mu, nu)
 
     def test_slack_admits_decimal_rounding(self):
         # 0.3 + 0.7 style inputs must not be rejected for representation error
-        make_ifv(0.3, 0.7)
-        make_ifv(0.5, 0.5 + 1e-10)
+        IFV(0.3, 0.7)
+        IFV(0.5, 0.5 + 1e-10)
         with pytest.raises(SimplexViolationError):
-            make_ifv(0.5, 0.5 + 1e-7)
+            IFV(0.5, 0.5 + 1e-7)
 
     def test_values_stored_as_given(self):
-        v = make_ifv(0.3, 0.7)
+        v = IFV(0.3, 0.7)
         assert (v.mu, v.nu) == (0.3, 0.7)
 
 

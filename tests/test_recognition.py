@@ -15,6 +15,7 @@ from ifsim import (
     get_measure,
     uniform_weights,
 )
+from ifsim.measures import js_norm_batch
 from ifsim.registry import MeasureDescriptor
 
 
@@ -84,6 +85,7 @@ class TestClassifyBehavior:
         sim_md = MeasureDescriptor(
             "wu-dual", "similarity", {},
             lambda a, b, wv: 1.0 - dist_wu(a, b, wv if wv is not None else uniform_weights(len(a))),
+            lambda *c: 1.0 - js_norm_batch(*c),
         )
         r_dist = classify(lib, sets["S1"], dist_md)
         r_sim = classify(lib, sets["S1"], sim_md)
