@@ -3,21 +3,30 @@
 An IFV is a pair <mu, nu> of membership / non-membership degrees with
 mu, nu in [0, 1] and mu + nu <= 1; the leftover 1 - mu - nu is the
 indeterminacy degree.  An IFS assigns one IFV to every element of a finite,
-ordered universe of discourse.  All types here are immutable after
-construction and all operations are pure, so everything is safe to share
-across threads.
+ordered universe of discourse.  It stores its degrees in one read-only
+(2, n) float64 array, mu in row 0 and nu in row 1, validated once with
+vector operations when the set is built; set operations and the measures
+work on the rows directly.  IFVs, IFSs and weight vectors cannot be changed
+after construction and all operations are pure, so everything is safe to
+share across threads.
 
 Validation policy: individual degrees must lie in [0, 1] exactly, while the
 simplex constraint mu + nu <= 1 gets a slack of SIMPLEX_SLACK (1e-9) so that
 decimal inputs such as 0.3 + 0.7 are not rejected for representation error.
-Stored values are used exactly as given, never renormalized.  Order
-comparisons are exact (no tolerance).
+The same rules apply to one IFV and to every pair of an IFS, and an invalid
+set reports its first offending pair as IFV would.  Stored values are used
+exactly as given, never renormalized.  Order comparisons are exact (no
+tolerance).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 SIMPLEX_SLACK = 1e-9
 WEIGHT_SUM_TOL = 1e-9
@@ -88,87 +97,173 @@ def atanassov_strict_subset(a: IFV, b: IFV) -> bool:
     return atanassov_subset(a, b) and (a.mu != b.mu or a.nu != b.nu)
 
 
-@dataclass(frozen=True)
+def _checked_universe(universe: Iterable[str], n: int) -> tuple[str, ...]:
+    """The universe as a tuple of str labels, checked against n degrees."""
+    universe = tuple(map(str, universe))
+    if len(universe) < 1:
+        raise OutOfRangeError("universe must contain at least one element")
+    if len(universe) != n:
+        raise OutOfRangeError(f"universe has {len(universe)} labels but {n} values given")
+    if len(set(universe)) != len(universe):
+        raise OutOfRangeError("universe labels must be unique")
+    return universe
+
+
+def _degrees_valid(degrees: np.ndarray) -> bool:
+    """The IFV rules on a (2, n) array of degrees, all pairs at once; a nan
+    makes min and max nan, so it fails the range test."""
+    mu, nu = degrees
+    return bool(degrees.min() >= 0.0 and degrees.max() <= 1.0
+                and (mu + nu).max() <= 1.0 + SIMPLEX_SLACK)
+
+
+def _pair_rows(pairs: list) -> np.ndarray | None:
+    """The (n, 2) float64 array of a list of (mu, nu) pairs; None unless
+    every pair has length 2."""
+    if set(map(len, pairs)) - {2}:
+        return None
+    return np.fromiter(chain.from_iterable(pairs), np.float64, 2 * len(pairs)).reshape(-1, 2)
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class IFS:
-    """An intuitionistic fuzzy set over a finite, labeled, ordered universe."""
+    """An intuitionistic fuzzy set over a finite, labeled, ordered universe.
+
+    `degrees` is a read-only (2, n) float64 array: row 0 holds the
+    memberships mu_j and row 1 the non-memberships nu_j, each contiguous.
+    """
 
     universe: tuple[str, ...]
-    values: tuple[IFV, ...]
+    degrees: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "universe", tuple(str(x) for x in self.universe))
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.universe) < 1:
-            raise OutOfRangeError("universe must contain at least one element")
-        if len(self.universe) != len(self.values):
-            raise OutOfRangeError(
-                f"universe has {len(self.universe)} labels but {len(self.values)} values given"
-            )
-        if len(set(self.universe)) != len(self.universe):
-            raise OutOfRangeError("universe labels must be unique")
-        for v in self.values:
+    def __init__(self, universe: Sequence[str], values: Iterable[IFV]) -> None:
+        values = tuple(values)
+        universe = _checked_universe(universe, len(values))
+        for v in values:
             if not isinstance(v, IFV):
                 raise OutOfRangeError(f"values must be IFVs, got {type(v).__name__}")
+        degrees = np.array([[v.mu for v in values], [v.nu for v in values]], dtype=np.float64)
+        self._store(universe, degrees)
+
+    def _store(self, universe: tuple[str, ...], degrees: np.ndarray) -> None:
+        degrees.flags.writeable = False
+        object.__setattr__(self, "universe", universe)
+        object.__setattr__(self, "degrees", degrees)
+
+    @classmethod
+    def _from_degrees(cls, universe: tuple[str, ...], degrees: np.ndarray) -> "IFS":
+        """An IFS over a checked universe from a valid (2, n) float64 array
+        that nothing else holds."""
+        out = object.__new__(cls)
+        out._store(universe, degrees)
+        return out
 
     @classmethod
     def from_pairs(
-        cls, pairs: Iterable[tuple[float, float]], universe: Sequence[str] | None = None
+        cls, pairs: Iterable[tuple[float, float]] | np.ndarray, universe: Sequence[str] | None = None
     ) -> "IFS":
-        """Build an IFS from (mu, nu) pairs; labels default to x1..xn."""
-        vals = tuple(IFV(m, n) for m, n in pairs)
+        """Build an IFS from (mu, nu) pairs, an iterable or an (n, 2) array;
+        labels default to x1..xn."""
+        if isinstance(pairs, np.ndarray):
+            rows = np.array(pairs, dtype=np.float64)
+        else:
+            rows = _pair_rows(list(pairs))
+            if rows is None:
+                raise OutOfRangeError("every pair must hold two degrees (mu, nu)")
+        if rows.ndim != 2 or rows.shape[1] != 2:
+            raise OutOfRangeError(f"pairs must form an (n, 2) array, got shape {rows.shape}")
+        degrees = np.ascontiguousarray(rows.T)
+        if not _degrees_valid(degrees):
+            for mu, nu in rows.tolist():
+                IFV(mu, nu)  # raises for the first offending pair
         if universe is None:
-            universe = tuple(f"x{i + 1}" for i in range(len(vals)))
-        return cls(tuple(universe), vals)
+            universe = [f"x{i + 1}" for i in range(len(rows))]
+        return cls._from_degrees(_checked_universe(universe, len(rows)), degrees)
+
+    @property
+    def values(self) -> tuple[IFV, ...]:
+        """The degrees as IFVs, built on each access."""
+        return tuple(IFV(mu, nu) for mu, nu in zip(*self.degrees.tolist()))
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.degrees.shape[1]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IFS):
+            return NotImplemented
+        return self.universe == other.universe and bool((self.degrees == other.degrees).all())
+
+    def __hash__(self) -> int:
+        # + 0.0 turns -0.0 into 0.0, so sets that compare equal hash equal
+        return hash((self.universe, (self.degrees + 0.0).tobytes()))
+
+    def __repr__(self) -> str:
+        return f"IFS(universe={self.universe!r}, values={self.values!r})"
+
+    def __reduce__(self):
+        # pickle and copy rebuild through _from_degrees, so the copy is read-only too
+        return IFS._from_degrees, (self.universe, self.degrees.copy())
 
     def complement(self) -> "IFS":
         """Elementwise complement over the same universe."""
-        return IFS(self.universe, tuple(complement(v) for v in self.values))
+        return IFS._from_degrees(self.universe, self.degrees[::-1].copy())
 
-    def mu_array(self) -> list[float]:
-        return [v.mu for v in self.values]
+    def mu_array(self) -> np.ndarray:
+        """The memberships, a read-only float64 view."""
+        return self.degrees[0]
 
-    def nu_array(self) -> list[float]:
-        return [v.nu for v in self.values]
+    def nu_array(self) -> np.ndarray:
+        """The non-memberships, a read-only float64 view."""
+        return self.degrees[1]
 
 
 def _require_same_universe(a: IFS, b: IFS) -> None:
     if a.universe != b.universe:
+        ua, ub = a.universe, b.universe
+        i = next((j for j, (x, y) in enumerate(zip(ua, ub)) if x != y), min(len(ua), len(ub)))
+        x = reprlib.repr(ua[i]) if i < len(ua) else "(end)"
+        y = reprlib.repr(ub[i]) if i < len(ub) else "(end)"
         raise UniverseMismatchError(
-            f"universes differ: {a.universe!r} vs {b.universe!r}"
+            f"universes differ: {len(ua)} vs {len(ub)} labels, first at position {i}: {x} vs {y}"
         )
 
 
 def ifs_subset(a: IFS, b: IFS) -> bool:
     """Pointwise Atanassov containment over identical universes."""
     _require_same_universe(a, b)
-    return all(atanassov_subset(x, y) for x, y in zip(a.values, b.values))
+    (mu_a, nu_a), (mu_b, nu_b) = a.degrees, b.degrees
+    return bool((mu_a <= mu_b).all() and (nu_a >= nu_b).all())
 
 
 def ifs_strict_subset(a: IFS, b: IFS) -> bool:
     """Pointwise containment with at least one element strictly contained."""
-    _require_same_universe(a, b)
-    return ifs_subset(a, b) and a.values != b.values
+    return ifs_subset(a, b) and not (a.degrees == b.degrees).all()
 
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Positive weights over the universe, summing to 1 within WEIGHT_SUM_TOL."""
+    """Positive weights over the universe, summing to 1 within WEIGHT_SUM_TOL.
+
+    `array` holds the same weights as a read-only float64 array.
+    """
 
     weights: tuple[float, ...]
+    array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
         if len(self.weights) < 1:
             raise OutOfRangeError("weight vector must be non-empty")
-        for j, w in enumerate(self.weights):
-            if not (0.0 < w <= 1.0):
-                raise OutOfRangeError(f"weight {j} = {w!r} outside (0, 1]")
+        array = np.array(self.weights, dtype=np.float64)
+        in_range = (array > 0.0) & (array <= 1.0)  # false for nan
+        if not in_range.all():
+            j = int(np.argmin(in_range))  # the first weight out of range
+            raise OutOfRangeError(f"weight {j} = {self.weights[j]!r} outside (0, 1]")
         total = sum(self.weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise OutOfRangeError(f"weights sum to {total!r}, expected 1")
+        array.flags.writeable = False
+        object.__setattr__(self, "array", array)
 
     def __len__(self) -> int:
         return len(self.weights)

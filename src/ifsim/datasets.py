@@ -10,9 +10,13 @@ Layout::
 
 Every set must have one [mu, nu] pair per universe element and every pair
 must validate as an IFV; weights, when present, must validate as a weight
-vector of matching length.  Parsing errors carry the JSON line/column;
-validation errors name the offending set, pair, or rule.  Serialization uses
-repr-exact floats, so load -> save -> load round-trips to identical objects.
+vector of matching length.  Each set's pairs become one (2, n) float64
+degree array, checked with vector operations; only when that check fails
+are the pairs walked one by one to name the first offender.  Parsing errors
+carry the JSON line/column; validation errors name the offending set, pair,
+or rule.  Saving writes the text json.dumps(doc, indent=2) would write,
+straight from the degree arrays, with repr-exact floats, so load -> save ->
+load round-trips to equal objects.
 
 A few named datasets used by the repro scenarios are built in:
 tableI_case1 .. tableI_case5 (pairwise comparison cases, with 0.5/0.5
@@ -23,9 +27,13 @@ test sample, with uniform 1/3 weights).
 from __future__ import annotations
 
 import json
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from .core import IFS, IFV, IfsimError, WeightVector
+import numpy as np
+
+from .core import IFS, IFV, IfsimError, WeightVector, _degrees_valid, _pair_rows
 
 
 class DatasetParseError(IfsimError, ValueError):
@@ -36,23 +44,38 @@ class DatasetValidationError(IfsimError, ValueError):
     """The file parsed but violates a dataset rule; names the offender."""
 
 
-def _parse_pairs(name: str, raw_pairs, n: int) -> tuple[IFV, ...]:
+_NUMBER_TYPES = frozenset({int, float})  # what json.loads gives for numbers, bool excluded
+
+
+def _check_pairs(name: str, raw_pairs: list) -> None:
+    """Raise for the first pair that is not a valid [mu, nu] pair."""
+    for i, pair in enumerate(raw_pairs):
+        if not (isinstance(pair, list) and len(pair) == 2
+                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
+            raise DatasetParseError(f"set {name!r}, pair {i + 1}: expected [mu, nu] numbers")
+        try:
+            IFV(pair[0], pair[1])
+        except IfsimError as exc:
+            raise DatasetValidationError(f"set {name!r}, pair {i + 1} {pair!r}: {exc}") from exc
+
+
+def _parse_degrees(name: str, raw_pairs, n: int) -> np.ndarray:
+    """The (2, n) degree array of one set, checked with vector operations;
+    the pair-by-pair check runs only to name the offender of a failed one."""
     if not isinstance(raw_pairs, list):
         raise DatasetParseError(f"set {name!r}: expected a list of [mu, nu] pairs")
     if len(raw_pairs) != n:
         raise DatasetValidationError(
             f"set {name!r}: {len(raw_pairs)} pairs for a universe of {n} elements"
         )
-    values = []
-    for i, pair in enumerate(raw_pairs):
-        if not (isinstance(pair, list) and len(pair) == 2
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in pair)):
-            raise DatasetParseError(f"set {name!r}, pair {i + 1}: expected [mu, nu] numbers")
-        try:
-            values.append(IFV(pair[0], pair[1]))
-        except IfsimError as exc:
-            raise DatasetValidationError(f"set {name!r}, pair {i + 1} {pair!r}: {exc}") from exc
-    return tuple(values)
+    try:
+        numbers = _NUMBER_TYPES.issuperset(map(type, chain.from_iterable(raw_pairs)))
+        rows = _pair_rows(raw_pairs) if numbers else None
+    except (TypeError, OverflowError):  # a pair that is a number; an int too large for a float
+        rows = None
+    if rows is None or not _degrees_valid(rows.T):
+        _check_pairs(name, raw_pairs)  # raises for the first offending pair
+    return np.ascontiguousarray(rows.T)
 
 
 def parse_dataset(text: str) -> tuple[dict[str, IFS], WeightVector | None]:
@@ -64,7 +87,7 @@ def parse_dataset(text: str) -> tuple[dict[str, IFS], WeightVector | None]:
     if not isinstance(doc, dict):
         raise DatasetParseError("top level must be an object")
     universe = doc.get("universe")
-    if not (isinstance(universe, list) and universe and all(isinstance(x, str) for x in universe)):
+    if not (isinstance(universe, list) and universe and {str}.issuperset(map(type, universe))):
         raise DatasetParseError("field 'universe': expected a non-empty list of strings")
     if len(set(universe)) != len(universe):
         raise DatasetValidationError("universe labels must be unique")
@@ -77,16 +100,11 @@ def parse_dataset(text: str) -> tuple[dict[str, IFS], WeightVector | None]:
     universe_t = tuple(universe)
     out: dict[str, IFS] = {}
     for name, raw_pairs in sets.items():
-        values = _parse_pairs(name, raw_pairs, len(universe_t))
-        try:
-            out[name] = IFS(universe_t, values)
-        except IfsimError as exc:
-            raise DatasetValidationError(f"set {name!r}: {exc}") from exc
+        out[name] = IFS._from_degrees(universe_t, _parse_degrees(name, raw_pairs, len(universe_t)))
     weights = None
     if "weights" in doc and doc["weights"] is not None:
         raw_w = doc["weights"]
-        if not (isinstance(raw_w, list)
-                and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in raw_w)):
+        if not (isinstance(raw_w, list) and _NUMBER_TYPES.issuperset(map(type, raw_w))):
             raise DatasetParseError("field 'weights': expected a list of numbers")
         if len(raw_w) != len(universe_t):
             raise DatasetValidationError(
@@ -104,21 +122,39 @@ def load_dataset(path: str | Path) -> tuple[dict[str, IFS], WeightVector | None]
     return parse_dataset(Path(path).read_text(encoding="utf-8"))
 
 
+def _json_array(items, indent: str) -> str:
+    """A JSON array of already-encoded items, laid out as json.dumps(...,
+    indent=2) lays out an array that starts at the given indent."""
+    inner = "\n" + indent + "  "
+    return "[" + inner + ("," + inner).join(items) + "\n" + indent + "]"
+
+
+# one [mu, nu] pair of a set, as json.dumps(..., indent=2) writes it
+_PAIR = "[\n        {!r},\n        {!r}\n      ]".format
+
+
 def dumps_dataset(sets: dict[str, IFS], weights: WeightVector | None = None) -> str:
-    """Serialize to the dataset JSON format (repr-exact floats, round-trips)."""
+    """Serialize to the dataset JSON format (repr-exact floats, round-trips).
+
+    The text is exactly json.dumps(doc, indent=2) + "\n", written from the
+    degree arrays without building the document's nested lists."""
     if not sets:
         raise DatasetValidationError("cannot serialize an empty dataset")
     universes = {ifs.universe for ifs in sets.values()}
     if len(universes) != 1:
         raise DatasetValidationError("all sets must share one universe")
     universe = next(iter(universes))
-    doc: dict = {
-        "universe": list(universe),
-        "sets": {name: [[v.mu, v.nu] for v in ifs.values] for name, ifs in sets.items()},
-    }
+    named = []
+    for name, ifs in sets.items():
+        key = json.dumps({name: 0})[1:-4]  # the key as json.dumps writes it
+        named.append(f"    {key}: " + _json_array(map(_PAIR, *ifs.degrees.tolist()), "    "))
+    parts = [
+        '  "universe": ' + _json_array(map(encode_basestring_ascii, universe), "  "),
+        '  "sets": {\n' + ",\n".join(named) + "\n  }",
+    ]
     if weights is not None:
-        doc["weights"] = list(weights.weights)
-    return json.dumps(doc, indent=2) + "\n"
+        parts.append('  "weights": ' + _json_array(map(repr, weights.weights), "  "))
+    return "{\n" + ",\n".join(parts) + "\n}\n"
 
 
 def save_dataset(path: str | Path, sets: dict[str, IFS], weights: WeightVector | None = None) -> None:

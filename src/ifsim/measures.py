@@ -19,8 +19,9 @@ by the distance from a value to its complement.
 
 All functions are pure.  Every measure is one elementwise *_batch kernel on
 equal-shaped float arrays of mu / nu components.  Its IFV function evaluates
-the kernel on one pair, and its IFS value is aggregate() of the kernel: a
-weighted sum over the universe, or the plain 1/n mean.  Audits run the same
+the kernel on one pair, and its IFS value is aggregate() of the kernel over
+the sets' stored degree rows: a weighted sum over the universe, or the plain
+1/n mean.  Audits run the same
 kernels, so they exercise exactly what the set API computes.
 
 Numeric conventions: each term p*log2(2p/s) is evaluated only where p > 0
@@ -194,15 +195,17 @@ def shannon_interval_entropy(a: IFV) -> float:
 
 def aggregate(kernel: Callable[..., np.ndarray], a: IFS, b: IFS, w: WeightVector | None = None) -> float:
     """Set-level value of an elementwise kernel: sum_j w_j * kernel(a_j, b_j),
-    or the plain 1/n mean when w is None.  Raises UniverseMismatchError unless
+    or the plain 1/n mean when w is None.  The kernel gets the sets' stored
+    mu and nu rows as they are, without a copy.  Raises UniverseMismatchError unless
     a and b share a universe, and WeightLengthMismatchError for a w of the
     wrong length."""
     _require_same_universe(a, b)
-    per_element = kernel(a.mu_array(), a.nu_array(), b.mu_array(), b.nu_array())
+    (mu_a, nu_a), (mu_b, nu_b) = a.degrees, b.degrees
+    per_element = kernel(mu_a, nu_a, mu_b, nu_b)
     if w is None:
         return float(np.mean(per_element))
     check_weights(w, len(a))
-    return float(np.dot(np.asarray(w.weights), per_element))
+    return float(np.dot(w.array, per_element))
 
 
 def dist_wu(a: IFS, b: IFS, w: WeightVector) -> float:

@@ -1,9 +1,14 @@
-"""Domain types: validation, the value order, weights."""
+"""Domain types: validation, the value order, weights, the IFS storage."""
 
+import copy
+import dataclasses
+import pickle
+
+import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import ifvs
+from conftest import ifs_pairs, ifvs
 from ifsim import (
     IFS,
     IFV,
@@ -183,3 +188,172 @@ class TestWeights:
 
     def test_valid_non_uniform(self):
         WeightVector((0.2, 0.3, 0.5))
+
+
+class TestIfsStorage:
+    """An IFS keeps its degrees in one read-only (2, n) float64 array."""
+
+    PAIRS = [(0.3, 0.2), (1.0, 0.0), (-0.0, 0.25), (0.5, 0.5)]
+    UNIVERSE = ("x1", "x2", "x3", "x4")
+
+    def _built_every_way(self):
+        return [
+            IFS(self.UNIVERSE, tuple(IFV(m, n) for m, n in self.PAIRS)),
+            IFS.from_pairs(self.PAIRS),
+            IFS.from_pairs(p for p in self.PAIRS),
+            IFS.from_pairs(np.array(self.PAIRS)),
+            IFS.from_pairs([(0.3, 0.2), (1, 0), (0.0, 0.25), (0.5, 0.5)], list(self.UNIVERSE)),
+        ]
+
+    def test_every_construction_gives_equal_sets_with_equal_hashes(self):
+        first, *others = self._built_every_way()
+        for s in others:
+            assert s == first
+            assert hash(s) == hash(first)
+
+    def test_layout(self):
+        s = IFS.from_pairs(self.PAIRS)
+        assert s.degrees.shape == (2, 4)
+        assert s.degrees.dtype == np.float64
+        assert s.degrees.flags.c_contiguous
+        assert s.mu_array().tolist() == [m for m, _ in self.PAIRS]
+        assert s.nu_array().tolist() == [n for _, n in self.PAIRS]
+
+    def test_values_round_trip(self):
+        s = IFS.from_pairs(self.PAIRS)
+        assert s.values == tuple(IFV(m, n) for m, n in self.PAIRS)
+        assert IFS(s.universe, s.values) == s
+
+    def test_negative_zero_is_kept_and_equals_zero(self):
+        s = IFS.from_pairs([(-0.0, 0.3)])
+        assert str(s.values[0].mu) == "-0.0"
+        t = IFS.from_pairs([(0.0, 0.3)])
+        assert s == t and hash(s) == hash(t)
+
+    def test_inequality(self):
+        s = IFS.from_pairs(self.PAIRS)
+        assert s != IFS.from_pairs(self.PAIRS, ["a", "b", "c", "d"])
+        assert s != IFS.from_pairs([*self.PAIRS[:3], (0.5, 0.4)])
+        assert s != self.PAIRS
+        assert s.__eq__(self.PAIRS) is NotImplemented
+
+    def test_repr_unchanged(self):
+        s = IFS.from_pairs([(0.3, 0.2), (0.4, 0.3)])
+        assert repr(s) == "IFS(universe=('x1', 'x2'), values=(IFV(0.3, 0.2), IFV(0.4, 0.3)))"
+
+    def test_read_only(self):
+        s = IFS.from_pairs(self.PAIRS)
+        assert not s.degrees.flags.writeable
+        for row in (s.degrees, s.mu_array(), s.nu_array()):
+            with pytest.raises(ValueError):
+                row[0] = 0.0
+        for name, value in (("degrees", np.zeros((2, 4))), ("universe", ("a",)), ("values", ())):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(s, name, value)
+        assert dataclasses.is_dataclass(s)
+
+    def test_array_input_is_copied(self):
+        pairs = np.array(self.PAIRS)
+        s = IFS.from_pairs(pairs)
+        pairs[0, 0] = 0.0
+        assert s.values[0] == IFV(0.3, 0.2)
+
+    @pytest.mark.parametrize("copier", [copy.copy, copy.deepcopy,
+                                        lambda s: pickle.loads(pickle.dumps(s))])
+    def test_copies_stay_read_only(self, copier):
+        s = IFS.from_pairs(self.PAIRS)
+        c = copier(s)
+        assert c == s and hash(c) == hash(s)
+        assert not c.degrees.flags.writeable
+
+    @pytest.mark.parametrize("pairs", [
+        [(0.3, 0.2, 0.1)],
+        [(0.3, 0.2), (0.3,)],
+        np.zeros((3, 3)),
+        np.zeros(4),
+        np.zeros((2, 2, 2)),
+    ])
+    def test_wrong_shape(self, pairs):
+        with pytest.raises(OutOfRangeError):
+            IFS.from_pairs(pairs)
+
+    @pytest.mark.parametrize("pairs", [[(0.3, float("nan"))], np.array([[float("nan"), 0.2]])])
+    def test_nan(self, pairs):
+        with pytest.raises(OutOfRangeError):
+            IFS.from_pairs(pairs)
+
+    @pytest.mark.parametrize("bad", [(0.7, 0.4), (1.5, 0.0), (0.2, -0.1), (0.5, 0.5 + 1e-7),
+                                     (1.0 + 1e-10, 0.0), (0.0, -5e-324)])
+    def test_first_offender_reported_as_by_ifv(self, bad):
+        with pytest.raises((OutOfRangeError, SimplexViolationError)) as expected:
+            IFV(*bad)
+        for pairs in ([(0.1, 0.2), bad], [(0.1, 0.2), bad, (2.0, 0.0)]):
+            for given_as in (list, np.array):
+                with pytest.raises(expected.type) as got:
+                    IFS.from_pairs(given_as(pairs))
+                assert str(got.value) == str(expected.value)
+
+    def test_slack_boundary(self):
+        assert len(IFS.from_pairs([(0.3, 0.7), (0.5, 0.5 + 1e-10)])) == 2
+        for pairs in ([(0.1, 0.2), (0.5, 0.5 + 1.5e-9)], np.array([(0.1, 0.2), (0.5, 0.5 + 1.5e-9)])):
+            with pytest.raises(SimplexViolationError):
+                IFS.from_pairs(pairs)
+
+    def test_non_ifv_values(self):
+        with pytest.raises(OutOfRangeError, match="IFVs"):
+            IFS(("x1",), ((0.3, 0.2),))
+
+    def test_complement_swaps_rows(self):
+        s = IFS.from_pairs(self.PAIRS)
+        c = s.complement()
+        assert c.mu_array().tolist() == s.nu_array().tolist()
+        assert c.nu_array().tolist() == s.mu_array().tolist()
+        assert not c.degrees.flags.writeable
+
+    @given(ifs_pairs(max_n=6))
+    def test_complement_involution(self, pair):
+        a, _ = pair
+        assert a.complement().complement() == a
+
+
+class TestUniverseMismatchMessage:
+    def test_short_for_large_universes(self):
+        n = 25_000
+        labels = [f"element-{j}" for j in range(n)]
+        a = IFS.from_pairs([(0.3, 0.2)] * n, labels)
+        labels[12_345] = "other"
+        b = IFS.from_pairs([(0.3, 0.2)] * n, labels)
+        with pytest.raises(UniverseMismatchError) as exc:
+            ifs_subset(a, b)
+        message = str(exc.value)
+        assert len(message) < 1000
+        assert "25000 vs 25000" in message and "12345" in message
+        assert "'element-12345'" in message and "'other'" in message
+
+    def test_prefix_and_long_labels(self):
+        a = IFS.from_pairs([(0.3, 0.2)], ["x" * 100_000])
+        b = IFS.from_pairs([(0.3, 0.2), (0.4, 0.3)], ["x" * 100_000, "y"])
+        with pytest.raises(UniverseMismatchError) as exc:
+            ifs_subset(a, b)
+        message = str(exc.value)
+        assert len(message) < 1000
+        assert "1 vs 2" in message and "position 1" in message and "(end)" in message
+
+
+class TestWeightArray:
+    def test_array_matches_tuple(self):
+        w = WeightVector((0.2, 0.3, 0.5))
+        assert w.array.dtype == np.float64
+        assert w.array.tolist() == list(w.weights)
+        assert not w.array.flags.writeable
+
+    def test_equality_and_hash_from_weights(self):
+        assert WeightVector((0.5, 0.5)) == uniform_weights(2)
+        assert hash(WeightVector((0.5, 0.5))) == hash(uniform_weights(2))
+        assert "array" not in repr(uniform_weights(2))
+
+    @pytest.mark.parametrize("weights,j", [((0.5, 0.0, 0.5), 1), ((float("nan"), 1.0), 0),
+                                           ((0.5, 0.5, -0.1, 0.1), 2)])
+    def test_first_bad_weight_named(self, weights, j):
+        with pytest.raises(OutOfRangeError, match=f"weight {j} = "):
+            WeightVector(weights)

@@ -1,9 +1,17 @@
 """Dataset file format: parsing, validation messages, round-trips, built-ins."""
 
-import pytest
+import json
 
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given
+
+from conftest import ifvs
 from ifsim import (
+    BUILTIN_DATASET_NAMES,
     IFS,
+    IFV,
     DatasetParseError,
     DatasetValidationError,
     WeightVector,
@@ -82,6 +90,92 @@ class TestParsing:
         doc = '{"universe": ["x", "x"], "sets": {"A": [[0.3, 0.2], [0.4, 0.3]]}}'
         with pytest.raises(DatasetValidationError, match="unique"):
             parse_dataset(doc)
+
+
+class TestVectorParsing:
+    """Sets are checked as arrays; a failed check still names the first
+    offending pair, as the pair-by-pair check did."""
+
+    @staticmethod
+    def _doc(pairs: str) -> str:
+        return '{"universe": ["a", "b", "c", "d"], "sets": {"A": [[0.1, 0.2], [0.3, 0.3], %s]}}' % pairs
+
+    @pytest.mark.parametrize("tail,error,pair", [
+        ("[0.7, 0.4], [2, 0]", DatasetValidationError, 3),
+        ("[0.1, 0.2], [0.5, NaN]", DatasetValidationError, 4),
+        ("[0.1, 0.2], [1e400, 0]", DatasetValidationError, 4),
+        ("[true, 0.2], [2, 0]", DatasetParseError, 3),
+        ('[0.1, 0.2], ["0.3", 0.2]', DatasetParseError, 4),
+        ("[0.1, 0.2], [0.3, 0.2, 0.1]", DatasetParseError, 4),
+        ("[0.1, 0.2], [[0.3], 0.2]", DatasetParseError, 4),
+        ("[0.1, 0.2], 0.3", DatasetParseError, 4),
+        ('[0.1, 0.2], {"mu": 0.1, "nu": 0.2}', DatasetParseError, 4),
+    ])
+    def test_first_offender_named(self, tail, error, pair):
+        with pytest.raises(error, match=f"set 'A', pair {pair}[ :]"):
+            parse_dataset(self._doc(tail))
+
+    def test_ints_accepted(self):
+        sets, _ = parse_dataset(self._doc("[1, 0], [0, 1]"))
+        assert sets["A"].values[2:] == (IFV(1.0, 0.0), IFV(0.0, 1.0))
+
+    def test_same_set_as_every_other_construction(self):
+        pairs = [(0.3, 0.2), (1.0, 0.0), (-0.0, 0.25)]
+        universe = ("x1", "x2", "x3")
+        text = json.dumps({"universe": list(universe), "sets": {"A": pairs}})
+        parsed = parse_dataset(text)[0]["A"]
+        for other in (IFS(universe, tuple(IFV(m, n) for m, n in pairs)),
+                      IFS.from_pairs(pairs), IFS.from_pairs(iter(pairs)), IFS.from_pairs(np.array(pairs))):
+            assert parsed == other and hash(parsed) == hash(other)
+        assert not parsed.degrees.flags.writeable
+        assert parsed.degrees.flags.c_contiguous
+
+
+def _stdlib_dump(sets, weights) -> str:
+    doc = {"universe": list(next(iter(sets.values())).universe),
+           "sets": {name: [[v.mu, v.nu] for v in s.values] for name, s in sets.items()}}
+    if weights is not None:
+        doc["weights"] = list(weights.weights)
+    return json.dumps(doc, indent=2) + "\n"
+
+
+class TestDumpsMatchesStdlib:
+    """dumps_dataset writes exactly what json.dumps(doc, indent=2) writes."""
+
+    @pytest.mark.parametrize("name", BUILTIN_DATASET_NAMES)
+    def test_builtins(self, name):
+        sets, w = builtin_dataset(name)
+        assert dumps_dataset(sets, w) == _stdlib_dump(sets, w)
+        assert dumps_dataset(sets) == _stdlib_dump(sets, None)
+
+    def test_escaped_labels_and_names(self):
+        universe = ['q"uote', "back\\slash", "new\nline", "\u00e4", "\u6f22", "\U0001f600", "tab\t"]
+        pairs = [(1 / 3, 1 / 7), (-0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1e-300, 5e-324), (0.1, 0.2), (0.5, 0.5)]
+        sets = {'set "A"': IFS.from_pairs(pairs, universe), "\u00fc": IFS.from_pairs(pairs[::-1], universe)}
+        w = WeightVector((1 / 7,) * 7)
+        assert dumps_dataset(sets, w) == _stdlib_dump(sets, w)
+        assert dumps_dataset(sets) == _stdlib_dump(sets, None)
+
+    def test_one_element(self):
+        sets = {"A": IFS.from_pairs([(0.25, 0.5)], ["only"])}
+        assert dumps_dataset(sets, WeightVector((1.0,))) == _stdlib_dump(sets, WeightVector((1.0,)))
+
+
+@st.composite
+def _datasets(draw):
+    n = draw(st.integers(min_value=1, max_value=5))
+    universe = draw(st.lists(st.text(max_size=4), min_size=n, max_size=n, unique=True))
+    names = draw(st.lists(st.text(max_size=4), min_size=1, max_size=3, unique=True))
+    sets = {name: IFS(universe, tuple(draw(ifvs()) for _ in range(n))) for name in names}
+    raw = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=n, max_size=n))
+    weights = draw(st.sampled_from([None, WeightVector(tuple(x / sum(raw) for x in raw))]))
+    return sets, weights
+
+
+@given(_datasets())
+def test_round_trip_property(dataset):
+    sets, weights = dataset
+    assert parse_dataset(dumps_dataset(sets, weights)) == (sets, weights)
 
 
 class TestRoundTrip:
