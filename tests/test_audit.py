@@ -1,5 +1,6 @@
 """The axiom auditor: deterministic sampling, verdicts, witnesses."""
 
+import numpy as np
 import pytest
 
 from ifsim import (
@@ -17,6 +18,7 @@ from ifsim import (
     sample_strict_chain,
     uniform_weights,
 )
+from ifsim import audit
 from ifsim.measures import js_norm_batch
 from ifsim.registry import MeasureDescriptor
 
@@ -66,19 +68,18 @@ class TestSampling:
     def test_chains_strictly_nested(self):
         c = AuditConfig(grid_step=0.5, random_pairs=1, random_triples=1,
                         chain_samples=300, seed=5)
-        triples = list(sample_strict_chain(c))
-        assert len(triples) == 300
-        for a, b, mid in [(t[0], t[2], t[1]) for t in triples]:
+        chains = audit._chains_array(c).reshape(-1, 3, 2)
+        assert len(chains) == 300
+        for a, mid, b in (tuple(IFV(*p) for p in row) for row in chains):
             assert atanassov_strict_subset(a, mid)
             assert atanassov_strict_subset(mid, b)
 
     def test_chains_deterministic_and_pinned(self):
         c = AuditConfig(grid_step=0.5, random_pairs=1, random_triples=1,
                         chain_samples=10, seed=5)
-        one = list(sample_strict_chain(c))
-        two = list(sample_strict_chain(c))
-        assert one == two
-        assert one[0] == (IFV(0.33, 0.36), IFV(1 / 3, 1 / 3), IFV(0.334, 0.333333))
+        one = audit._chains_array(c)
+        assert np.array_equal(one, audit._chains_array(c))
+        assert one.reshape(-1, 3, 2)[0].tolist() == [[0.33, 0.36], [1 / 3, 1 / 3], [0.334, 0.333333]]
 
 
 class TestAuditStrictMeasure:
@@ -177,3 +178,54 @@ class TestAuditEntropy:
 
     def test_deterministic(self):
         assert audit_entropy(SMALL).checks == audit_entropy(SMALL).checks
+
+
+# a symmetric distance that shrinks by exactly `step` once the L1 spread of a
+# pair passes 0.3: a chain a < b < c that straddles the threshold has margin
+# d(a,b) - d(a,c) == step, every other chain a tie (margin 0).  0.5 - step is
+# exact for a step that is a multiple of 2**-53.
+def _stepped(step: float) -> MeasureDescriptor:
+    def kernel(ma, na, mb, nb):
+        same = (ma == mb) & (na == nb)
+        spread = np.abs(ma - mb) + np.abs(na - nb)
+        return np.where(same, 0.0, np.where(spread > 0.3, 0.5 - step, 0.5))
+    return MeasureDescriptor("stepped", "distance", {}, lambda a, b, w: 0.0, kernel)
+
+
+def _chain_rows(config: AuditConfig, weak: bool) -> np.ndarray:
+    """The chains S4' grades; S4 appends (a, a, c) and (a, c, c) of the first 1000."""
+    chains = audit._chains_array(config).reshape(-1, 3, 2)
+    if not weak:
+        return chains
+    head = chains[:1000]
+    return np.vstack([chains, head[:, [0, 0, 2]], head[:, [0, 2, 2]]])
+
+
+def _first_chain_witness(m: MeasureDescriptor, rows: np.ndarray, strict: bool) -> dict:
+    d = {k: m.pair_batch(rows[:, i, 0], rows[:, i, 1], rows[:, j, 0], rows[:, j, 1])
+         for k, (i, j) in {"d(a,b)": (0, 1), "d(b,c)": (1, 2), "d(a,c)": (0, 2)}.items()}
+    margin = np.maximum(d["d(a,b)"] - d["d(a,c)"], d["d(b,c)"] - d["d(a,c)"])
+    i = int(np.flatnonzero(margin >= 0.0 if strict else margin > 0.0)[0])
+    fmt = lambda p: f"<{p[0]:.17g}, {p[1]:.17g}>"
+    return {"a": fmt(rows[i, 0]), "b": fmt(rows[i, 1]), "c": fmt(rows[i, 2]),
+            **{k: f"{v[i]:.17g}" for k, v in d.items()}, "margin": f"{margin[i]:.17g}"}
+
+
+class TestChainGrading:
+    TOL = SMALL.tolerance
+    BELOW = np.floor(TOL * 2.0 ** 53) / 2.0 ** 53  # the largest step <= tol
+    ABOVE = BELOW + 2.0 ** -53  # the smallest step > tol
+
+    def test_steps_bracket_tolerance(self):
+        assert 0.0 < self.BELOW <= self.TOL < self.ABOVE
+        assert 0.5 - (0.5 - self.BELOW) == self.BELOW and 0.5 - (0.5 - self.ABOVE) == self.ABOVE
+
+    @pytest.mark.parametrize("axiom,strict", [("S4", False), ("S4'", True)])
+    @pytest.mark.parametrize("above,verdict", [(False, "indeterminate"), (True, "fail")])
+    def test_margin_against_tolerance(self, axiom, strict, above, verdict):
+        m = _stepped(self.ABOVE if above else self.BELOW)
+        entry = audit_distance(m, SMALL).entry(axiom)
+        assert entry.verdict == verdict
+        # S4' counts ties as violations, so its first indeterminate witness is a tie
+        rows = _chain_rows(SMALL, weak=not strict)
+        assert entry.witness == _first_chain_witness(m, rows, strict and not above)

@@ -1,11 +1,20 @@
-"""The grid x grid sweep: golden default reports and a brute-force reference.
+"""The grid x grid sweep: golden reports and a brute-force reference.
 
 The sweep evaluates only the unordered pairs i <= j and relies on every
-batch kernel being bitwise symmetric.  The golden files hold the default
-reports of the implementation that evaluated the full ordered matrix, minus
-the final timing line, so any witness, sup pair or statistic that moves
-shows up as a byte difference.  Re-record them (only when a kernel change is
-meant to move the numbers) with ``PYTHONPATH=src python tests/test_audit_sweep.py``.
+batch kernel being bitwise symmetric.  Two golden sets hold reports minus
+their final timing line, so any witness, sup pair or statistic that moves
+shows up as a byte difference:
+
+* ``golden/audit_<name>.txt``: the default audits of wu, xiao, yc, jgamma
+  (gamma 1) and the entropy, recorded from the implementation that evaluated
+  the full ordered matrix;
+* ``golden/coarse_audits.txt``: all seven built-in distance configurations
+  plus the entropy at ``COARSE``, whose 0.3 grid misses both endpoints, so it
+  pins E1's crisp-endpoint check and S5's family probe without the endpoint
+  exemption.
+
+Re-record both sets in one command (only when a kernel change is meant to
+move the numbers) with ``PYTHONPATH=src python tests/test_audit_sweep.py``.
 """
 
 from pathlib import Path
@@ -28,22 +37,35 @@ BUILTIN_DISTANCES = [
     ("wu", {}), ("wu-lambda", {"lambda": 0.5}), ("wu-lambda", {"lambda": 2.0}),
     ("xiao", {}), ("yc", {}), ("jgamma", {"gamma": 1.0}), ("jgamma", {"gamma": 2.0}),
 ]
+COARSE = AuditConfig(grid_step=0.3, random_pairs=2000, random_triples=2000,
+                     chain_samples=200, seed=5)
 TOL = 1e-12
+
+
+def _untimed(report) -> str:
+    return report.to_text().rsplit("\n", 1)[0] + "\n"  # drop the timing line
 
 
 def _report_text(name: str) -> str:
     if name == "entropy":
-        report = audit_entropy(AuditConfig())
-    else:
-        measure, params = GOLDEN_CASES[name]
-        report = audit_distance(get_measure(measure, **params), AuditConfig())
-    return report.to_text().rsplit("\n", 1)[0] + "\n"  # drop the timing line
+        return _untimed(audit_entropy(AuditConfig()))
+    measure, params = GOLDEN_CASES[name]
+    return _untimed(audit_distance(get_measure(measure, **params), AuditConfig()))
+
+
+def _coarse_text() -> str:
+    reports = [audit_distance(get_measure(n, **p), COARSE) for n, p in BUILTIN_DISTANCES]
+    return "\n".join(map(_untimed, [*reports, audit_entropy(COARSE)]))
 
 
 @pytest.mark.parametrize("name", [*GOLDEN_CASES, "entropy"])
 def test_default_report_matches_golden(name):
     golden = (GOLDEN / f"audit_{name}.txt").read_bytes()
     assert _report_text(name).encode() == golden
+
+
+def test_coarse_reports_match_golden():
+    assert _coarse_text().encode() == (GOLDEN / "coarse_audits.txt").read_bytes()
 
 
 # ---------------------------------------------------------------------------
@@ -165,3 +187,4 @@ def test_builtin_kernels_bitwise_symmetric_on_grid(step, name, params):
 if __name__ == "__main__":
     for case in [*GOLDEN_CASES, "entropy"]:
         (GOLDEN / f"audit_{case}.txt").write_text(_report_text(case))
+    (GOLDEN / "coarse_audits.txt").write_text(_coarse_text())
