@@ -177,6 +177,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    params = _measure_params(args)  # also rejects --lambda/--gamma for the entropy
     config = AuditConfig(
         grid_step=args.grid_step,
         random_pairs=args.samples,
@@ -188,8 +189,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.measure == "entropy":
         report = audit_entropy(config)
     else:
-        md = get_measure(args.measure, **_measure_params(args))
-        report = audit_distance(md, config)
+        report = audit_distance(get_measure(args.measure, **params), config)
     _emit(report.to_text() + "\n", args.out)
     return 0 if report.passed else 1
 

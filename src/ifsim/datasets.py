@@ -113,7 +113,7 @@ def parse_dataset(text: str) -> tuple[dict[str, IFS], WeightVector | None]:
         try:
             weights = WeightVector(tuple(raw_w))
         except IfsimError as exc:
-            raise DatasetValidationError(f"weights {raw_w!r}: {exc}") from exc
+            raise DatasetValidationError(f"weights ({len(raw_w)} entries): {exc}") from exc
     return out, weights
 
 

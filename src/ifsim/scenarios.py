@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, measures
-from .core import IFS, IFV, IfsimError, ifs_strict_subset
+from .core import IFS, IFV, IfsimError, atanassov_strict_subset, ifs_strict_subset
 from .datasets import builtin_dataset
 from .measures import NumericalConsistencyError
 from .recognition import PatternLibrary, classify
@@ -164,7 +164,7 @@ def _ex2_xiao_monotone() -> ReproReport:
     lams = np.arange(34, 50) / 100.0  # inside (1/3, 0.5)
     d = baselines.xiao_elem_batch(1.0 / 3.0, 1.0 / 3.0, lams, np.full_like(lams, 1e-5))
     chain_ok = all(
-        ifs_strict_subset(_one(lams[i], 1e-5), _one(lams[i + 1], 1e-5))
+        atanassov_strict_subset(IFV(lams[i], 1e-5), IFV(lams[i + 1], 1e-5))
         for i in range(len(lams) - 1)
     )
     checks = (
@@ -173,7 +173,7 @@ def _ex2_xiao_monotone() -> ReproReport:
               bool(np.all(np.diff(d) < 0.0)),
               "monotonicity counterexample on (1/3, 0.5), step 0.01"),
         _fact("base value is strictly below every family member in the order",
-              all(ifs_strict_subset(_one(1 / 3, 1 / 3), _one(l, 1e-5)) for l in lams)),
+              all(atanassov_strict_subset(IFV(1 / 3, 1 / 3), IFV(l, 1e-5)) for l in lams)),
     )
     return ReproReport("ex2-xiao-monotone", checks, wall_time=time.perf_counter() - t0)
 
@@ -361,7 +361,7 @@ def _ex11_yc_vs_wu() -> ReproReport:
     wu_nu0 = measures.js_norm_batch(1.0, 0.0, lams, zeros)
     wu_pi0 = measures.js_norm_batch(1.0, 0.0, lams, 1.0 - lams)
     nested = all(
-        ifs_strict_subset(_one(l, 1.0 - l), _one(l, 0.0)) for l in lams[:-1]
+        atanassov_strict_subset(IFV(l, 1.0 - l), IFV(l, 0.0)) for l in lams[:-1]
     )
     checks = (
         _fact("<lam,1-lam> is strictly below <lam,0> in the value order (lam < 1)", nested),

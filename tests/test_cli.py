@@ -101,6 +101,17 @@ class TestAuditCommand:
         assert code == 0
         assert "E4" in out
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--lambda", "5"], "--lambda is only valid with --measure wu-lambda"),
+        (["--gamma", "2"], "--gamma is only valid with --measure jgamma"),
+        (["--lambda", "5", "--gamma", "2"], "--lambda is only valid with --measure wu-lambda"),
+    ])
+    def test_entropy_audit_rejects_measure_params(self, capsys, flags, message):
+        code, out, err = run(capsys, "audit", "--measure", "entropy", *AUDIT_FAST, *flags)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
 
 class TestClassifyCommand:
     def test_table_three_winner(self, capsys):

@@ -76,6 +76,16 @@ class TestParsing:
         with pytest.raises(DatasetValidationError, match="weights"):
             parse_dataset(doc)
 
+    def test_bad_weights_message_is_short(self):
+        n = 25_000
+        doc = json.dumps({"universe": [f"x{i}" for i in range(n)],
+                          "sets": {"A": [[0.1, 0.2]] * n}, "weights": [1.5 / n] * n})
+        with pytest.raises(DatasetValidationError, match="weights") as info:
+            parse_dataset(doc)
+        message = str(info.value)
+        assert len(message) < 200
+        assert "25000 entries" in message and "sum to" in message
+
     def test_weights_length_mismatch(self):
         doc = '{"universe": ["x"], "sets": {"A": [[0.3, 0.2]]}, "weights": [0.5, 0.5]}'
         with pytest.raises(DatasetValidationError, match="weights"):
