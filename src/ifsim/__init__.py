@@ -13,8 +13,6 @@ from .audit import (
     audit_distance,
     audit_entropy,
     grid_points,
-    sample_simplex,
-    sample_strict_chain,
 )
 from .baselines import InvalidGammaError, dist_xiao, dist_yc, j_gamma, sim_xiao
 from .core import (
@@ -87,7 +85,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditConfig", "AxiomCheck", "AxiomReport", "audit_distance", "audit_entropy",
-    "grid_points", "sample_simplex", "sample_strict_chain",
+    "grid_points",
     "InvalidGammaError", "dist_xiao", "dist_yc", "j_gamma", "sim_xiao",
     "IFS", "IFV", "IfsimError", "OutOfRangeError", "SimplexViolationError",
     "UniverseMismatchError", "WeightLengthMismatchError", "WeightVector",

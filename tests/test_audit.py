@@ -14,8 +14,6 @@ from ifsim import (
     dist_wu,
     get_measure,
     grid_points,
-    sample_simplex,
-    sample_strict_chain,
     uniform_weights,
 )
 from ifsim import audit
@@ -52,18 +50,22 @@ class TestSampling:
         assert len(grid_points(0.01)) == 5151  # 101*102/2 simplex lattice
 
     def test_simplex_stream_deterministic(self):
-        c = AuditConfig(grid_step=0.25, random_pairs=50, random_triples=1,
-                        chain_samples=1, seed=99)
-        first = list(sample_simplex(c))
-        second = list(sample_simplex(c))
-        assert first == second
-        assert len(first) == len(grid_points(0.25)) + 2 * 50
+        c = AuditConfig(grid_step=0.25, random_pairs=50, random_triples=7,
+                        chain_samples=3, seed=99)
+        first, second = audit._plan(c), audit._plan(c)
+        for name in ("grid", "pairs", "triples", "chains", "nested"):
+            assert np.array_equal(getattr(first, name), getattr(second, name))
+        assert first.grid.shape == grid_points(0.25).shape
+        assert first.pairs.shape == (50, 2, 2) and first.triples.shape == (7, 3, 2)
+        assert first.chains.shape == (3, 3, 2) and first.nested.shape == (8, 2, 2)
 
     def test_simplex_stream_respects_domain(self):
-        c = AuditConfig(grid_step=0.5, random_pairs=500, random_triples=1,
-                        chain_samples=1, seed=3)
-        for v in sample_simplex(c):
-            assert isinstance(v, IFV)  # construction enforces mu + nu <= 1
+        c = AuditConfig(grid_step=0.5, random_pairs=500, random_triples=100,
+                        chain_samples=100, seed=3)
+        plan = audit._plan(c)
+        for sample in (plan.grid, plan.pairs, plan.triples, plan.chains, plan.nested):
+            for mu, nu in sample.reshape(-1, 2):
+                IFV(mu, nu)  # construction enforces mu + nu <= 1
 
     def test_chains_strictly_nested(self):
         c = AuditConfig(grid_step=0.5, random_pairs=1, random_triples=1,
