@@ -1,6 +1,6 @@
 """Machine verification of the strict distance and entropy axioms.
 
-An audit evaluates a measure on one deterministic sample plan (`_plan`), all
+An audit evaluates a measure on one deterministic sample plan (`_Plan`), all
 drawn from one seed: a simplex grid, random value pairs, random triples,
 random strictly-nested chains, and nested pairs for the entropy.  It reports
 one verdict per axiom:
@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -183,23 +184,36 @@ def _nested_pairs(config: AuditConfig) -> np.ndarray:
     return np.vstack([direct, direct[..., ::-1]])
 
 
-@dataclass(frozen=True)
 class _Plan:
-    """The points of one audit; a sample of k-tuples is an (n, k, 2) array."""
+    """The points of one audit, all drawn from config.seed, each sample on
+    first use; a sample of k-tuples is an (n, k, 2) array of (mu, nu)."""
 
-    grid: np.ndarray     # (g, 2) simplex lattice, row-major
-    pairs: np.ndarray    # (random_pairs, 2, 2) uniform
-    triples: np.ndarray  # (random_triples, 3, 2) uniform
-    chains: np.ndarray   # (chain_samples, 3, 2), see _chains_array
-    nested: np.ndarray   # (2 * chain_samples + 2, 2, 2), see _nested_pairs
+    def __init__(self, config: AuditConfig) -> None:
+        self.config = config
 
+    def _uniform(self, stream: int, k: int, n: int) -> np.ndarray:
+        rng = np.random.default_rng([self.config.seed, stream])
+        return _random_simplex(rng, k * n).reshape(n, k, 2)
 
-def _plan(config: AuditConfig) -> _Plan:
-    def uniform(stream: int, k: int, n: int) -> np.ndarray:
-        return _random_simplex(np.random.default_rng([config.seed, stream]), k * n).reshape(n, k, 2)
+    @cached_property
+    def grid(self) -> np.ndarray:
+        return grid_points(self.config.grid_step)
 
-    return _Plan(grid_points(config.grid_step), uniform(0, 2, config.random_pairs),
-                 uniform(1, 3, config.random_triples), _chains_array(config), _nested_pairs(config))
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        return self._uniform(0, 2, self.config.random_pairs)
+
+    @cached_property
+    def triples(self) -> np.ndarray:
+        return self._uniform(1, 3, self.config.random_triples)
+
+    @cached_property
+    def chains(self) -> np.ndarray:
+        return _chains_array(self.config)
+
+    @cached_property
+    def nested(self) -> np.ndarray:
+        return _nested_pairs(self.config)
 
 
 def _is_endpoint(p: np.ndarray) -> np.ndarray:
@@ -267,7 +281,7 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
         raise OutOfRangeError(f"audit_distance needs a distance measure, got kind={m.kind!r}")
     t0 = time.perf_counter()
     tol = config.tolerance
-    plan = _plan(config)
+    plan = _Plan(config)
     grid = plan.grid
 
     pa, pb = plan.pairs[:, 0], plan.pairs[:, 1]
@@ -430,7 +444,7 @@ def _entropy_batch(p: np.ndarray) -> np.ndarray:
 def audit_entropy(config: AuditConfig) -> AxiomReport:
     """Audit the induced IFV entropy against E1-E4."""
     t0 = time.perf_counter()
-    plan = _plan(config)
+    plan = _Plan(config)
     grid = plan.grid
     samples = np.vstack([grid, plan.pairs.reshape(-1, 2)])
     ent, ent_c = _entropy_batch(samples), _entropy_batch(samples[:, ::-1])

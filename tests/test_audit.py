@@ -52,7 +52,7 @@ class TestSampling:
     def test_simplex_stream_deterministic(self):
         c = AuditConfig(grid_step=0.25, random_pairs=50, random_triples=7,
                         chain_samples=3, seed=99)
-        first, second = audit._plan(c), audit._plan(c)
+        first, second = audit._Plan(c), audit._Plan(c)
         for name in ("grid", "pairs", "triples", "chains", "nested"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
         assert first.grid.shape == grid_points(0.25).shape
@@ -62,7 +62,7 @@ class TestSampling:
     def test_simplex_stream_respects_domain(self):
         c = AuditConfig(grid_step=0.5, random_pairs=500, random_triples=100,
                         chain_samples=100, seed=3)
-        plan = audit._plan(c)
+        plan = audit._Plan(c)
         for sample in (plan.grid, plan.pairs, plan.triples, plan.chains, plan.nested):
             for mu, nu in sample.reshape(-1, 2):
                 IFV(mu, nu)  # construction enforces mu + nu <= 1
