@@ -204,6 +204,11 @@ class _Plan:
         return self._uniform(0, 2, self.config.random_pairs)
 
     @cached_property
+    def points(self) -> np.ndarray:
+        """The grid, then every point of the random pairs."""
+        return np.vstack([self.grid, self.pairs.reshape(-1, 2)])
+
+    @cached_property
     def triples(self) -> np.ndarray:
         return self._uniform(1, 3, self.config.random_triples)
 
@@ -287,8 +292,7 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
     pa, pb = plan.pairs[:, 0], plan.pairs[:, 1]
     d_ab, d_ba = _eval_pairs(m, pa, pb), _eval_pairs(m, pb, pa)
     pair_cols = {"a": pa, "b": pb, "d": d_ab}
-    stream = np.vstack([grid, plan.pairs.reshape(-1, 2)])
-    d_self = _eval_pairs(m, stream, stream)
+    d_self = _eval_pairs(m, plan.points, plan.points)
     distinct = (pa != pb).any(axis=1)
     sweep = _grid_matrix_sweep(m, grid, tol)
     rng_min = min(sweep["min"], float(np.min(d_ab)))
@@ -311,7 +315,7 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
             ("fail", _witness((d_ab < 0.0) | (d_ab > 1.0), pair_cols), "value outside [0, 1]"),
         ], f"observed range [{rng_min:.17g}, {rng_max:.17g}]", {"min": rng_min, "max": rng_max}),
         _verdict("S2", [
-            ("fail", _witness(d_self != 0.0, {"a": stream, "d(a,a)": d_self}), "d(a,a) != 0"),
+            ("fail", _witness(d_self != 0.0, {"a": plan.points, "d(a,a)": d_self}), "d(a,a) != 0"),
             ("fail", _witness(distinct & (d_ab <= 0.0), pair_cols), "d(a,b) == 0 for a != b"),
             ("fail", sweep["positivity_witness"], "d(a,b) == 0 for a != b"),
         ], "d(a,a)=0 everywhere; d>0 on all distinct sampled pairs", {"min_off_diagonal": min_off}),
@@ -342,7 +346,7 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float) -> di
     matrix are the ones found here.
     """
     g = len(grid)
-    ends = np.flatnonzero(_is_endpoint(grid))  # on the grid only when step divides 1
+    ends = np.flatnonzero(_is_endpoint(grid)).tolist()  # on the grid only when step divides 1
     sup, sup_pair = -np.inf, None
     vmin, vmax = np.inf, -np.inf
     min_off = np.inf
@@ -354,28 +358,33 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float) -> di
         block = _eval_pairs(m, a, b)
         if not (block.flags.owndata and block.flags.writeable):
             block = block.copy()  # masked in place below; never write into kernel-owned memory
-        cols = {"a": np.broadcast_to(a, block.shape + (2,)),
-                "b": np.broadcast_to(b, block.shape + (2,)), "d": block}
+
+        def witness(mask: np.ndarray) -> dict | None:  # columns built only for a hit
+            shape = block.shape + (2,)
+            return _witness(mask, {"a": np.broadcast_to(a, shape),
+                                   "b": np.broadcast_to(b, shape), "d": block})
+
         bmin, bmax = float(block.min()), float(block.max())
         vmin, vmax = min(vmin, bmin), max(vmax, bmax)
         # negated so that a nan also triggers the exact scan
         if range_witness is None and not (bmin >= 0.0 and bmax <= 1.0):
-            range_witness = _witness((block < 0.0) | (block > 1.0), cols)
+            range_witness = witness((block < 0.0) | (block > 1.0))
         diag = np.arange(hi - lo)
         block[diag, diag] = np.inf  # off-diagonal minimum
         off_min = float(block.min())
         min_off = min(min_off, off_min)
         if positivity_witness is None and not off_min > 0.0:
-            positivity_witness = _witness(block <= 0.0, cols)
+            positivity_witness = witness(block <= 0.0)
         block[diag, diag] = -np.inf  # the supremum skips the diagonal
-        # and the two endpoint pairs are exempt
-        block[np.ix_(ends[(ends >= lo) & (ends < hi)] - lo, ends[ends >= lo] - lo)] = -np.inf
+        rows = [e - lo for e in ends if lo <= e < hi]
+        if rows:  # and the two endpoint pairs are exempt
+            block[np.ix_(rows, [e - lo for e in ends if e >= lo])] = -np.inf
         bi, bj = np.unravel_index(int(np.argmax(block)), block.shape)
         top = block[bi, bj]
         if top > sup:
             sup, sup_pair = float(top), (lo + int(bi), lo + int(bj))
         if near_one_witness is None and not top < 1.0 - tol:
-            near_one_witness = _witness(block >= 1.0 - tol, cols)
+            near_one_witness = witness(block >= 1.0 - tol)
         lo = hi
     return {
         "min": vmin, "max": vmax, "min_off_diagonal": min_off,
@@ -446,7 +455,7 @@ def audit_entropy(config: AuditConfig) -> AxiomReport:
     t0 = time.perf_counter()
     plan = _Plan(config)
     grid = plan.grid
-    samples = np.vstack([grid, plan.pairs.reshape(-1, 2)])
+    samples = plan.points
     ent, ent_c = _entropy_batch(samples), _entropy_batch(samples[:, ::-1])
     grid_ent = ent[: len(grid)]
     pinned = _entropy_batch(_PINNED_ENTROPY)

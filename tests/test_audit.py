@@ -53,7 +53,7 @@ class TestSampling:
         c = AuditConfig(grid_step=0.25, random_pairs=50, random_triples=7,
                         chain_samples=3, seed=99)
         first, second = audit._Plan(c), audit._Plan(c)
-        for name in ("grid", "pairs", "triples", "chains", "nested"):
+        for name in ("grid", "pairs", "points", "triples", "chains", "nested"):
             assert np.array_equal(getattr(first, name), getattr(second, name))
         assert first.grid.shape == grid_points(0.25).shape
         assert first.pairs.shape == (50, 2, 2) and first.triples.shape == (7, 3, 2)
