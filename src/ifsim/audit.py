@@ -24,8 +24,9 @@ separating genuine axiom violations from floating-point noise.
 
 Every value is computed by the measure's elementwise kernel (pair_batch).
 Each built-in evaluator aggregates that same kernel over a universe, so the
-audit checks exactly what the set API computes.  The grid sweep covers
-every unordered grid pair i <= j once, in cache-sized blocks.  That relies
+audit checks exactly what the set API computes.  Every kernel call runs on
+row blocks of at most _GRID_BLOCK_CELLS cells (_eval_pairs).  The grid
+sweep covers every unordered grid pair i <= j once, in such blocks.  That relies
 on the kernel being exactly symmetric, which S3 checks; for a symmetric
 kernel the witnesses and the sup pair are those of the full ordered matrix
 in row-major order.
@@ -33,6 +34,7 @@ in row-major order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -138,8 +140,8 @@ def grid_points(step: float) -> np.ndarray:
 def _random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     """n uniform points of the triangle {mu, nu >= 0, mu + nu <= 1}."""
     xy = rng.random((n, 2))
-    over = xy.sum(axis=1) > 1.0
-    xy[over] = 1.0 - xy[over]
+    over = xy[:, 0] + xy[:, 1] > 1.0
+    np.subtract(1.0, xy, out=xy, where=over[:, None])  # folded in place, no copy
     return xy
 
 
@@ -230,8 +232,29 @@ def _is_endpoint(p: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _eval_pairs(m: MeasureDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The kernel of m on points a and b, broadcast against each other."""
-    return np.asarray(m.pair_batch(a[..., 0], a[..., 1], b[..., 0], b[..., 1]), dtype=float)
+    """The kernel of m on points a and b, broadcast against each other,
+    evaluated in row blocks of at most _GRID_BLOCK_CELLS cells (_in_blocks)."""
+    return _in_blocks(m.pair_batch, a, b)
+
+
+def _in_blocks(kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kernel on the points a and b, broadcast against each other, called on
+    row blocks of at most _GRID_BLOCK_CELLS cells (one row at the least), as
+    in the grid sweep: the temporaries of a stacked kernel stay cache-sized
+    whatever the sample size.  A sample that fits one block is passed whole."""
+    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    step = max(1, _GRID_BLOCK_CELLS // max(1, math.prod(shape[1:])))
+
+    def call(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.asarray(kernel(a[..., 0], a[..., 1], b[..., 0], b[..., 1]), dtype=float)
+
+    if shape[0] <= step:
+        return call(a, b)
+    out = np.empty(shape)
+    for lo in range(0, shape[0], step):
+        rows = slice(lo, lo + step)
+        out[rows] = call(a[rows] if len(a) > 1 else a, b[rows] if len(b) > 1 else b)
+    return out
 
 
 def _fmt_ifv(mu: float, nu: float) -> str:
@@ -446,8 +469,8 @@ def _maximality_check(m: MeasureDescriptor, sweep: dict, grid: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _entropy_batch(p: np.ndarray) -> np.ndarray:
-    """E(p) = 1 - js_norm(p, p^c) at points p."""
-    return 1.0 - js_norm_batch(p[..., 0], p[..., 1], p[..., 1], p[..., 0])
+    """E(p) = 1 - js_norm(p, p^c) at points p, in blocks (_in_blocks)."""
+    return 1.0 - _in_blocks(js_norm_batch, p, p[..., ::-1])
 
 
 def audit_entropy(config: AuditConfig) -> AxiomReport:

@@ -26,11 +26,18 @@ import math
 import numpy as np
 
 from .core import IFS, IFV, IfsimError
-from .measures import NumericalConsistencyError, _clamp_nonneg, aggregate, l_divergence_batch
+from .measures import (
+    _SMALLEST_SUBNORMAL,
+    NumericalConsistencyError,
+    _channels,
+    _clamp_nonneg,
+    _xlog,
+    aggregate,
+    l_divergence_batch,
+)
 
 ARCCOS_CLAMP = 1e-12
 GAMMA_BRANCH_TOL = 1e-12
-_SMALLEST_SUBNORMAL = np.nextafter(0.0, 1.0)
 
 
 class InvalidGammaError(IfsimError, ValueError):
@@ -43,14 +50,16 @@ def _pi_batch(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, 1.0 - (mu + nu))
 
 
+def _triples(mu_a, nu_a, mu_b, nu_b) -> tuple[np.ndarray, np.ndarray]:
+    """The (mu, nu, pi) channels of each side, stacked (measures._channels)."""
+    mu_a, nu_a, mu_b, nu_b = (np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
+    return _channels((mu_a, nu_a, _pi_batch(mu_a, nu_a)), (mu_b, nu_b, _pi_batch(mu_b, nu_b)))
+
+
 def xiao_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
     """Per-element Xiao distance: sqrt(0.5 * (L(mu)+L(nu)+L(pi)))."""
-    mu_a, nu_a, mu_b, nu_b = (np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
-    radicand = (
-        l_divergence_batch(mu_a, mu_b)
-        + l_divergence_batch(nu_a, nu_b)
-        + l_divergence_batch(_pi_batch(mu_a, nu_a), _pi_batch(mu_b, nu_b))
-    )
+    ell = l_divergence_batch(*_triples(mu_a, nu_a, mu_b, nu_b))
+    radicand = ell[0] + ell[1] + ell[2]
     return np.sqrt(_clamp_nonneg(radicand, "xiao radicand") / 2.0)
 
 
@@ -77,11 +86,13 @@ def yc_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
         + np.sqrt(_pi_batch(mu_a, nu_a) * _pi_batch(mu_b, nu_b))
     )
     # arg <= 1 by Cauchy-Schwarz; allow rounding up to ARCCOS_CLAMP, no more
-    high = np.max(arg) if arg.size else 0.0
+    high = arg.max() if arg.size else 0.0
     if high > 1.0 + ARCCOS_CLAMP:
         raise NumericalConsistencyError(f"arccos argument {high!r} above 1 beyond rounding")
-    out = (2.0 / math.pi) * np.arccos(np.clip(arg, -1.0, 1.0))
-    return np.where((mu_a == mu_b) & (nu_a == nu_b), 0.0, out)
+    # arg >= 0 as a sum of square roots, so only its upper end needs the clip;
+    # the product with the mask is an exact +0.0 on equal values, a no-op elsewhere
+    out = (2.0 / math.pi) * np.arccos(np.minimum(arg, 1.0))
+    return out * ((mu_a != mu_b) | (nu_a != nu_b))
 
 
 def dist_yc(a: IFS, b: IFS) -> float:
@@ -94,18 +105,16 @@ def _power_branch(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _xlnx(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """x * ln(x/scale) with 0*ln 0 = 0 (elementwise).
+    """x * ln(x/scale) with 0*ln 0 = 0 (elementwise), by measures._xlog.
 
     For the smallest subnormals x/scale underflows to 0 when scale > 1; the
     quotient is then raised to the smallest subnormal, so the term stays
     finite and within 1e-323 of its exact value.  No other quotient changes.
     """
-    pos = x > 0.0
-    x_safe = np.where(pos, x, 1.0)
-    q = x_safe / scale
+    q = x if scale == 1.0 else x / scale  # x/1 == x exactly
     if scale > 1.0:  # x/scale cannot underflow otherwise
         q = np.maximum(q, _SMALLEST_SUBNORMAL)
-    return np.where(pos, x_safe * np.log(q), 0.0)
+    return _xlog(x, q)
 
 
 def _ln_branch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -119,16 +128,12 @@ def _ln_branch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def j_gamma_batch(mu_a, nu_a, mu_b, nu_b, gamma: float) -> np.ndarray:
     if not (gamma > 0.0):
         raise InvalidGammaError(f"gamma must be > 0, got {gamma!r}")
-    mu_a, nu_a, mu_b, nu_b = (np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
-    pairs = (
-        (mu_a, mu_b),
-        (nu_a, nu_b),
-        (_pi_batch(mu_a, nu_a), _pi_batch(mu_b, nu_b)),
-    )
-    if abs(gamma - 1.0) < GAMMA_BRANCH_TOL:
-        total = sum(_ln_branch(x, y) for x, y in pairs)
+    x, y = _triples(mu_a, nu_a, mu_b, nu_b)
+    natural_log = abs(gamma - 1.0) < GAMMA_BRANCH_TOL
+    branch = _ln_branch(x, y) if natural_log else _power_branch(x, y, gamma)
+    total = 0 + branch[0] + branch[1] + branch[2]  # a plain sum() over the channels
+    if natural_log:
         return _clamp_nonneg(-total / 2.0, "J_1")
-    total = sum(_power_branch(x, y, gamma) for x, y in pairs)
     return _clamp_nonneg(-total / (gamma - 1.0), "J_gamma")
 
 

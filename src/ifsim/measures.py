@@ -24,9 +24,15 @@ the sets' stored degree rows: a weighted sum over the universe, or the plain
 1/n mean.  Audits run the same
 kernels, so they exercise exactly what the set API computes.
 
-Numeric conventions: each term p*log2(2p/s) is evaluated only where p > 0
-and defined as 0 where p == 0 (avoiding 0 * -inf); the ratio 2p/s is formed
-before the log so that p == q gives an exact 0 and d(a, a) == 0 bitwise.
+Numeric conventions: each term p*log2(2p/s) follows 0*log2(0) = 0 without
+np.where (_xlog): the log's argument is 2p/s + (p == 0), which is 1 where
+p == 0, so the term is 0 * 0 = 0 there with no warning, and where p > 0 adding
+False leaves the quotient exact.  s is floored at the smallest subnormal, so
+p == q == 0 gives 0/s, never 0/0.  The ratio 2p/s is formed before the log so
+that p == q gives an exact 0 and d(a, a) == 0 bitwise.  A kernel stacks its
+channels ((1-mu, nu) here, (mu, nu, pi) for the rivals) along a leading axis
+and runs each operation once on the stack; the channel sums keep their
+order, so each bit is the one that a call per channel gives.
 Theoretical non-negativity of L is enforced by clamping rounding residues in
 [-1e-15, 0) to 0, while anything more negative raises
 NumericalConsistencyError because it indicates a bug, not rounding.
@@ -70,36 +76,66 @@ class NumericalConsistencyError(IfsimError, ArithmeticError):
 # array kernels
 # ---------------------------------------------------------------------------
 
-def _xlog2_term(p: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """p * log2(2p/s) with the 0*log2(0) = 0 convention (elementwise).
+_SMALLEST_SUBNORMAL = float(np.nextafter(0.0, 1.0))
 
-    The ratio form (not the expansion 1 + log2 p - log2 s) makes the term an
-    exact 0 whenever s == 2p, so d(a, a) == 0 holds bitwise.
+
+def _xlog(x: np.ndarray, q: np.ndarray, log=np.log) -> np.ndarray:
+    """x * log(q) with the 0*log(0) = 0 convention (elementwise).
+
+    q is the caller's quotient, 0 or at most the smallest subnormal where
+    x == 0.  There the argument is raised to q + 1 == 1, so the term is
+    x * 0 == 0 with no warning and no np.where; where x > 0, adding False
+    leaves q exact.
     """
-    pos = p > 0.0
-    p_safe = np.where(pos, p, 1.0)
-    s_safe = np.where(pos, s, 1.0)
-    return np.where(pos, p_safe * np.log2(2.0 * p_safe / s_safe), 0.0)
+    return x * log(q + (x == 0.0))
 
 
 def _clamp_nonneg(x: np.ndarray, what: str) -> np.ndarray:
-    low = np.min(x) if x.size else 0.0
+    low = x.min() if x.size else 0.0
     if low < -L_CLAMP:
         raise NumericalConsistencyError(f"{what} = {low!r} below 0 beyond rounding")
     return np.maximum(x, 0.0)
 
 
+def _channels(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The channel arrays of each side stacked along a new leading axis.
+
+    Each stack is built from its own side's arrays, unbroadcast against the
+    other side; the stack of lower ndim gets unit axes after its channel
+    axis, so the two stacks broadcast against each other as the channels do
+    and only the full-size operations broadcast.
+    """
+    a, b = _stack(a), _stack(b)
+    ndim = max(a.ndim, b.ndim)
+    return _pad(a, ndim), _pad(b, ndim)
+
+
+def _stack(channels: tuple) -> np.ndarray:
+    if len({c.shape for c in channels}) > 1:
+        channels = np.broadcast_arrays(*channels)
+    return np.array(channels)
+
+
+def _pad(x: np.ndarray, ndim: int) -> np.ndarray:
+    if x.ndim == ndim:
+        return x
+    return x.reshape(x.shape[:1] + (1,) * (ndim - x.ndim) + x.shape[1:])
+
+
 def l_divergence_batch(p, q) -> np.ndarray:
+    """L(p, q) elementwise; p == q gives an exact 0 through the ratio 2p/s."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    s = p + q
-    return _clamp_nonneg(_xlog2_term(p, s) + _xlog2_term(q, s), "L(p, q)")
+    s = np.maximum(p + q, _SMALLEST_SUBNORMAL)  # 2p/s stays 0, not nan, at p == q == 0
+    total = _xlog(p, 2.0 * p / s, np.log2) + _xlog(q, 2.0 * q / s, np.log2)
+    return _clamp_nonneg(total, "L(p, q)")
 
 
 def z_score_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
     """L(1-mu_a, 1-mu_b) + L(nu_a, nu_b) on component arrays."""
     mu_a, nu_a, mu_b, nu_b = (np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
-    return l_divergence_batch(1.0 - mu_a, 1.0 - mu_b) + l_divergence_batch(nu_a, nu_b)
+    ell = l_divergence_batch(*_channels((1.0 - mu_a, nu_a), (1.0 - mu_b, nu_b)))
+    return ell[0] + ell[1]
 
 
 def js_norm_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
@@ -113,14 +149,6 @@ def js_norm_lambda_batch(mu_a, nu_a, mu_b, nu_b, lam: float) -> np.ndarray:
     return js_norm_batch(mu_a ** lam, nu_a ** lam, mu_b ** lam, nu_b ** lam)
 
 
-def _xln_term(p: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """p * ln(2p/s) with the 0*ln(0) = 0 convention (elementwise)."""
-    pos = p > 0.0
-    p_safe = np.where(pos, p, 1.0)
-    s_safe = np.where(pos, s, 1.0)
-    return np.where(pos, p_safe * np.log(2.0 * p_safe / s_safe), 0.0)
-
-
 def js_if_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
     """Natural-log Jensen-Shannon divergence over the interval components.
 
@@ -129,10 +157,11 @@ def js_if_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
     """
     mu_a, nu_a, mu_b, nu_b = (np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
     p1, q1 = 1.0 - mu_a, 1.0 - mu_b
-    s1 = p1 + q1
-    s2 = nu_a + nu_b
+    s1 = np.maximum(p1 + q1, _SMALLEST_SUBNORMAL)
+    s2 = np.maximum(nu_a + nu_b, _SMALLEST_SUBNORMAL)
     total = (
-        _xln_term(p1, s1) + _xln_term(q1, s1) + _xln_term(nu_a, s2) + _xln_term(nu_b, s2)
+        _xlog(p1, 2.0 * p1 / s1) + _xlog(q1, 2.0 * q1 / s1)
+        + _xlog(nu_a, 2.0 * nu_a / s2) + _xlog(nu_b, 2.0 * nu_b / s2)
     )
     return _clamp_nonneg(0.5 * total, "js_if")
 
@@ -203,7 +232,7 @@ def aggregate(kernel: Callable[..., np.ndarray], a: IFS, b: IFS, w: WeightVector
     (mu_a, nu_a), (mu_b, nu_b) = a.degrees, b.degrees
     per_element = kernel(mu_a, nu_a, mu_b, nu_b)
     if w is None:
-        return float(np.mean(per_element))
+        return float(per_element.mean())
     check_weights(w, len(a))
     return float(np.dot(w.array, per_element))
 
