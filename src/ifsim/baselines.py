@@ -121,8 +121,11 @@ def _ln_branch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(x+y)*ln((x+y)/2) - x*ln x - y*ln y with 0*ln 0 = 0 (elementwise).
 
     Grouped as s - (x-term + y-term) so swapping x and y is bitwise neutral.
+    Exactly 0 where x == y: for subnormal x, 2x*ln(x) and 2*(x*ln x) round
+    to different multiples of the smallest subnormal, which would leave
+    J(a, a) = 5e-324 at a = <5e-324, 5e-324>.
     """
-    return _xlnx(x + y, scale=2.0) - (_xlnx(x) + _xlnx(y))
+    return (_xlnx(x + y, scale=2.0) - (_xlnx(x) + _xlnx(y))) * (x != y)
 
 
 def j_gamma_batch(mu_a, nu_a, mu_b, nu_b, gamma: float) -> np.ndarray:

@@ -12,12 +12,14 @@ digest:
   makes, plus calls with -0.0 degrees, which stored sets may hold.
 
 A rewrite of a kernel that is meant to keep every value leaves the digests
-as they are.  Re-record them (only when a kernel change is meant to move the
+as they are.  On the edge corpus every kernel must also be finite, free of
+RuntimeWarning, zero on equal values and bitwise symmetric.  Re-record them (only when a kernel change is meant to move the
 numbers) with ``PYTHONPATH=src python tests/test_kernel_digest.py``.
 """
 
 import hashlib
 import json
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -114,6 +116,21 @@ def kernel_digest(name: str) -> str:
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_kernel_digest(name):
     assert kernel_digest(name) == json.loads(GOLDEN.read_text())[name]
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_edge_corpus(name):
+    measure, params = CONFIGS[name]
+    kernel = get_measure(measure, **params).pair_batch
+    a, b = edge_pairs()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        d_ab = kernel(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+        d_ba = kernel(b[:, 0], b[:, 1], a[:, 0], a[:, 1])
+        d_aa = kernel(*EDGE_POINTS.T, *EDGE_POINTS.T)
+    assert np.isfinite(d_ab).all()
+    assert d_ab.tobytes() == d_ba.tobytes()
+    assert EDGE_POINTS[d_aa != 0.0].tolist() == []
 
 
 if __name__ == "__main__":
