@@ -231,13 +231,7 @@ def _is_endpoint(p: np.ndarray) -> np.ndarray:
 # evaluation and the verdict rule
 # ---------------------------------------------------------------------------
 
-def _eval_pairs(m: MeasureDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The kernel of m on points a and b, broadcast against each other,
-    evaluated in row blocks of at most _GRID_BLOCK_CELLS cells (_in_blocks)."""
-    return _in_blocks(m.pair_batch, a, b)
-
-
-def _in_blocks(kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _eval_pairs(kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """kernel on the points a and b, broadcast against each other, called on
     row blocks of at most _GRID_BLOCK_CELLS cells (one row at the least), as
     in the grid sweep: the temporaries of a stacked kernel stay cache-sized
@@ -313,9 +307,10 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
     grid = plan.grid
 
     pa, pb = plan.pairs[:, 0], plan.pairs[:, 1]
-    d_ab, d_ba = _eval_pairs(m, pa, pb), _eval_pairs(m, pb, pa)
+    kernel = m.pair_batch
+    d_ab, d_ba = _eval_pairs(kernel, pa, pb), _eval_pairs(kernel, pb, pa)
     pair_cols = {"a": pa, "b": pb, "d": d_ab}
-    d_self = _eval_pairs(m, plan.points, plan.points)
+    d_self = _eval_pairs(kernel, plan.points, plan.points)
     distinct = (pa != pb).any(axis=1)
     sweep = _grid_matrix_sweep(m, grid, tol)
     rng_min = min(sweep["min"], float(np.min(d_ab)))
@@ -323,7 +318,8 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
     min_off = min(sweep["min_off_diagonal"], float(np.min(d_ab[distinct])))
 
     ta, tb, tc = plan.triples[:, 0], plan.triples[:, 1], plan.triples[:, 2]
-    d1, d2, d3 = _eval_pairs(m, ta, tb), _eval_pairs(m, tb, tc), _eval_pairs(m, ta, tc)
+    d1, d2 = _eval_pairs(kernel, ta, tb), _eval_pairs(kernel, tb, tc)
+    d3 = _eval_pairs(kernel, ta, tc)
     excess = d3 - (d1 + d2)
     worst = float(np.max(excess))
     triple_cols = {"a": ta, "b": tb, "c": tc, "d(a,c)": d3, "d(a,b)+d(b,c)": d1 + d2, "excess": excess}
@@ -378,7 +374,7 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float) -> di
     while lo < g:
         hi = min(lo + max(1, _GRID_BLOCK_CELLS // (g - lo)), g)
         a, b = grid[lo:hi, None], grid[None, lo:]
-        block = _eval_pairs(m, a, b)
+        block = _eval_pairs(m.pair_batch, a, b)
         if not (block.flags.owndata and block.flags.writeable):
             block = block.copy()  # masked in place below; never write into kernel-owned memory
 
@@ -423,7 +419,9 @@ def _chain_checks(m: MeasureDescriptor, chains: np.ndarray, tol: float) -> list[
     head = chains[:1000]
     rows = np.vstack([chains, head[:, [0, 0, 2]], head[:, [0, 2, 2]]])
     a, b, c = rows[:, 0], rows[:, 1], rows[:, 2]
-    d_ab, d_bc, d_ac = _eval_pairs(m, a, b), _eval_pairs(m, b, c), _eval_pairs(m, a, c)
+    kernel = m.pair_batch
+    d_ab, d_bc = _eval_pairs(kernel, a, b), _eval_pairs(kernel, b, c)
+    d_ac = _eval_pairs(kernel, a, c)
     margin = np.maximum(d_ab - d_ac, d_bc - d_ac)
     cols = {"a": a, "b": b, "c": c, "d(a,b)": d_ab, "d(b,c)": d_bc, "d(a,c)": d_ac,
             "margin": margin}
@@ -449,7 +447,7 @@ def _maximality_check(m: MeasureDescriptor, sweep: dict, grid: np.ndarray,
     a = np.vstack([_ENDPOINTS[:1], *(f for f in families for _ in _ENDPOINTS)])
     b = np.vstack([_ENDPOINTS[1:],
                    *(np.broadcast_to(e, f.shape) for f in families for e in _ENDPOINTS)])
-    d = _eval_pairs(m, a, b)
+    d = _eval_pairs(m.pair_batch, a, b)
     exempt = _is_endpoint(a) & _is_endpoint(b) & (a != b).any(axis=1)
     cols = {"a": a, "b": b, "d": d}
     sup_a, sup_b = sweep["sup_pair"]
@@ -469,8 +467,8 @@ def _maximality_check(m: MeasureDescriptor, sweep: dict, grid: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def _entropy_batch(p: np.ndarray) -> np.ndarray:
-    """E(p) = 1 - js_norm(p, p^c) at points p, in blocks (_in_blocks)."""
-    return 1.0 - _in_blocks(js_norm_batch, p, p[..., ::-1])
+    """E(p) = 1 - js_norm(p, p^c) at points p."""
+    return 1.0 - _eval_pairs(js_norm_batch, p, p[..., ::-1])
 
 
 def audit_entropy(config: AuditConfig) -> AxiomReport:

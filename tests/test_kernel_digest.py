@@ -12,9 +12,11 @@ digest:
   makes, plus calls with -0.0 degrees, which stored sets may hold.
 
 A rewrite of a kernel that is meant to keep every value leaves the digests
-as they are.  On the edge corpus every kernel must also be finite, free of
-RuntimeWarning, zero on equal values and bitwise symmetric.  Re-record them (only when a kernel change is meant to move the
+as they are.  Re-record them (only when a kernel change is meant to move the
 numbers) with ``PYTHONPATH=src python tests/test_kernel_digest.py``.
+
+On the edge corpus every kernel must also be finite, free of RuntimeWarning,
+zero on equal values and bitwise symmetric.
 """
 
 import hashlib
