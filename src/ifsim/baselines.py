@@ -31,9 +31,9 @@ from .measures import (
     NumericalConsistencyError,
     _channels,
     _clamp_nonneg,
+    _l_stacked,
     _xlog,
     aggregate,
-    l_divergence_batch,
 )
 
 ARCCOS_CLAMP = 1e-12
@@ -58,7 +58,7 @@ def _triples(mu_a, nu_a, mu_b, nu_b) -> tuple[np.ndarray, np.ndarray]:
 
 def xiao_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
     """Per-element Xiao distance: sqrt(0.5 * (L(mu)+L(nu)+L(pi)))."""
-    ell = l_divergence_batch(*_triples(mu_a, nu_a, mu_b, nu_b))
+    ell = _l_stacked(*_triples(mu_a, nu_a, mu_b, nu_b))
     radicand = ell[0] + ell[1] + ell[2]
     return np.sqrt(_clamp_nonneg(radicand, "xiao radicand") / 2.0)
 
@@ -101,19 +101,28 @@ def dist_yc(a: IFS, b: IFS) -> float:
 
 
 def _power_branch(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
-    return ((x + y) / 2.0) ** gamma - (x ** gamma + y ** gamma) / 2.0
+    """((x+y)/2)**gamma - (x**gamma + y**gamma)/2 (elementwise), each
+    full-size step in place; **= takes the same scalar-power path as **."""
+    mid = x + y
+    mid /= 2.0
+    mid **= gamma
+    ends = x ** gamma + y ** gamma
+    ends /= 2.0
+    mid -= ends
+    return mid
 
 
 def _xlnx(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """x * ln(x/scale) with 0*ln 0 = 0 (elementwise), by measures._xlog.
+    """x * ln(x/scale) with 0*ln 0 = 0 (elementwise), through measures._xlog:
+    no np.where, the log's argument is raised to 1 where x == 0.
 
     For the smallest subnormals x/scale underflows to 0 when scale > 1; the
     quotient is then raised to the smallest subnormal, so the term stays
     finite and within 1e-323 of its exact value.  No other quotient changes.
     """
-    q = x if scale == 1.0 else x / scale  # x/1 == x exactly
+    q = x / scale
     if scale > 1.0:  # x/scale cannot underflow otherwise
-        q = np.maximum(q, _SMALLEST_SUBNORMAL)
+        np.maximum(q, _SMALLEST_SUBNORMAL, out=q)
     return _xlog(x, q)
 
 

@@ -80,21 +80,27 @@ _SMALLEST_SUBNORMAL = float(np.nextafter(0.0, 1.0))
 
 
 def _xlog(x: np.ndarray, q: np.ndarray, log=np.log) -> np.ndarray:
-    """x * log(q) with the 0*log(0) = 0 convention (elementwise).
+    """x * log(q) with the 0*log(0) = 0 convention (elementwise), in q.
 
-    q is the caller's quotient, 0 or at most the smallest subnormal where
-    x == 0.  There the argument is raised to q + 1 == 1, so the term is
-    x * 0 == 0 with no warning and no np.where; where x > 0, adding False
-    leaves q exact.
+    q is the caller's quotient: a new array of the result's shape, 0 or at
+    most the smallest subnormal where x == 0.  There the argument is raised
+    to q + 1 == 1, so the term is x * 0 == 0 with no warning and no
+    np.where; where x > 0, adding False leaves q exact.  Every step
+    overwrites q, so the term costs no temporary of its own.
     """
-    return x * log(q + (x == 0.0))
+    q += x == 0.0
+    log(q, out=q)
+    q *= x
+    return q
 
 
 def _clamp_nonneg(x: np.ndarray, what: str) -> np.ndarray:
+    """x with rounding residues in [-L_CLAMP, 0) raised to 0; an array x,
+    which must be the caller's own, is clamped in place."""
     low = x.min() if x.size else 0.0
     if low < -L_CLAMP:
         raise NumericalConsistencyError(f"{what} = {low!r} below 0 beyond rounding")
-    return np.maximum(x, 0.0)
+    return np.maximum(x, 0.0, out=x if isinstance(x, np.ndarray) else None)
 
 
 def _channels(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -122,19 +128,34 @@ def _pad(x: np.ndarray, ndim: int) -> np.ndarray:
     return x.reshape(x.shape[:1] + (1,) * (ndim - x.ndim) + x.shape[1:])
 
 
-def l_divergence_batch(p, q) -> np.ndarray:
-    """L(p, q) elementwise; p == q gives an exact 0 through the ratio 2p/s."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    s = np.maximum(p + q, _SMALLEST_SUBNORMAL)  # 2p/s stays 0, not nan, at p == q == 0
-    total = _xlog(p, 2.0 * p / s, np.log2) + _xlog(q, 2.0 * q / s, np.log2)
+def _ratio_terms(p: np.ndarray, q: np.ndarray, log) -> tuple[np.ndarray, np.ndarray]:
+    """p*log(2p/s) and q*log(2q/s), s = p + q, on channel stacks (_channels).
+
+    The ratio form makes p == q an exact 0.  s is floored at the smallest
+    subnormal, so that p == q == 0 gives 0/s, never 0/0.
+    """
+    s = p + q
+    np.maximum(s, _SMALLEST_SUBNORMAL, out=s)
+    return _xlog(p, 2.0 * p / s, log), _xlog(q, 2.0 * q / s, log)
+
+
+def _l_stacked(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """L(p, q) on channel stacks (_channels)."""
+    total, q_term = _ratio_terms(p, q, np.log2)
+    total += q_term
     return _clamp_nonneg(total, "L(p, q)")
+
+
+def l_divergence_batch(p, q) -> np.ndarray:
+    """L(p, q) elementwise; p == q gives an exact 0."""
+    p, q = _channels((np.asarray(p, dtype=float),), (np.asarray(q, dtype=float),))
+    return _l_stacked(p, q)[0]
 
 
 def z_score_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
     """L(1-mu_a, 1-mu_b) + L(nu_a, nu_b) on component arrays."""
     mu_a, nu_a, mu_b, nu_b = (np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
-    ell = l_divergence_batch(*_channels((1.0 - mu_a, nu_a), (1.0 - mu_b, nu_b)))
+    ell = _l_stacked(*_channels((1.0 - mu_a, nu_a), (1.0 - mu_b, nu_b)))
     return ell[0] + ell[1]
 
 
@@ -156,13 +177,9 @@ def js_if_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
     (ln2/2) * z_score_batch, so the two stay independent cross-check paths.
     """
     mu_a, nu_a, mu_b, nu_b = (np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
-    p1, q1 = 1.0 - mu_a, 1.0 - mu_b
-    s1 = np.maximum(p1 + q1, _SMALLEST_SUBNORMAL)
-    s2 = np.maximum(nu_a + nu_b, _SMALLEST_SUBNORMAL)
-    total = (
-        _xlog(p1, 2.0 * p1 / s1) + _xlog(q1, 2.0 * q1 / s1)
-        + _xlog(nu_a, 2.0 * nu_a / s2) + _xlog(nu_b, 2.0 * nu_b / s2)
-    )
+    p, q = _channels((1.0 - mu_a, nu_a), (1.0 - mu_b, nu_b))
+    p_term, q_term = _ratio_terms(p, q, np.log)
+    total = p_term[0] + q_term[0] + p_term[1] + q_term[1]
     return _clamp_nonneg(0.5 * total, "js_if")
 
 
