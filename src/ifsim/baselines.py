@@ -143,7 +143,7 @@ def j_gamma_batch(mu_a, nu_a, mu_b, nu_b, gamma: float) -> np.ndarray:
     x, y = _triples(mu_a, nu_a, mu_b, nu_b)
     natural_log = abs(gamma - 1.0) < GAMMA_BRANCH_TOL
     branch = _ln_branch(x, y) if natural_log else _power_branch(x, y, gamma)
-    total = 0 + branch[0] + branch[1] + branch[2]  # a plain sum() over the channels
+    total = 0 + branch[0] + branch[1] + branch[2]  # left to right from 0, as sum() adds
     if natural_log:
         return _clamp_nonneg(-total / 2.0, "J_1")
     return _clamp_nonneg(-total / (gamma - 1.0), "J_gamma")
