@@ -231,8 +231,8 @@ def _require_same_universe(a: IFS, b: IFS) -> None:
 def ifs_subset(a: IFS, b: IFS) -> bool:
     """Pointwise Atanassov containment over identical universes."""
     _require_same_universe(a, b)
-    (mu_a, nu_a), (mu_b, nu_b) = a.degrees, b.degrees
-    return bool((mu_a <= mu_b).all() and (nu_a >= nu_b).all())
+    da, db = a.degrees, b.degrees
+    return bool((da[0] <= db[0]).all() and (da[1] >= db[1]).all())
 
 
 def ifs_strict_subset(a: IFS, b: IFS) -> bool:

@@ -164,7 +164,13 @@ def js_norm_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
 
 
 def js_norm_lambda_batch(mu_a, nu_a, mu_b, nu_b, lam: float) -> np.ndarray:
-    """Parametric variant: every mu and nu enters as mu**lam / nu**lam."""
+    """Parametric variant: every mu and nu enters as mu**lam / nu**lam.
+
+    Known limit: the powers are taken before the kernel, so a degree whose
+    power underflows becomes 0.0 and can give a false zero.  At lam = 2,
+    <0.3, 1e-200> vs <0.3, 0> gives 0.0, though the exact value is
+    sqrt(1e-400 / 2) ~ 7.07e-201.
+    """
     _check_lambda(lam)
     mu_a, nu_a, mu_b, nu_b = (np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
     return js_norm_batch(mu_a ** lam, nu_a ** lam, mu_b ** lam, nu_b ** lam)
@@ -242,14 +248,16 @@ def shannon_interval_entropy(a: IFV) -> float:
 def aggregate(kernel: Callable[..., np.ndarray], a: IFS, b: IFS, w: WeightVector | None = None) -> float:
     """Set-level value of an elementwise kernel: sum_j w_j * kernel(a_j, b_j),
     or the plain 1/n mean when w is None.  The kernel gets the sets' stored
-    mu and nu rows as they are, without a copy.  Raises UniverseMismatchError unless
-    a and b share a universe, and WeightLengthMismatchError for a w of the
-    wrong length."""
+    mu and nu rows, taken by index as views without a copy.  The mean is
+    np.add.reduce over n: the same reduction and divide as ndarray.mean, so
+    the same bits, without its Python-level wrapper.  Raises
+    UniverseMismatchError unless a and b share a universe, and
+    WeightLengthMismatchError for a w of the wrong length."""
     _require_same_universe(a, b)
-    (mu_a, nu_a), (mu_b, nu_b) = a.degrees, b.degrees
-    per_element = kernel(mu_a, nu_a, mu_b, nu_b)
+    da, db = a.degrees, b.degrees
+    per_element = kernel(da[0], da[1], db[0], db[1])
     if w is None:
-        return float(per_element.mean())
+        return float(np.add.reduce(per_element) / per_element.size)
     check_weights(w, len(a))
     return float(np.dot(w.array, per_element))
 
@@ -273,7 +281,9 @@ def dist_wu_lambda(a: IFS, b: IFS, w: WeightVector, lam: float) -> float:
     """Parametric family: dist_wu with mu -> mu**lam and nu -> nu**lam.
 
     At lam == 1 the exponentiation is exact, so this reduces bit-for-bit to
-    dist_wu.  0**lam = 0 for lam > 0.
+    dist_wu.  0**lam = 0 for lam > 0.  A degree whose power underflows
+    (1e-200**2 == 0.0) counts as 0, so sets that differ only in such
+    degrees get a false zero; see js_norm_lambda_batch.
     """
     _check_lambda(lam)
     return aggregate(lambda *c: js_norm_lambda_batch(*c, lam), a, b, w)

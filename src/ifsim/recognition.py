@@ -65,11 +65,12 @@ def classify(
         raise OutOfRangeError(f"tie_tol must be >= 0, got {tie_tol!r}")
     if sample.universe != lib.universe:
         raise UniverseMismatchError("sample universe differs from the library universe")
+    evaluator, weights = measure.evaluator, lib.weights
+    is_distance = measure.kind == "distance"
     scored = []
     for name, pattern in lib.patterns:
-        value = measure.evaluator(pattern, sample, lib.weights)
-        similarity = 1.0 - value if measure.kind == "distance" else value
-        scored.append((name, similarity))
+        value = evaluator(pattern, sample, weights)
+        scored.append((name, 1.0 - value if is_distance else value))
     scored.sort(key=lambda item: (-item[1], item[0]))
     if len(scored) == 1:
         return ClassificationResult(tuple(scored), scored[0][0], False, math.inf)

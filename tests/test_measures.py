@@ -37,6 +37,7 @@ from ifsim import (
     z_score,
     zeta,
 )
+from ifsim.measures import js_norm_lambda_batch
 
 LN2 = math.log(2.0)
 
@@ -190,7 +191,7 @@ class TestJsNorm:
     @pytest.mark.xfail(strict=True, reason=(
         "false zero: the two log2 terms of L(1-mu_a, 1-mu_b) cancel to "
         "~delta**2 = 1e-18, below their rounding error; fixed by the "
-        "cancellation-free kernel of ROADMAP item 2"))
+        "cancellation-free kernel of ROADMAP item 1"))
     def test_tiny_degrees_positive(self):
         # the falsifying example hypothesis found for the test above
         assert js_norm(IFV(1e-9, 1e-9), IFV(2.22e-16, 1e-9)) > 0.0
@@ -284,6 +285,15 @@ class TestDistWuLambda:
         w = uniform_weights(len(a))
         for lam in (1 / 3, 2.0):
             assert 0.0 <= dist_wu_lambda(a, b, w, lam) <= 1.0
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "false zero: nu**2 = 1e-400 underflows to 0.0 before the kernel "
+        "runs, so both channels are equal; needs the power taken in the "
+        "log domain (ROADMAP item 1, known limit)"))
+    def test_squared_tiny_degree_positive(self):
+        # exact value: L(1e-400, 0) = 1e-400, js_norm = sqrt(1e-400 / 2)
+        d = js_norm_lambda_batch(0.3, 1e-200, 0.3, 0.0, 2.0)
+        assert d == pytest.approx(1e-200 / math.sqrt(2.0), rel=1e-12, abs=0.0)
 
 
 class TestEntropyIfv:

@@ -13,6 +13,9 @@ import hashlib
 import random
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 from ifsim import (
     IFS,
     PatternLibrary,
@@ -28,6 +31,7 @@ from ifsim import (
     ifs_strict_subset,
     ifs_subset,
 )
+from ifsim.measures import aggregate
 
 GOLDEN = Path(__file__).parent / "golden_set_api.txt"
 SIZES = (1, 2, 8, 1000)
@@ -91,6 +95,29 @@ def golden_lines() -> list[str]:
 
 def test_set_api_matches_golden():
     assert golden_lines() == GOLDEN.read_text(encoding="utf-8").splitlines()
+
+
+# Sizes around numpy's 8-way unrolled sum and its 128-element pairwise
+# blocks, where a different reduction order would first move a bit; the
+# golden file covers only n = 1, 2, 8 and 1000.
+MEAN_SIZES = (1, 7, 9, 127, 128, 129, 4097, 25000)
+MEAN_MEASURES = (("wu", {}), ("wu-lambda", {"lambda": 0.5}), ("xiao", {}), ("yc", {}),
+                 ("jgamma", {"gamma": 1.0}), ("jgamma", {"gamma": 2.0}))
+
+
+def _simplex_set(rng: np.random.Generator, n: int) -> IFS:
+    mu = rng.random(n)
+    return IFS.from_pairs(np.column_stack([mu, rng.random(n) * (1.0 - mu)]))
+
+
+@pytest.mark.parametrize("name, params", MEAN_MEASURES)
+def test_unweighted_aggregate_is_kernel_mean(name, params):
+    md = get_measure(name, **params)
+    for n in MEAN_SIZES:
+        rng = np.random.default_rng(n)
+        a, b = _simplex_set(rng, n), _simplex_set(rng, n)
+        expected = float(md.pair_batch(*a.degrees, *b.degrees).mean())
+        assert aggregate(md.pair_batch, a, b).hex() == expected.hex(), n
 
 
 if __name__ == "__main__":
