@@ -4,7 +4,9 @@ Each scenario pins one published numeric example, comparison table, or
 closed-form family and re-derives it from the implementation, reporting one
 verdict per check (pass iff |expected - computed| <= tolerance; relational
 facts are encoded as expected 1, computed 1/0, tolerance 0).  Scenarios are
-deterministic and independent.
+deterministic and independent.  A scenario builder returns only its checks
+and notes; run_scenario stamps the catalog id on the report and times the
+builder.
 
 Known discrepancy, reported rather than hidden: in the published pairwise
 comparison table (scenario tab2-distances), cases 3 and 4 are inconsistent
@@ -20,6 +22,9 @@ sweep_curve generates the figure-family data (CSV emission lives in the
 CLI): fig1 the crossing pair, fig4-fig10 the comparison curves and surfaces,
 fig6 the monotonicity counterexample family (asserted strictly decreasing on
 its documented window), entropy-surface (alias fig3) the entropy graph.
+The anchor families fig5 and fig7-fig9 (distances from an endpoint to
+<lam,0> and <lam,1-lam>) are rows of one table served by one builder;
+measure names resolve only through the registry.
 """
 
 from __future__ import annotations
@@ -96,6 +101,12 @@ def _fact(description: str, holds: bool, provenance: str = "") -> ReproCheck:
     return ReproCheck(description, 1.0, 1.0 if holds else 0.0, 0.0, provenance)
 
 
+def _identity(description: str, got, want) -> ReproCheck:
+    """A closed-form identity: max|got - want| <= 1e-12 over the whole family."""
+    return _value(description, 0.0, float(np.max(np.abs(got - want))), 1e-12,
+                  "closed-form identity")
+
+
 def _one(mu: float, nu: float) -> IFS:
     return IFS(("x",), (IFV(mu, nu),))
 
@@ -105,12 +116,29 @@ def _lam_grid(step: float = 0.01, lo: float = 0.0, hi: float = 1.0) -> np.ndarra
     return lo + np.arange(n + 1) * step
 
 
+def _anchor_curves(measure: str, anchor: tuple[float, float],
+                   lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from the anchor value to <lam,0> and to <lam,1-lam>."""
+    kernel = get_measure(measure).pair_batch
+    return kernel(*anchor, lams, np.zeros_like(lams)), kernel(*anchor, lams, 1.0 - lams)
+
+
+def _crossing_curves(lams):
+    """xiao distances from <0.33,0.36> to <1/3,lam> (near) and <0.334,lam> (far)."""
+    near = baselines.xiao_elem_batch(0.33, 0.36, 1.0 / 3.0, lams)
+    return near, baselines.xiao_elem_batch(0.33, 0.36, 0.334, lams)
+
+
+def _decreasing_family(lams: np.ndarray) -> np.ndarray:
+    """xiao distance from <1/3,1/3> to <lam,1e-5>; nu=1e-5 keeps <lam,nu> on the simplex."""
+    return baselines.xiao_elem_batch(1.0 / 3.0, 1.0 / 3.0, lams, np.full_like(lams, 1e-5))
+
+
 # ---------------------------------------------------------------------------
-# scenario builders
+# scenario builders: each returns (checks, notes)
 # ---------------------------------------------------------------------------
 
-def _ex1_xiao_s4() -> ReproReport:
-    t0 = time.perf_counter()
+def _ex1_xiao_s4():
     i1, i2, i3 = _one(0.33, 0.36), _one(1.0 / 3.0, 1.0 / 3.0), _one(0.334, 0.333333)
     s12 = baselines.sim_xiao(i1, i2)
     s13 = baselines.sim_xiao(i1, i3)
@@ -121,17 +149,12 @@ def _ex1_xiao_s4() -> ReproReport:
         _value("xiao similarity to the farther chain element", 0.9741713, s13, 1e-6),
         _fact("monotonicity violation: farther element scores more similar", s12 < s13),
     )
-    return ReproReport("ex1-xiao-s4", checks, wall_time=time.perf_counter() - t0)
+    return checks, ()
 
 
-def _ex1_crossing() -> ReproReport:
-    t0 = time.perf_counter()
-    mu1, nu1 = 0.33, 0.36
-    mu2, mu3 = 1.0 / 3.0, 0.334
-
+def _ex1_crossing():
     def diff(lams: np.ndarray) -> np.ndarray:
-        near = baselines.xiao_elem_batch(mu1, nu1, mu2, lams)
-        far = baselines.xiao_elem_batch(mu1, nu1, mu3, lams)
+        near, far = _crossing_curves(lams)
         return near - far
 
     lams = _lam_grid(1e-4, 1e-4, 0.36 - 1e-4)
@@ -155,14 +178,12 @@ def _ex1_crossing() -> ReproReport:
         _fact("near curve starts above the far curve", f[0] > 0.0),
         _fact("near curve ends below the far curve", f[-1] < 0.0),
     )
-    notes = (f"bisection on a 1e-4 grid located the crossing at lambda* = {lam_star:.10g}",)
-    return ReproReport("ex1-crossing", checks, notes, time.perf_counter() - t0)
+    return checks, (f"bisection on a 1e-4 grid located the crossing at lambda* = {lam_star:.10g}",)
 
 
-def _ex2_xiao_monotone() -> ReproReport:
-    t0 = time.perf_counter()
+def _ex2_xiao_monotone():
     lams = np.arange(34, 50) / 100.0  # inside (1/3, 0.5)
-    d = baselines.xiao_elem_batch(1.0 / 3.0, 1.0 / 3.0, lams, np.full_like(lams, 1e-5))
+    d = _decreasing_family(lams)
     chain_ok = all(
         atanassov_strict_subset(IFV(lams[i], 1e-5), IFV(lams[i + 1], 1e-5))
         for i in range(len(lams) - 1)
@@ -175,38 +196,28 @@ def _ex2_xiao_monotone() -> ReproReport:
         _fact("base value is strictly below every family member in the order",
               all(atanassov_strict_subset(IFV(1 / 3, 1 / 3), IFV(l, 1e-5)) for l in lams)),
     )
-    return ReproReport("ex2-xiao-monotone", checks, wall_time=time.perf_counter() - t0)
+    return checks, ()
 
 
 def _xiao_to_full_closed(lams: np.ndarray) -> np.ndarray:
     """Closed form for the xiao distance from <1,0> to <lam, nu> (nu-free)."""
-    lam_term = np.where(lams > 0.0, np.where(lams > 0.0, lams, 1.0)
-                        * np.log2(np.where(lams > 0.0, 2.0 * lams / (1.0 + lams), 1.0)), 0.0)
+    lam_term = measures._xlog(lams, 2.0 * lams / (1.0 + lams), np.log2)
     return np.sqrt(0.5 * (np.log2(2.0 / (1.0 + lams)) + lam_term + (1.0 - lams)))
 
 
-def _ex3_xiao_degeneracy() -> ReproReport:
-    t0 = time.perf_counter()
+def _ex3_xiao_degeneracy():
     lams = _lam_grid(0.01)
-    d_nu0 = baselines.xiao_elem_batch(1.0, 0.0, lams, np.zeros_like(lams))
-    d_pi0 = baselines.xiao_elem_batch(1.0, 0.0, lams, 1.0 - lams)
-    d_from_bottom = baselines.xiao_elem_batch(0.0, 1.0, lams, np.zeros_like(lams))
+    d_nu0, d_pi0 = _anchor_curves("xiao", (1.0, 0.0), lams)
+    d_from_bottom, _ = _anchor_curves("xiao", (0.0, 1.0), lams)
     checks = (
-        _value("degeneracy: curves against <lam,0> and <lam,1-lam> coincide",
-               0.0, float(np.max(np.abs(d_nu0 - d_pi0))), 1e-12,
-               "closed-form identity"),
-        _value("both curves match their closed form",
-               0.0, float(np.max(np.abs(d_nu0 - _xiao_to_full_closed(lams)))), 1e-12,
-               "closed-form identity"),
-        _value("distance from <0,1> to every <lam,0> is the maximum 1",
-               0.0, float(np.max(np.abs(d_from_bottom - 1.0))), 1e-12,
-               "closed-form identity"),
+        _identity("degeneracy: curves against <lam,0> and <lam,1-lam> coincide", d_nu0, d_pi0),
+        _identity("both curves match their closed form", d_nu0, _xiao_to_full_closed(lams)),
+        _identity("distance from <0,1> to every <lam,0> is the maximum 1", d_from_bottom, 1.0),
     )
-    return ReproReport("ex3-xiao-degeneracy", checks, wall_time=time.perf_counter() - t0)
+    return checks, ()
 
 
-def _ex4_yc_s4() -> ReproReport:
-    t0 = time.perf_counter()
+def _ex4_yc_s4():
     i1, i2, i3 = _one(0.5, 0.5), _one(0.6, 0.3), _one(0.7, 0.3)
     d12 = baselines.dist_yc(i1, i2)
     d13 = baselines.dist_yc(i1, i3)
@@ -220,25 +231,20 @@ def _ex4_yc_s4() -> ReproReport:
         _fact("monotonicity violation: farther element scores more similar",
               1.0 - d12 < 1.0 - d13),
     )
-    return ReproReport("ex4-yc-s4", checks, wall_time=time.perf_counter() - t0)
+    return checks, ()
 
 
-def _ex5_yc_degeneracy() -> ReproReport:
-    t0 = time.perf_counter()
+def _ex5_yc_degeneracy():
     lams = _lam_grid(0.01)
-    d_nu0 = baselines.yc_elem_batch(1.0, 0.0, lams, np.zeros_like(lams))
-    d_pi0 = baselines.yc_elem_batch(1.0, 0.0, lams, 1.0 - lams)
-    d_mirror = baselines.yc_elem_batch(1.0, 0.0, np.zeros_like(lams), lams)
-    closed = (2.0 / math.pi) * np.arccos(np.sqrt(lams))
+    d_nu0, d_pi0 = _anchor_curves("yc", (1.0, 0.0), lams)
+    d_mirror = get_measure("yc").pair_batch(1.0, 0.0, np.zeros_like(lams), lams)
     checks = (
-        _value("degeneracy: curves against <lam,0> and <lam,1-lam> coincide",
-               0.0, float(np.max(np.abs(d_nu0 - d_pi0))), 1e-12, "closed-form identity"),
-        _value("both curves match (2/pi)*arccos(sqrt(lam))",
-               0.0, float(np.max(np.abs(d_nu0 - closed))), 1e-12, "closed-form identity"),
-        _value("distance from <1,0> to every <0,lam> is the maximum 1",
-               0.0, float(np.max(np.abs(d_mirror - 1.0))), 1e-12, "closed-form identity"),
+        _identity("degeneracy: curves against <lam,0> and <lam,1-lam> coincide", d_nu0, d_pi0),
+        _identity("both curves match (2/pi)*arccos(sqrt(lam))",
+                  d_nu0, (2.0 / math.pi) * np.arccos(np.sqrt(lams))),
+        _identity("distance from <1,0> to every <0,lam> is the maximum 1", d_mirror, 1.0),
     )
-    return ReproReport("ex5-yc-degeneracy", checks, wall_time=time.perf_counter() - t0)
+    return checks, ()
 
 
 _TAB2_XIAO = (0.14614, 0.13531, 0.17210, 0.13352, 0.13224)
@@ -254,8 +260,7 @@ _TAB2_NOTE = (
 )
 
 
-def _tab2_distances() -> ReproReport:
-    t0 = time.perf_counter()
+def _tab2_distances():
     checks = []
     for i in range(1, 6):
         sets, w = builtin_dataset(f"tableI_case{i}")
@@ -271,109 +276,82 @@ def _tab2_distances() -> ReproReport:
         "d_wu computed with uniform (0.5, 0.5) weights; the source states none",
         _TAB2_NOTE,
     )
-    return ReproReport("tab2-distances", tuple(checks), notes, time.perf_counter() - t0)
+    return checks, notes
 
 
-def _ex8_closed_forms() -> ReproReport:
-    t0 = time.perf_counter()
+def _ex8_closed_forms():
     lams = _lam_grid(0.01)
-    zeros = np.zeros_like(lams)
-    wu_nu0 = measures.js_norm_batch(1.0, 0.0, lams, zeros)
-    wu_pi0 = measures.js_norm_batch(1.0, 0.0, lams, 1.0 - lams)
-    yc_nu0 = baselines.yc_elem_batch(1.0, 0.0, lams, zeros)
-    xiao_bottom = baselines.xiao_elem_batch(0.0, 1.0, lams, zeros)
+    wu_nu0, wu_pi0 = _anchor_curves("wu", (1.0, 0.0), lams)
+    yc_nu0, _ = _anchor_curves("yc", (1.0, 0.0), lams)
+    xiao_bottom, _ = _anchor_curves("xiao", (0.0, 1.0), lams)
     checks = (
-        _value("weighted-JS distance from <1,0> to <lam,0> is sqrt((1-lam)/2)",
-               0.0, float(np.max(np.abs(wu_nu0 - np.sqrt((1.0 - lams) / 2.0)))), 1e-12,
-               "closed-form identity"),
-        _value("weighted-JS distance from <1,0> to <lam,1-lam> is sqrt(1-lam)",
-               0.0, float(np.max(np.abs(wu_pi0 - np.sqrt(1.0 - lams)))), 1e-12,
-               "closed-form identity"),
-        _value("spherical distance from <1,0> to <lam,0> is (2/pi)*arccos(sqrt(lam))",
-               0.0, float(np.max(np.abs(yc_nu0 - (2.0 / math.pi) * np.arccos(np.sqrt(lams))))),
-               1e-12, "closed-form identity"),
-        _value("xiao distance from <0,1> to <lam,0> is 1",
-               0.0, float(np.max(np.abs(xiao_bottom - 1.0))), 1e-12,
-               "closed-form identity"),
+        _identity("weighted-JS distance from <1,0> to <lam,0> is sqrt((1-lam)/2)",
+                  wu_nu0, np.sqrt((1.0 - lams) / 2.0)),
+        _identity("weighted-JS distance from <1,0> to <lam,1-lam> is sqrt(1-lam)",
+                  wu_pi0, np.sqrt(1.0 - lams)),
+        _identity("spherical distance from <1,0> to <lam,0> is (2/pi)*arccos(sqrt(lam))",
+                  yc_nu0, (2.0 / math.pi) * np.arccos(np.sqrt(lams))),
+        _identity("xiao distance from <0,1> to <lam,0> is 1", xiao_bottom, 1.0),
     )
-    return ReproReport("ex8-closed-forms", checks, wall_time=time.perf_counter() - t0)
+    return checks, ()
 
 
-def _ex9_fixed_mu_nu_surfaces() -> ReproReport:
-    t0 = time.perf_counter()
-    step = 0.05
-    axis = _lam_grid(step)
-    xiao_const_dev = 0.0
-    wu_monotone = True
-    yc_const_dev = 0.0
-    wu_closed_dev = 0.0
-    for mu in axis:
-        nus = _lam_grid(step, 0.0, 1.0 - mu + 1e-12)
-        nus = nus[mu + nus <= 1.0 + 1e-9]
-        if len(nus) < 2:
-            continue
-        mus = np.full_like(nus, mu)
-        xiao_row = baselines.xiao_elem_batch(1.0, 0.0, mus, nus)
-        xiao_const_dev = max(xiao_const_dev, float(np.ptp(xiao_row)))
-        yc_row = baselines.yc_elem_batch(1.0, 0.0, mus, nus)
-        yc_const_dev = max(yc_const_dev, float(np.ptp(yc_row)))
-        wu_row = measures.js_norm_batch(1.0, 0.0, mus, nus)
-        wu_monotone &= bool(np.all(np.diff(wu_row) > 0.0))
-        wu_closed_dev = max(
-            wu_closed_dev, float(np.max(np.abs(wu_row - np.sqrt((1.0 - mu + nus) / 2.0))))
-        )
-    mirror_xiao_dev = 0.0
-    mirror_wu_monotone = True
-    for nu in axis:
-        mus = _lam_grid(step, 0.0, 1.0 - nu + 1e-12)
-        mus = mus[mus + nu <= 1.0 + 1e-9]
-        if len(mus) < 2:
-            continue
-        nus = np.full_like(mus, nu)
-        mirror_xiao_dev = max(
-            mirror_xiao_dev, float(np.ptp(baselines.xiao_elem_batch(0.0, 1.0, mus, nus)))
-        )
-        wu_row = measures.js_norm_batch(0.0, 1.0, mus, nus)
-        mirror_wu_monotone &= bool(np.all(np.diff(wu_row) > 0.0))
+def _fixed_degree_rows(step: float):
+    """(fixed, free) degree rows of the grid: each fixed degree with the free
+    degrees that keep the value on the simplex (rows of fewer than 2 skipped)."""
+    for fixed in _lam_grid(step):
+        free = _lam_grid(step, 0.0, 1.0 - fixed + 1e-12)
+        free = free[fixed + free <= 1.0 + 1e-9]
+        if len(free) >= 2:
+            yield np.full_like(free, fixed), free
+
+
+def _ex9_fixed_mu_nu_surfaces():
+    xiao, yc, wu = (get_measure(m).pair_batch for m in ("xiao", "yc", "wu"))
+    rows = list(_fixed_degree_rows(0.05))  # (mus, nus), mu fixed per row
+    mirrored = [(mus, nus) for nus, mus in rows]  # nu fixed per row
+
+    def spreads(kernel, anchor, rows) -> np.ndarray:
+        return np.array([np.ptp(kernel(*anchor, mus, nus)) for mus, nus in rows])
+
+    def rising(curves) -> bool:
+        return all(bool(np.all(np.diff(c) > 0.0)) for c in curves)
+
+    wu_top = [wu(1.0, 0.0, mus, nus) for mus, nus in rows]
+    mus, nus = np.concatenate(rows, axis=1)
     checks = (
-        _value("xiao distance from <1,0> ignores nu at fixed mu",
-               0.0, xiao_const_dev, 1e-12, "closed-form identity"),
-        _value("spherical distance from <1,0> ignores nu at fixed mu",
-               0.0, yc_const_dev, 1e-12, "closed-form identity"),
+        _identity("xiao distance from <1,0> ignores nu at fixed mu",
+                  spreads(xiao, (1.0, 0.0), rows), 0.0),
+        _identity("spherical distance from <1,0> ignores nu at fixed mu",
+                  spreads(yc, (1.0, 0.0), rows), 0.0),
         _fact("weighted-JS distance from <1,0> strictly increases with nu at fixed mu",
-              wu_monotone),
-        _value("weighted-JS distance from <1,0> matches sqrt((1-mu+nu)/2)",
-               0.0, wu_closed_dev, 1e-12, "closed-form identity"),
-        _value("xiao distance from <0,1> ignores mu at fixed nu",
-               0.0, mirror_xiao_dev, 1e-12, "closed-form identity"),
+              rising(wu_top)),
+        _identity("weighted-JS distance from <1,0> matches sqrt((1-mu+nu)/2)",
+                  np.concatenate(wu_top), np.sqrt((1.0 - mus + nus) / 2.0)),
+        _identity("xiao distance from <0,1> ignores mu at fixed nu",
+                  spreads(xiao, (0.0, 1.0), mirrored), 0.0),
         _fact("weighted-JS distance from <0,1> strictly increases with mu at fixed nu",
-              mirror_wu_monotone),
+              rising(wu(0.0, 1.0, mus, nus) for mus, nus in mirrored)),
     )
-    return ReproReport("ex9-fixed-mu-nu-surfaces", checks, wall_time=time.perf_counter() - t0)
+    return checks, ()
 
 
-def _ex11_yc_vs_wu() -> ReproReport:
-    t0 = time.perf_counter()
+def _ex11_yc_vs_wu():
     lams = _lam_grid(0.01)
-    zeros = np.zeros_like(lams)
-    yc_nu0 = baselines.yc_elem_batch(1.0, 0.0, lams, zeros)
-    yc_pi0 = baselines.yc_elem_batch(1.0, 0.0, lams, 1.0 - lams)
-    wu_nu0 = measures.js_norm_batch(1.0, 0.0, lams, zeros)
-    wu_pi0 = measures.js_norm_batch(1.0, 0.0, lams, 1.0 - lams)
+    yc_nu0, yc_pi0 = _anchor_curves("yc", (1.0, 0.0), lams)
+    wu_nu0, wu_pi0 = _anchor_curves("wu", (1.0, 0.0), lams)
     nested = all(
         atanassov_strict_subset(IFV(l, 1.0 - l), IFV(l, 0.0)) for l in lams[:-1]
     )
     checks = (
         _fact("<lam,1-lam> is strictly below <lam,0> in the value order (lam < 1)", nested),
-        _value("spherical distance cannot separate the two families",
-               0.0, float(np.max(np.abs(yc_nu0 - yc_pi0))), 1e-12, "closed-form identity"),
+        _identity("spherical distance cannot separate the two families", yc_nu0, yc_pi0),
         _fact("weighted-JS distance separates them at every lam < 1",
               bool(np.all(wu_pi0[:-1] > wu_nu0[:-1]))),
-        _value("weighted-JS separation has the exact ratio sqrt(2)",
-               0.0, float(np.max(np.abs(wu_pi0 - math.sqrt(2.0) * wu_nu0))), 1e-12,
-               "closed-form identity"),
+        _identity("weighted-JS separation has the exact ratio sqrt(2)",
+                  wu_pi0, math.sqrt(2.0) * wu_nu0),
     )
-    return ReproReport("ex11-yc-vs-wu", checks, wall_time=time.perf_counter() - t0)
+    return checks, ()
 
 
 _TAB4_EXPECTED = {
@@ -383,8 +361,7 @@ _TAB4_EXPECTED = {
 }
 
 
-def _tab4_classify() -> ReproReport:
-    t0 = time.perf_counter()
+def _tab4_classify():
     sets, w = builtin_dataset("tableIII")
     lib = PatternLibrary(tuple((n, sets[n]) for n in ("P1", "P2", "P3")), w)
     sample = sets["S1"]
@@ -402,7 +379,7 @@ def _tab4_classify() -> ReproReport:
         "uniform (1/3, 1/3, 1/3) weights; published values are rounded to 2 "
         "decimals, compared at ±5e-3; tie tolerance 1e-4",
     )
-    return ReproReport("tab4-classify", tuple(checks), notes, time.perf_counter() - t0)
+    return checks, notes
 
 
 _SCENARIOS = {
@@ -423,14 +400,16 @@ SCENARIO_IDS = tuple(_SCENARIOS)
 
 
 def run_scenario(scenario_id: str) -> ReproReport:
-    """Run one catalog scenario; UnknownScenarioError for anything else."""
+    """Run one catalog scenario, timed; UnknownScenarioError for anything else."""
     try:
         builder = _SCENARIOS[scenario_id]
     except KeyError:
         raise UnknownScenarioError(
             f"unknown scenario {scenario_id!r}; known: {', '.join(SCENARIO_IDS)}"
         ) from None
-    return builder()
+    t0 = time.perf_counter()
+    checks, notes = builder()
+    return ReproReport(scenario_id, tuple(checks), notes, time.perf_counter() - t0)
 
 
 def run_all_scenarios() -> list[ReproReport]:
@@ -438,7 +417,7 @@ def run_all_scenarios() -> list[ReproReport]:
 
 
 # ---------------------------------------------------------------------------
-# curve families
+# curve families: each builder takes (family, steps), returns (columns, rows, description)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -456,125 +435,82 @@ def _simplex_axis_grid(steps: int) -> tuple[np.ndarray, np.ndarray]:
     return mu[keep], nu[keep]
 
 
-def _fam_fig1(steps: int) -> CurveTable:
+def _fam_fig1(family: str, steps: int):
     lams = np.linspace(0.0, 0.36, steps)
-    near = baselines.xiao_elem_batch(0.33, 0.36, 1.0 / 3.0, lams)
-    far = baselines.xiao_elem_batch(0.33, 0.36, 0.334, lams)
-    return CurveTable("fig1", ("lambda", "xiao_near", "xiao_far"),
-                      np.column_stack([lams, near, far]),
-                      "crossing pair of xiao distance curves against <1/3,lam> and <0.334,lam>")
+    return (("lambda", "xiao_near", "xiao_far"), np.column_stack([lams, *_crossing_curves(lams)]),
+            "crossing pair of xiao distance curves against <1/3,lam> and <0.334,lam>")
 
 
-def _fam_fig4(steps: int) -> CurveTable:
+def _fam_fig4(family: str, steps: int):
     mu, nu = _simplex_axis_grid(steps)
     wu = measures.js_norm_batch(mu, nu, nu, mu)
-    return CurveTable("fig4", ("mu", "nu", "wu"), np.column_stack([mu, nu, wu]),
-                      "weighted-JS distance between <mu,nu> and its complement")
+    return (("mu", "nu", "wu"), np.column_stack([mu, nu, wu]),
+            "weighted-JS distance between <mu,nu> and its complement")
 
 
-def _fam_fig5(steps: int) -> CurveTable:
+# family: (anchor, measures, description); columns lambda, then <m>_nu0, <m>_pi0 per measure
+_ANCHOR_FAMILIES = {
+    "fig5": ((1.0, 0.0), ("xiao", "wu"),
+             "xiao vs weighted-JS distances from <1,0> to <lam,0> and <lam,1-lam>"),
+    "fig7": ((1.0, 0.0), ("wu",),
+             "weighted-JS distances from <1,0>: sqrt((1-lam)/2) and sqrt(1-lam)"),
+    "fig8": ((0.0, 1.0), ("xiao", "wu"),
+             "xiao vs weighted-JS distances from <0,1> to <lam,0> and <lam,1-lam>"),
+    "fig9": ((1.0, 0.0), ("yc", "wu"),
+             "spherical vs weighted-JS distances from <1,0> to <lam,0> and <lam,1-lam>"),
+}
+
+
+def _fam_anchor(family: str, steps: int):
+    anchor, names, description = _ANCHOR_FAMILIES[family]
     lams = np.linspace(0.0, 1.0, steps)
-    zeros = np.zeros_like(lams)
-    rows = np.column_stack([
-        lams,
-        baselines.xiao_elem_batch(1.0, 0.0, lams, zeros),
-        baselines.xiao_elem_batch(1.0, 0.0, lams, 1.0 - lams),
-        measures.js_norm_batch(1.0, 0.0, lams, zeros),
-        measures.js_norm_batch(1.0, 0.0, lams, 1.0 - lams),
-    ])
-    return CurveTable("fig5", ("lambda", "xiao_nu0", "xiao_pi0", "wu_nu0", "wu_pi0"), rows,
-                      "xiao vs weighted-JS distances from <1,0> to <lam,0> and <lam,1-lam>")
+    curves = [c for m in names for c in _anchor_curves(m, anchor, lams)]
+    columns = ("lambda",) + tuple(f"{m}_{end}" for m in names for end in ("nu0", "pi0"))
+    return columns, np.column_stack([lams, *curves]), description
 
 
 _FIG6_WINDOW = (1.0 / 3.0, 0.5)
 
 
-def _fam_fig6(steps: int) -> CurveTable:
-    lams = np.linspace(1.0 / 3.0, 1.0 - 1e-5, steps)  # nu=1e-5 keeps <lam,nu> on the simplex
-    d = baselines.xiao_elem_batch(1.0 / 3.0, 1.0 / 3.0, lams, np.full_like(lams, 1e-5))
+def _fam_fig6(family: str, steps: int):
+    lams = np.linspace(1.0 / 3.0, 1.0 - 1e-5, steps)
+    d = _decreasing_family(lams)
     window = (lams > _FIG6_WINDOW[0]) & (lams < _FIG6_WINDOW[1])
     if window.sum() >= 2 and not np.all(np.diff(d[window]) < 0.0):
         raise NumericalConsistencyError(
             "fig6 family must be strictly decreasing on (1/3, 0.5)"
         )
-    return CurveTable("fig6", ("lambda", "xiao"), np.column_stack([lams, d]),
-                      "xiao distance from <1/3,1/3> to <lam,1e-5>; decreasing on (1/3, 0.5)")
+    return (("lambda", "xiao"), np.column_stack([lams, d]),
+            "xiao distance from <1/3,1/3> to <lam,1e-5>; decreasing on (1/3, 0.5)")
 
 
-def _fam_fig7(steps: int) -> CurveTable:
-    lams = np.linspace(0.0, 1.0, steps)
-    rows = np.column_stack([
-        lams,
-        measures.js_norm_batch(1.0, 0.0, lams, np.zeros_like(lams)),
-        measures.js_norm_batch(1.0, 0.0, lams, 1.0 - lams),
-    ])
-    return CurveTable("fig7", ("lambda", "wu_nu0", "wu_pi0"), rows,
-                      "weighted-JS distances from <1,0>: sqrt((1-lam)/2) and sqrt(1-lam)")
+_ENDPOINTS = (("top", (1.0, 0.0)), ("bottom", (0.0, 1.0)))
 
 
-def _fam_fig8(steps: int) -> CurveTable:
-    lams = np.linspace(0.0, 1.0, steps)
-    zeros = np.zeros_like(lams)
-    rows = np.column_stack([
-        lams,
-        baselines.xiao_elem_batch(0.0, 1.0, lams, zeros),
-        baselines.xiao_elem_batch(0.0, 1.0, lams, 1.0 - lams),
-        measures.js_norm_batch(0.0, 1.0, lams, zeros),
-        measures.js_norm_batch(0.0, 1.0, lams, 1.0 - lams),
-    ])
-    return CurveTable("fig8", ("lambda", "xiao_nu0", "xiao_pi0", "wu_nu0", "wu_pi0"), rows,
-                      "xiao vs weighted-JS distances from <0,1> to <lam,0> and <lam,1-lam>")
-
-
-def _fam_fig9(steps: int) -> CurveTable:
-    lams = np.linspace(0.0, 1.0, steps)
-    zeros = np.zeros_like(lams)
-    rows = np.column_stack([
-        lams,
-        baselines.yc_elem_batch(1.0, 0.0, lams, zeros),
-        baselines.yc_elem_batch(1.0, 0.0, lams, 1.0 - lams),
-        measures.js_norm_batch(1.0, 0.0, lams, zeros),
-        measures.js_norm_batch(1.0, 0.0, lams, 1.0 - lams),
-    ])
-    return CurveTable("fig9", ("lambda", "yc_nu0", "yc_pi0", "wu_nu0", "wu_pi0"), rows,
-                      "spherical vs weighted-JS distances from <1,0> to <lam,0> and <lam,1-lam>")
-
-
-def _fam_fig10(steps: int) -> CurveTable:
+def _fam_fig10(family: str, steps: int):
     mu, nu = _simplex_axis_grid(steps)
-    rows = np.column_stack([
-        mu, nu,
-        measures.js_norm_batch(mu, nu, 1.0, 0.0),
-        measures.js_norm_batch(mu, nu, 0.0, 1.0),
-        baselines.xiao_elem_batch(mu, nu, 1.0, 0.0),
-        baselines.xiao_elem_batch(mu, nu, 0.0, 1.0),
-        baselines.yc_elem_batch(mu, nu, 1.0, 0.0),
-        baselines.yc_elem_batch(mu, nu, 0.0, 1.0),
-    ])
-    return CurveTable(
-        "fig10",
-        ("mu", "nu", "wu_top", "wu_bottom", "xiao_top", "xiao_bottom", "yc_top", "yc_bottom"),
-        rows,
-        "distances from <1,0> (top) and <0,1> (bottom) to <mu,nu> for all three measures",
-    )
+    names = ("wu", "xiao", "yc")
+    curves = [get_measure(m).pair_batch(mu, nu, *end) for m in names for _, end in _ENDPOINTS]
+    columns = ("mu", "nu") + tuple(f"{m}_{side}" for m in names for side, _ in _ENDPOINTS)
+    return (columns, np.column_stack([mu, nu, *curves]),
+            "distances from <1,0> (top) and <0,1> (bottom) to <mu,nu> for all three measures")
 
 
-def _fam_entropy_surface(steps: int) -> CurveTable:
+def _fam_entropy_surface(family: str, steps: int):
     mu, nu = _simplex_axis_grid(steps)
     ent = 1.0 - measures.js_norm_batch(mu, nu, nu, mu)
-    return CurveTable("entropy-surface", ("mu", "nu", "entropy"),
-                      np.column_stack([mu, nu, ent]),
-                      "induced entropy over the value simplex; 1 exactly on mu == nu")
+    return (("mu", "nu", "entropy"), np.column_stack([mu, nu, ent]),
+            "induced entropy over the value simplex; 1 exactly on mu == nu")
 
 
 _FAMILIES = {
     "fig1": _fam_fig1,
     "fig4": _fam_fig4,
-    "fig5": _fam_fig5,
+    "fig5": _fam_anchor,
     "fig6": _fam_fig6,
-    "fig7": _fam_fig7,
-    "fig8": _fam_fig8,
-    "fig9": _fam_fig9,
+    "fig7": _fam_anchor,
+    "fig8": _fam_anchor,
+    "fig9": _fam_anchor,
     "fig10": _fam_fig10,
     "entropy-surface": _fam_entropy_surface,
 }
@@ -594,4 +530,4 @@ def sweep_curve(family: str, steps: int = 101) -> CurveTable:
         raise UnknownFamilyError(
             f"unknown curve family {family!r}; known: {', '.join(FAMILY_IDS)}"
         ) from None
-    return builder(steps)
+    return CurveTable(name, *builder(name, steps))
