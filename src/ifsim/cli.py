@@ -31,10 +31,10 @@ from pathlib import Path
 
 from .audit import AuditConfig, audit_distance, audit_entropy
 from .core import IFS, IfsimError, WeightVector, uniform_weights
-from .datasets import BUILTIN_DATASET_NAMES, resolve_dataset
+from .datasets import BUILTIN_DATASET_NAMES, _parse_weights, resolve_dataset
 from .measures import entropy_ifs
 from .recognition import PatternLibrary, classify
-from .registry import MEASURE_NAMES, get_measure
+from .registry import _PARAM_NAMES, MEASURE_NAMES, get_measure
 from .scenarios import FAMILY_IDS, SCENARIO_IDS, CurveTable, run_scenario, sweep_curve
 
 _AUDIT_CHOICES = MEASURE_NAMES + ("entropy",)
@@ -46,7 +46,7 @@ def _fmt(x: float) -> str:
 
 def _add_measure_flags(p: argparse.ArgumentParser, choices=MEASURE_NAMES) -> None:
     p.add_argument("--measure", required=True, choices=choices)
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--lambda", type=float, default=None,
                    help="exponent for wu-lambda (> 0)")
     p.add_argument("--gamma", type=float, default=None, help="order for jgamma (> 0)")
 
@@ -124,29 +124,29 @@ def _load_weights(arg: str | None, from_data: WeightVector | None, n: int) -> We
         return from_data if from_data is not None else uniform_weights(n)
     if arg == "uniform":
         return uniform_weights(n)
-    try:
+    try:  # unreadable, not UTF-8, or not JSON (the decode errors are ValueErrors)
         raw = json.loads(Path(arg).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise IfsimError(f"cannot read weights file {arg!r}: {exc}") from exc
-    if not isinstance(raw, list):
-        raise IfsimError(f"weights file {arg!r} must hold a JSON list")
-    return WeightVector(tuple(float(x) for x in raw))
+    try:  # the rule of a dataset's weights field
+        return _parse_weights(raw, n)
+    except IfsimError as exc:
+        raise IfsimError(f"weights file {arg!r}: {exc}") from exc
 
 
 def _measure_params(args: argparse.Namespace) -> dict:
+    """The registry parameters of args.measure, each from its --<name> flag;
+    a flag given for a measure that does not take it is an error."""
     params: dict = {}
-    if args.measure == "wu-lambda":
-        if args.lam is None:
-            raise IfsimError("--measure wu-lambda requires --lambda")
-        params["lambda"] = args.lam
-    elif args.lam is not None:
-        raise IfsimError("--lambda is only valid with --measure wu-lambda")
-    if args.measure == "jgamma":
-        if args.gamma is None:
-            raise IfsimError("--measure jgamma requires --gamma")
-        params["gamma"] = args.gamma
-    elif args.gamma is not None:
-        raise IfsimError("--gamma is only valid with --measure jgamma")
+    for measure, names in _PARAM_NAMES.items():
+        for name in names:
+            value = getattr(args, name)
+            if args.measure == measure:
+                if value is None:
+                    raise IfsimError(f"--measure {measure} requires --{name}")
+                params[name] = value
+            elif value is not None:
+                raise IfsimError(f"--{name} is only valid with --measure {measure}")
     return params
 
 
@@ -156,13 +156,13 @@ def _get_set(sets: dict[str, IFS], name: str) -> IFS:
     return sets[name]
 
 
-def _cmd_dist(args: argparse.Namespace, similarity: bool) -> int:
+def _cmd_dist(args: argparse.Namespace) -> int:
     sets, data_w = resolve_dataset(args.data)
     left, right = _get_set(sets, args.left), _get_set(sets, args.right)
     w = _load_weights(args.weights, data_w, len(left))
     md = get_measure(args.measure, **_measure_params(args))
     value = md.evaluator(left, right, w)
-    if similarity:
+    if args.command == "sim":
         value = 1.0 - value
     _emit(_fmt(value) + "\n", args.out)
     return 0
@@ -242,36 +242,28 @@ def _cmd_curve(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "dist": _cmd_dist,
+    "sim": _cmd_dist,
+    "entropy": _cmd_entropy,
+    "audit": _cmd_audit,
+    "classify": _cmd_classify,
+    "repro": _cmd_repro,
+    "curve": _cmd_curve,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
+    try:  # the subcommand is required, so argparse rejects an unknown one
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse handles -h and usage errors
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        if args.command == "dist":
-            return _cmd_dist(args, similarity=False)
-        if args.command == "sim":
-            return _cmd_dist(args, similarity=True)
-        if args.command == "entropy":
-            return _cmd_entropy(args)
-        if args.command == "audit":
-            return _cmd_audit(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "repro":
-            return _cmd_repro(args)
-        if args.command == "curve":
-            return _cmd_curve(args)
-        parser.error(f"unknown command {args.command!r}")
-    except IfsimError as exc:
+        return _COMMANDS[args.command](args)
+    except (IfsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 2
 
 
 if __name__ == "__main__":

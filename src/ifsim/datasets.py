@@ -101,25 +101,34 @@ def parse_dataset(text: str) -> tuple[dict[str, IFS], WeightVector | None]:
     out: dict[str, IFS] = {}
     for name, raw_pairs in sets.items():
         out[name] = IFS._from_degrees(universe_t, _parse_degrees(name, raw_pairs, len(universe_t)))
-    weights = None
-    if "weights" in doc and doc["weights"] is not None:
-        raw_w = doc["weights"]
-        if not (isinstance(raw_w, list) and _NUMBER_TYPES.issuperset(map(type, raw_w))):
-            raise DatasetParseError("field 'weights': expected a list of numbers")
-        if len(raw_w) != len(universe_t):
-            raise DatasetValidationError(
-                f"weights: {len(raw_w)} entries for a universe of {len(universe_t)} elements"
-            )
-        try:
-            weights = WeightVector(tuple(raw_w))
-        except IfsimError as exc:
-            raise DatasetValidationError(f"weights ({len(raw_w)} entries): {exc}") from exc
-    return out, weights
+    raw_w = doc.get("weights")
+    return out, None if raw_w is None else _parse_weights(raw_w, len(universe_t))
+
+
+def _parse_weights(raw_w, n: int) -> WeightVector:
+    """A decoded JSON weights list (the dataset's field, or a weights file)
+    as a WeightVector for a universe of n elements; numbers only, no bools."""
+    if not (isinstance(raw_w, list) and _NUMBER_TYPES.issuperset(map(type, raw_w))):
+        raise DatasetParseError("field 'weights': expected a list of numbers")
+    if len(raw_w) != n:
+        raise DatasetValidationError(
+            f"weights: {len(raw_w)} entries for a universe of {n} elements"
+        )
+    try:
+        return WeightVector(tuple(raw_w))
+    except IfsimError as exc:
+        raise DatasetValidationError(f"weights ({len(raw_w)} entries): {exc}") from exc
 
 
 def load_dataset(path: str | Path) -> tuple[dict[str, IFS], WeightVector | None]:
-    """Load and validate a dataset file."""
-    return parse_dataset(Path(path).read_text(encoding="utf-8"))
+    """Load and validate a dataset file; text that is not UTF-8 is a parse error."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetParseError(
+            f"{str(path)!r} is not UTF-8 text (byte {exc.start}: {exc.reason})"
+        ) from exc
+    return parse_dataset(text)
 
 
 def _json_array(items, indent: str) -> str:

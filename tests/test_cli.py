@@ -76,6 +76,49 @@ class TestDistSim:
         assert code == 2
 
 
+BAD_BYTES = b"\xff\xfe\x00bad"
+
+
+class TestMalformedFiles:
+    """Bad --data and --weights files exit 2 with one error line, no traceback."""
+
+    def run_error(self, capsys, *argv):
+        code, out, err = run(capsys, "dist", "--measure", "wu", "--left", "A", "--right", "B",
+                             *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        return err
+
+    def test_non_utf8_data_file(self, capsys, tmp_path):
+        data = tmp_path / "d.json"
+        data.write_bytes(BAD_BYTES)
+        err = self.run_error(capsys, "--data", str(data))
+        assert "not UTF-8 text" in err
+
+    def test_non_utf8_weights_file(self, capsys, tmp_path):
+        wfile = tmp_path / "w.json"
+        wfile.write_bytes(BAD_BYTES)
+        err = self.run_error(capsys, "--data", "tableI_case1", "--weights", str(wfile))
+        assert f"cannot read weights file {str(wfile)!r}" in err
+
+    @pytest.mark.parametrize("text, message", [
+        ('["a", 0.5]', "expected a list of numbers"),
+        ("[[0.5], 0.5]", "expected a list of numbers"),
+        ('["0.5", "0.5"]', "expected a list of numbers"),
+        ("[true, 0.5]", "expected a list of numbers"),
+        ('{"w": [0.5, 0.5]}', "expected a list of numbers"),
+        ("null", "expected a list of numbers"),
+        ("[0.2, 0.3, 0.5]", "3 entries for a universe of 2 elements"),
+        ("[0.5, 0.6]", "weights (2 entries)"),
+        ("[0.5,", "cannot read weights file"),
+    ])
+    def test_bad_weights_file(self, capsys, tmp_path, text, message):
+        wfile = tmp_path / "w.json"
+        wfile.write_text(text, encoding="utf-8")
+        err = self.run_error(capsys, "--data", "tableI_case1", "--weights", str(wfile))
+        assert str(wfile) in err and message in err
+
+
 class TestEntropyCommand:
     def test_value(self, capsys):
         code, out, _ = run(capsys, "entropy", "--data", "tableIII", "--set", "P1")

@@ -203,6 +203,12 @@ class TestRoundTrip:
         assert loaded == sets
         assert w2 == w
 
+    def test_undecodable_file_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe\x00bad")
+        with pytest.raises(DatasetParseError, match="not UTF-8 text"):
+            load_dataset(path)
+
     def test_exact_float_preservation(self, tmp_path):
         sets = {"A": IFS.from_pairs([(1 / 3, 1 / 7)], ["x"])}
         path = tmp_path / "thirds.json"
