@@ -12,9 +12,10 @@ Subcommands::
 
 --data accepts a file path or a built-in dataset name (tableI_case1 ..
 tableI_case5, tableIII).  --weights accepts "uniform" or a path to a JSON
-list of numbers, held to the rule of a dataset's weights field; when omitted, the dataset's own weights are used if present, else
-uniform.  Every command takes --out (a path, or 'stdout'); classify and
-curve also take --format text|csv.  Numeric output is printed with 17
+list of numbers, held to the rule of a dataset's weights field; when
+omitted, the dataset's own weights are used if present, else uniform.
+Every command takes --out (a path, or 'stdout'); classify and curve also
+take --format text|csv.  Numeric output is printed with 17
 significant digits; CSV output is byte-stable for fixed inputs (fixed
 column order, fixed formatting, newline-terminated rows).
 

@@ -101,7 +101,7 @@ def _fact(description: str, holds: bool, provenance: str = "") -> ReproCheck:
     return ReproCheck(description, 1.0, 1.0 if holds else 0.0, 0.0, provenance)
 
 
-def _identity(description: str, got, want) -> ReproCheck:
+def _identity(description: str, got: np.ndarray, want: np.ndarray | float) -> ReproCheck:
     """A closed-form identity: max|got - want| <= 1e-12 over the whole family."""
     return _value(description, 0.0, float(np.max(np.abs(got - want))), 1e-12,
                   "closed-form identity")
