@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from ifsim import (
@@ -9,13 +10,15 @@ from ifsim import (
     OutOfRangeError,
     PatternLibrary,
     UniverseMismatchError,
+    WeightVector,
     builtin_dataset,
     classify,
     dist_wu,
     get_measure,
     uniform_weights,
 )
-from ifsim.measures import js_norm_batch
+from ifsim.measures import aggregate, js_norm_batch
+from ifsim.recognition import ClassificationResult
 from ifsim.registry import MeasureDescriptor
 
 
@@ -117,3 +120,92 @@ class TestClassifyValidation:
         sets, w = builtin_dataset("tableIII")
         with pytest.raises(OutOfRangeError):
             PatternLibrary((("P", sets["P1"]), ("P", sets["P2"])), w)
+
+
+def _sim_kernel(*c):
+    return 1.0 - js_norm_batch(*c)
+
+
+EQUIVALENCE_MEASURES = {
+    "wu": get_measure("wu"),
+    "wu-lambda": get_measure("wu-lambda", lam=0.5),
+    "xiao": get_measure("xiao"),
+    "yc": get_measure("yc"),
+    "jgamma-1": get_measure("jgamma", gamma=1.0),
+    "jgamma-2": get_measure("jgamma", gamma=2.0),
+    "wu-sim": MeasureDescriptor(
+        "wu-sim", "similarity", {}, lambda a, b, w: aggregate(_sim_kernel, a, b, w), _sim_kernel
+    ),
+}
+
+
+def _reference_classify(lib, sample, measure, tie_tol=1e-4):
+    """The per-pattern algorithm: one evaluator call per pattern, 1 - v for
+    a distance, then a sort on (score desc, name asc)."""
+    scored = []
+    for name, pattern in lib.patterns:
+        value = measure.evaluator(pattern, sample, lib.weights)
+        scored.append((name, 1.0 - value if measure.kind == "distance" else value))
+    scored.sort(key=lambda item: (-item[1], item[0]))
+    if len(scored) == 1:
+        return ClassificationResult(tuple(scored), scored[0][0], False, math.inf)
+    margin = scored[0][1] - scored[1][1]
+    undecided = margin <= tie_tol
+    return ClassificationResult(tuple(scored), None if undecided else scored[0][0], undecided, margin)
+
+
+def _random_degrees(rng, p, n):
+    """p rows of n valid (mu, nu) pairs as a (p, n, 2) array."""
+    mu = rng.random((p, n))
+    nu = rng.random((p, n)) * (1.0 - mu)
+    return np.stack([mu, nu], axis=-1)
+
+
+def _libraries(rng, n, weights):
+    """(label, library, sample) cases over one n: random patterns under
+    shuffled names, a single pattern, identical patterns under names given
+    out of order (with the sample among them, so the top ties), signed
+    zeros, and for larger n a library that spans several blocks."""
+    universe = [f"x{j}" for j in range(n)]
+
+    def ifs(rows):
+        return IFS.from_pairs(rows, universe)
+
+    def lib(named):
+        return PatternLibrary(tuple(named), weights)
+
+    rand = _random_degrees(rng, 6, n)
+    sample = ifs(rand[5])
+    yield "random", lib((f"p{k}", ifs(rand[k])) for k in (3, 0, 4, 1, 2)), sample
+    yield "single", lib([("only", ifs(rand[0]))]), sample
+    twins = [("m", sample), ("b", ifs(rand[1])), ("k", sample), ("a", ifs(rand[1])), ("c", ifs(rand[2]))]
+    yield "twins", lib(twins), sample
+    zeros = rand[:4].copy()
+    zeros[0, ::2, 0] = -0.0
+    zeros[1, ::2, 0] = 0.0
+    zeros[2, 1::2, 1] = -0.0
+    zeros[3] = 0.0
+    signed = zeros[0].copy()
+    signed[::3] = -0.0
+    yield "zeros", lib((f"z{k}", ifs(zeros[k])) for k in (2, 0, 3, 1)), ifs(signed)
+    if n >= 129:
+        p = 300 if n < 1000 else 100  # more than one block of 1 << 15 cells, the last one partial
+        big = _random_degrees(rng, p, n)
+        names = [f"q{k:03d}" for k in rng.permutation(p)]
+        yield "blocks", lib((name, ifs(rows)) for name, rows in zip(names, big)), sample
+
+
+class TestClassifyMatchesPerPatternLoop:
+    """classify gives bitwise the result of a per-pattern evaluator loop."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 9, 129, 1000])
+    @pytest.mark.parametrize("measure", list(EQUIVALENCE_MEASURES))
+    def test_repr_bitwise_equal(self, measure, n):
+        md = EQUIVALENCE_MEASURES[measure]
+        rng = np.random.default_rng([n, len(measure)])
+        raw = rng.random(n) + 0.5
+        for weights in (uniform_weights(n), WeightVector(tuple(raw / raw.sum()))):
+            for label, lib, sample in _libraries(rng, n, weights):
+                got = classify(lib, sample, md)
+                want = _reference_classify(lib, sample, md)
+                assert repr(got) == repr(want), (label, weights.weights[:2])
