@@ -42,6 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import OutOfRangeError
+from .measures import _BLOCK_CELLS as _GRID_BLOCK_CELLS
 from .measures import js_norm_batch
 from .registry import MeasureDescriptor
 
@@ -49,7 +50,6 @@ _ENDPOINTS = np.array([[0.0, 1.0], [1.0, 0.0]])
 _PINNED_CHAIN = ((0.33, 0.36), (1.0 / 3.0, 1.0 / 3.0), (0.334, 0.333333))
 _PINNED_E4_PAIR = ((0.1, 0.8), (0.3, 0.5))
 _PINNED_ENTROPY = np.vstack([_ENDPOINTS, [[0.2, 0.2]]])  # E1's endpoints, E2's diagonal point
-_GRID_BLOCK_CELLS = 1 << 15  # 256 KiB per float64 kernel temporary
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,8 @@ All functions are pure.  Every measure is one elementwise *_batch kernel on
 equal-shaped float arrays of mu / nu components.  Its IFV function evaluates
 the kernel on one pair, and its IFS value is aggregate() of the kernel over
 the sets' stored degree rows: a weighted sum over the universe, or the plain
-1/n mean.  Audits run the same
+1/n mean.  aggregate() also scores a (2, P, n) stack of P sets against one
+set, in blocks of at most _BLOCK_CELLS cells.  Audits run the same
 kernels, so they exercise exactly what the set API computes.
 
 Numeric conventions: each term p*log2(2p/s) follows 0*log2(0) = 0 without
@@ -58,6 +59,7 @@ from .core import (
 
 LN2 = math.log(2.0)
 L_CLAMP = 1e-15
+_BLOCK_CELLS = 1 << 15  # 256 KiB per float64 kernel temporary
 
 
 class NegativeInputError(IfsimError, ValueError):
@@ -245,21 +247,40 @@ def shannon_interval_entropy(a: IFV) -> float:
 # weighted measures on IFSs
 # ---------------------------------------------------------------------------
 
-def aggregate(kernel: Callable[..., np.ndarray], a: IFS, b: IFS, w: WeightVector | None = None) -> float:
+def aggregate(kernel: Callable[..., np.ndarray], a, b: IFS, w: WeightVector | None = None):
     """Set-level value of an elementwise kernel: sum_j w_j * kernel(a_j, b_j),
-    or the plain 1/n mean when w is None.  The kernel gets the sets' stored
-    mu and nu rows, taken by index as views without a copy.  The mean is
-    np.add.reduce over n: the same reduction and divide as ndarray.mean, so
-    the same bits, without its Python-level wrapper.  Raises
+    or the plain 1/n mean when w is None.
+
+    a is an IFS, or anything with a universe and a read-only (2, P, n)
+    degree stack of P sets over it (a PatternLibrary); the result is a float
+    for an IFS and an array of P values for a stack, value i being that of
+    set i alone, bit for bit.  A stack is scored in blocks of whole sets, at
+    most _BLOCK_CELLS kernel cells each (one set at the least), so the
+    kernel's temporaries stay cache-sized whatever P is.  The kernel gets
+    the stored mu and nu rows as views, without a copy.  The mean is
+    np.add.reduce over n and the weighted sum np.vecdot, one BLAS ddot per
+    row: the same bits as ndarray.mean and np.dot on one set.  Raises
     UniverseMismatchError unless a and b share a universe, and
     WeightLengthMismatchError for a w of the wrong length."""
     _require_same_universe(a, b)
     da, db = a.degrees, b.degrees
-    per_element = kernel(da[0], da[1], db[0], db[1])
-    if w is None:
-        return float(np.add.reduce(per_element) / per_element.size)
-    check_weights(w, len(a))
-    return float(np.dot(w.array, per_element))
+    n = len(a.universe)
+    if w is not None:
+        check_weights(w, n)
+
+    def reduce(mu_a: np.ndarray, nu_a: np.ndarray) -> np.ndarray:
+        per_element = kernel(mu_a, nu_a, db[0], db[1])
+        if w is None:
+            return np.add.reduce(per_element, axis=-1) / n
+        return np.vecdot(per_element, w.array)
+
+    if da.ndim == 2:
+        return float(reduce(da[0], da[1]))
+    out = np.empty(da.shape[1])
+    step = max(1, _BLOCK_CELLS // n)
+    for lo in range(0, len(out), step):
+        out[lo:lo + step] = reduce(da[0, lo:lo + step], da[1, lo:lo + step])
+    return out
 
 
 def dist_wu(a: IFS, b: IFS, w: WeightVector) -> float:

@@ -2,9 +2,12 @@
 
 A MeasureDescriptor is one elementwise kernel, pair_batch, on mu / nu
 component arrays, plus the IFS-level evaluator that aggregates it over a
-universe (measures.aggregate).  The audit sweeps millions of value pairs
-through the kernel alone; classification and the CLI call the evaluator.
-Both fields are required, so every measure has a kernel to audit.
+universe (measures.aggregate).  The evaluator's first argument is an IFS,
+giving a float, or a pattern library's (2, P, n) degree stack, giving one
+value per pattern.  The audit sweeps millions of value pairs through the
+kernel alone; classification calls the evaluator once per sample on the
+whole library, and the CLI calls it on sets.  Both fields are required, so
+every measure has a kernel to audit.
 
 Built-in names: wu, wu-lambda (param lambda > 0), xiao, yc,
 jgamma (param gamma > 0).  wu and wu-lambda aggregate as a weighted sum
@@ -16,14 +19,16 @@ is a per-value divergence exposed through its unweighted elementwise mean.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional, Union
 
 import numpy as np
 
 from . import baselines, measures
 from .core import IFS, IfsimError, WeightVector, uniform_weights
 
-Evaluator = Callable[[IFS, IFS, Optional[WeightVector]], float]
+# (a, b, w) -> value; a is an IFS (a float back) or a PatternLibrary, whose
+# (2, P, n) degree stack gives an array of P values, one per pattern
+Evaluator = Callable[[Any, IFS, Optional[WeightVector]], Union[float, np.ndarray]]
 BatchKernel = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], np.ndarray]
 
 
@@ -58,8 +63,8 @@ class MeasureDescriptor:
         return f"{self.name}({inner})"
 
 
-def _weights_or_uniform(a: IFS, w: WeightVector | None) -> WeightVector:
-    return w if w is not None else uniform_weights(len(a))
+def _weights_or_uniform(a, w: WeightVector | None) -> WeightVector:
+    return w if w is not None else uniform_weights(len(a.universe))
 
 
 _PARAM_NAMES = {

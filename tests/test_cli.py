@@ -171,6 +171,13 @@ class TestClassifyCommand:
         assert lines[0] == "pattern,similarity"
         assert len(lines) == 4
 
+    def test_nan_tie_tol_rejected(self, capsys):
+        code, out, err = run(capsys, "classify", "--measure", "wu", "--data", "tableIII",
+                             "--sample", "S1", "--tie-tol", "nan")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "tie_tol" in err
+
 
 class TestReproCommand:
     def test_single_passing_scenario(self, capsys):

@@ -33,11 +33,13 @@ from ifsim import (
     shannon_interval_entropy,
     sim_wu,
     sim_wu_lambda,
+    get_measure,
     uniform_weights,
     z_score,
     zeta,
 )
-from ifsim.measures import js_norm_lambda_batch
+from ifsim.measures import aggregate, js_norm_lambda_batch
+from ifsim.recognition import PatternLibrary
 
 LN2 = math.log(2.0)
 
@@ -252,6 +254,42 @@ class TestDistWu:
         d = dist_wu(a, b, w)
         assert 0.0 <= d <= 1.0
         assert d == dist_wu(b, a, w)
+
+
+class TestAggregateStack:
+    """aggregate on a library's (2, P, n) stack gives, for each pattern, the
+    bits of aggregate on that pattern alone, weighted or not.  n reaches past
+    10,000 elements, where the weighted sum runs a threaded BLAS ddot."""
+
+    KERNELS = [
+        get_measure(name, **params).pair_batch
+        for name, params in [("wu", {}), ("wu-lambda", {"lam": 0.5}), ("xiao", {}), ("yc", {}),
+                             ("jgamma", {"gamma": 1.0}), ("jgamma", {"gamma": 2.0})]
+    ]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 16, 17, 31, 32, 33, 127, 128, 129,
+                                   1000, 4097, 10001, 25000])
+    def test_stack_rows_match_single_sets(self, n):
+        rng = np.random.default_rng(n)
+        mu = rng.random((4, n))
+        rows = np.stack([mu, rng.random((4, n)) * (1.0 - mu)], axis=-1)
+        sets = [IFS.from_pairs(r) for r in rows]
+        raw = rng.random(n) + 0.5
+        weights = WeightVector(tuple(raw / raw.sum()))
+        lib = PatternLibrary(tuple((f"p{k}", s) for k, s in enumerate(sets[:3])), weights)
+        sample = sets[3]
+        for kernel in self.KERNELS:
+            for w in (None, weights):
+                got = aggregate(kernel, lib, sample, w)
+                assert got.shape == (3,)
+                want = [aggregate(kernel, s, sample, w) for s in sets[:3]]
+                assert got.tolist() == want  # == on floats: every bit, as none is nan
+
+    def test_weight_length_mismatch_on_a_stack(self):
+        a = IFS.from_pairs([(0.3, 0.2), (0.4, 0.3)])
+        lib = PatternLibrary((("p", a),), uniform_weights(2))
+        with pytest.raises(WeightLengthMismatchError):
+            aggregate(get_measure("wu").pair_batch, lib, a, uniform_weights(3))
 
 
 class TestDistWuLambda:

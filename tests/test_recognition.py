@@ -17,7 +17,7 @@ from ifsim import (
     get_measure,
     uniform_weights,
 )
-from ifsim.measures import aggregate, js_norm_batch
+from ifsim.measures import _BLOCK_CELLS, aggregate, js_norm_batch
 from ifsim.recognition import ClassificationResult
 from ifsim.registry import MeasureDescriptor
 
@@ -110,6 +110,12 @@ class TestClassifyValidation:
         lib, sample = _tableiii_library()
         with pytest.raises(OutOfRangeError):
             classify(lib, sample, get_measure("wu"), tie_tol=-1e-3)
+
+    def test_nan_tie_tol(self):
+        sets, w = builtin_dataset("tableIII")
+        lib = PatternLibrary((("A", sets["P3"]), ("B", sets["P3"])), w)
+        with pytest.raises(OutOfRangeError):
+            classify(lib, sets["S1"], get_measure("wu"), tie_tol=float("nan"))
 
     def test_empty_library_rejected(self):
         sets, w = builtin_dataset("tableIII")
@@ -209,3 +215,37 @@ class TestClassifyMatchesPerPatternLoop:
                 got = classify(lib, sample, md)
                 want = _reference_classify(lib, sample, md)
                 assert repr(got) == repr(want), (label, weights.weights[:2])
+
+
+class TestClassifyBlocks:
+    """classify bounds the kernel's temporaries: every kernel call covers at
+    most _BLOCK_CELLS cells of whole patterns, or one pattern when a single
+    one is larger."""
+
+    @pytest.mark.parametrize("n,p", [(8, 5000), (1000, 100), (_BLOCK_CELLS, 3), (40000, 3)])
+    def test_kernel_calls_stay_within_a_block(self, n, p):
+        shapes = []
+
+        def kernel(*c):
+            out = js_norm_batch(*c)
+            shapes.append(out.shape)
+            return out
+
+        md = MeasureDescriptor(
+            "wu-recorded", "distance", {}, lambda a, b, w: aggregate(kernel, a, b, w), kernel
+        )
+        rng = np.random.default_rng(p)
+        rows = _random_degrees(rng, p + 1, n)
+        universe = [f"x{j}" for j in range(n)]
+        lib = PatternLibrary(
+            tuple((f"p{k}", IFS.from_pairs(r, universe)) for k, r in enumerate(rows[:p])),
+            uniform_weights(n),
+        )
+        result = classify(lib, IFS.from_pairs(rows[p], universe), md)
+        assert len(result.scores) == p
+        per_block = max(1, _BLOCK_CELLS // n)
+        assert len(shapes) == -(-p // per_block)
+        assert sum(k for k, _ in shapes) == p
+        for k, cols in shapes:
+            assert cols == n
+            assert k * n <= _BLOCK_CELLS if n <= _BLOCK_CELLS else k == 1
