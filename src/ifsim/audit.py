@@ -25,7 +25,8 @@ separating genuine axiom violations from floating-point noise.
 Every value is computed by the measure's elementwise kernel (pair_batch).
 Each built-in evaluator aggregates that same kernel over a universe, so the
 audit checks exactly what the set API computes.  Every kernel call runs on
-row blocks of at most _GRID_BLOCK_CELLS cells (_eval_pairs).  The grid
+row blocks of at most _GRID_BLOCK_CELLS cells (_eval_pairs), the block
+size that measures.aggregate uses for a pattern library.  The grid
 sweep covers every unordered grid pair i <= j once, in such blocks.  That relies
 on the kernel being exactly symmetric, which S3 checks; for a symmetric
 kernel the witnesses and the sup pair are those of the full ordered matrix

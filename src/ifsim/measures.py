@@ -258,8 +258,9 @@ def aggregate(kernel: Callable[..., np.ndarray], a, b: IFS, w: WeightVector | No
     most _BLOCK_CELLS kernel cells each (one set at the least), so the
     kernel's temporaries stay cache-sized whatever P is.  The kernel gets
     the stored mu and nu rows as views, without a copy.  The mean is
-    np.add.reduce over n and the weighted sum np.vecdot, one BLAS ddot per
-    row: the same bits as ndarray.mean and np.dot on one set.  Raises
+    np.add.reduce over n, the reduction and divide of ndarray.mean, and the
+    weighted sum is np.vecdot, which runs one BLAS ddot per row as np.dot
+    does on one set: a row's bits do not depend on its block.  Raises
     UniverseMismatchError unless a and b share a universe, and
     WeightLengthMismatchError for a w of the wrong length."""
     _require_same_universe(a, b)
