@@ -87,7 +87,7 @@ def classify(
     scores = 1.0 - values if measure.kind == "distance" else values
     # stable, and the stack is in name order: ties keep name order
     order = np.argsort(-scores, kind="stable")
-    scored = tuple(zip([lib.names[i] for i in order], scores[order].tolist()))
+    scored = tuple(zip([lib.names[i] for i in order.tolist()], scores[order].tolist()))
     if len(scored) == 1:
         return ClassificationResult(scored, scored[0][0], False, math.inf)
     margin = scored[0][1] - scored[1][1]
