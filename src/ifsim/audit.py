@@ -22,15 +22,21 @@ one grader (`_graded`): a margin above config.tolerance fails, and a
 violating margin at or below it is "indeterminate at tolerance",
 separating genuine axiom violations from floating-point noise.
 
-Every value is computed by the measure's elementwise kernel (pair_batch).
-Each built-in evaluator aggregates that same kernel over a universe, so the
-audit checks exactly what the set API computes.  Every kernel call runs on
-row blocks of at most _GRID_BLOCK_CELLS cells (_eval_pairs), the block
-size that measures.aggregate uses for a pattern library.  The grid
-sweep covers every unordered grid pair i <= j once, in such blocks.  That relies
-on the kernel being exactly symmetric, which S3 checks; for a symmetric
-kernel the witnesses and the sup pair are those of the full ordered matrix
-in row-major order.
+Every sampled value is computed by the measure's elementwise kernel
+(pair_batch), and each built-in evaluator aggregates that same kernel over
+a universe.  Every kernel call runs on row blocks of at most
+_GRID_BLOCK_CELLS cells (_eval_pairs), the block size that
+measures.aggregate uses for a pattern library.  The grid sweep covers every
+unordered grid pair i <= j once, in such blocks.  When the descriptor has a
+split (measures.KernelSplit, which every built-in measure has), the sweep
+does not call pair_batch: it tabulates the split's term once per channel on
+the channel's distinct grid values, and each block adds the gathered table
+entries in channel order and applies the split's finish.  The kernel is
+that split called on the arrays, so every swept value has the bits that
+pair_batch gives.  A descriptor without a split is swept through
+pair_batch.  The sweep relies on the kernel being exactly symmetric, which
+S3 checks; for a symmetric kernel the witnesses and the sup pair are those
+of the full ordered matrix in row-major order.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ import numpy as np
 
 from .core import OutOfRangeError
 from .measures import _BLOCK_CELLS as _GRID_BLOCK_CELLS
-from .measures import js_norm_batch
+from .measures import channel_sum, js_norm_batch
 from .registry import MeasureDescriptor
 
 _ENDPOINTS = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -68,12 +74,19 @@ class AuditConfig:
         if not (0.0 < self.grid_step <= 0.5):
             raise OutOfRangeError(f"grid_step {self.grid_step!r} outside (0, 0.5]")
         for name in ("random_pairs", "random_triples", "chain_samples"):
-            if getattr(self, name) < 1:
-                raise OutOfRangeError(f"{name} must be >= 1")
-        if not (self.tolerance > 0.0):
-            raise OutOfRangeError("tolerance must be > 0")
-        if self.seed < 0:
-            raise OutOfRangeError("seed must be a non-negative integer")
+            value = getattr(self, name)
+            if not _is_int(value) or value < 1:
+                raise OutOfRangeError(f"{name} must be an integer >= 1, got {value!r}")
+        # an infinite tolerance would grade the sweep's masked diagonal as a witness
+        if not (0.0 < self.tolerance < math.inf):
+            raise OutOfRangeError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise OutOfRangeError(f"seed must be a non-negative integer, got {self.seed!r}")
+
+
+def _is_int(x) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -354,28 +367,57 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
     return AxiomReport(m.label(), tuple(checks), counts, time.perf_counter() - t0)
 
 
+def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
+    """(lo, a, b, block) for the row blocks [lo, hi) of the grid against
+    its columns lo:, each of at most _GRID_BLOCK_CELLS cells (one row at the
+    least); a and b are the (hi-lo, 1, 2) and (1, g-lo, 2) points, block
+    their (hi-lo, g-lo) values.
+
+    Without a split, pair_batch computes each block.  With one, each
+    channel's distinct grid values u get a table term(u[:, None], u[None, :])
+    and each grid point the index of its value, so that table[k_i, k_j] is
+    the term of grid points i and j; a block gathers each channel's entries,
+    adds them in channel order and applies the split's finish, which is how
+    the kernel computes them, bit for bit.
+    """
+    g = len(grid)
+    if m.split is not None:
+        distinct = (np.unique(x, return_inverse=True)
+                    for x in m.split.channels(grid[:, 0], grid[:, 1]))
+        tables = [(m.split.term(u[:, None], u[None, :]), k) for u, k in distinct]
+    lo = 0
+    while lo < g:
+        hi = min(lo + max(1, _GRID_BLOCK_CELLS // (g - lo)), g)
+        a, b = grid[lo:hi, None], grid[None, lo:]
+        if m.split is None:
+            block = _eval_pairs(m.pair_batch, a, b)
+        else:
+            total = channel_sum([np.take(t[k[lo:hi]], k[lo:], axis=1) for t, k in tables])
+            block = m.split.finish(total, a[..., 0], a[..., 1], b[..., 0], b[..., 1])
+        yield lo, a, b, block
+        lo = hi
+
+
 def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float) -> dict:
     """Grid x grid pass over the unordered pairs i <= j, tracking range,
     off-diagonal minimum, and the supremum over non-endpoint pairs.
 
     Rows are taken in blocks [lo, hi) against the columns lo: only, i.e. the
-    upper triangle plus the diagonal tile, each block sized to stay in cache.
-    This relies on the kernel being exactly symmetric (S3 checks it): a
-    witness at (i, j) with j < i is mirrored by (j, i) in an earlier row, so
-    the first witness and the first argmax in row-major order of the full
-    matrix are the ones found here.
+    upper triangle plus the diagonal tile, each block sized to stay in cache
+    (_sweep_blocks: a measure with a split fills its blocks from per-channel
+    term tables, any other through pair_batch).  This relies on the kernel
+    being exactly symmetric (S3 checks it): a witness at (i, j) with j < i
+    is mirrored by (j, i) in an earlier row, so the first witness and the
+    first argmax in row-major order of the full matrix are the ones found
+    here.
     """
-    g = len(grid)
     ends = np.flatnonzero(_is_endpoint(grid)).tolist()  # on the grid only when step divides 1
     sup, sup_pair = -np.inf, None
     vmin, vmax = np.inf, -np.inf
     min_off = np.inf
     range_witness = positivity_witness = near_one_witness = None
-    lo = 0
-    while lo < g:
-        hi = min(lo + max(1, _GRID_BLOCK_CELLS // (g - lo)), g)
-        a, b = grid[lo:hi, None], grid[None, lo:]
-        block = _eval_pairs(m.pair_batch, a, b)
+    for lo, a, b, block in _sweep_blocks(m, grid):
+        hi = lo + len(block)
         if not (block.flags.owndata and block.flags.writeable):
             block = block.copy()  # masked in place below; never write into kernel-owned memory
 
@@ -405,7 +447,6 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float) -> di
             sup, sup_pair = float(top), (lo + int(bi), lo + int(bj))
         if near_one_witness is None and not top < 1.0 - tol:
             near_one_witness = witness(block >= 1.0 - tol)
-        lo = hi
     return {
         "min": vmin, "max": vmax, "min_off_diagonal": min_off,
         "sup": sup, "sup_pair": (grid[sup_pair[0]], grid[sup_pair[1]]),

@@ -22,14 +22,15 @@ to [0, 1].
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .core import IFS, IFV, IfsimError
 from .measures import (
     _SMALLEST_SUBNORMAL,
+    KernelSplit,
     NumericalConsistencyError,
-    _channels,
     _clamp_nonneg,
     _l_stacked,
     _xlog,
@@ -44,23 +45,23 @@ class InvalidGammaError(IfsimError, ValueError):
     """The divergence order gamma must be > 0."""
 
 
-def _pi_batch(mu: np.ndarray, nu: np.ndarray) -> np.ndarray:
+def _triple(mu: np.ndarray, nu: np.ndarray) -> tuple:
+    """The (mu, nu, pi) channels of one side."""
     # 1 - (mu + nu), not 1 - mu - nu: the grouped sum commutes, so mirrored
     # value pairs get bitwise-identical indeterminacy degrees
-    return np.maximum(0.0, 1.0 - (mu + nu))
+    return mu, nu, np.maximum(0.0, 1.0 - (mu + nu))
 
 
-def _triples(mu_a, nu_a, mu_b, nu_b) -> tuple[np.ndarray, np.ndarray]:
-    """The (mu, nu, pi) channels of each side, stacked (measures._channels)."""
-    mu_a, nu_a, mu_b, nu_b = (np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
-    return _channels((mu_a, nu_a, _pi_batch(mu_a, nu_a)), (mu_b, nu_b, _pi_batch(mu_b, nu_b)))
+def _xiao_finish(radicand: np.ndarray, *_) -> np.ndarray:
+    return np.sqrt(_clamp_nonneg(radicand, "xiao radicand") / 2.0)
+
+
+XIAO_SPLIT = KernelSplit(_triple, _l_stacked, _xiao_finish)
 
 
 def xiao_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
     """Per-element Xiao distance: sqrt(0.5 * (L(mu)+L(nu)+L(pi)))."""
-    ell = _l_stacked(*_triples(mu_a, nu_a, mu_b, nu_b))
-    radicand = ell[0] + ell[1] + ell[2]
-    return np.sqrt(_clamp_nonneg(radicand, "xiao radicand") / 2.0)
+    return XIAO_SPLIT(mu_a, nu_a, mu_b, nu_b)
 
 
 def dist_xiao(a: IFS, b: IFS) -> float:
@@ -73,18 +74,12 @@ def sim_xiao(a: IFS, b: IFS) -> float:
     return 1.0 - dist_xiao(a, b)
 
 
-def yc_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
-    """Per-element spherical distance (2/pi) * arccos(Bhattacharyya sum).
+def _bhattacharyya(x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray:
+    return np.sqrt(x_a * x_b)
 
-    Equal values map to 0 exactly: arccos is infinitely steep at 1, so one
-    ulp of rounding in the argument would otherwise turn d(a, a) into ~1e-8.
-    """
-    mu_a, nu_a, mu_b, nu_b = (np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
-    arg = (
-        np.sqrt(mu_a * mu_b)
-        + np.sqrt(nu_a * nu_b)
-        + np.sqrt(_pi_batch(mu_a, nu_a) * _pi_batch(mu_b, nu_b))
-    )
+
+def _yc_finish(arg: np.ndarray, mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
+    """(2/pi) * arccos(arg), masked to an exact +0.0 on equal values."""
     # arg <= 1 by Cauchy-Schwarz; allow rounding up to ARCCOS_CLAMP, no more
     high = arg.max() if arg.size else 0.0
     if high > 1.0 + ARCCOS_CLAMP:
@@ -93,6 +88,18 @@ def yc_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
     # the product with the mask is an exact +0.0 on equal values, a no-op elsewhere
     out = (2.0 / math.pi) * np.arccos(np.minimum(arg, 1.0))
     return out * ((mu_a != mu_b) | (nu_a != nu_b))
+
+
+YC_SPLIT = KernelSplit(_triple, _bhattacharyya, _yc_finish, stacked=False)
+
+
+def yc_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
+    """Per-element spherical distance (2/pi) * arccos(Bhattacharyya sum).
+
+    Equal values map to 0 exactly: arccos is infinitely steep at 1, so one
+    ulp of rounding in the argument would otherwise turn d(a, a) into ~1e-8.
+    """
+    return YC_SPLIT(mu_a, nu_a, mu_b, nu_b)
 
 
 def dist_yc(a: IFS, b: IFS) -> float:
@@ -137,16 +144,27 @@ def _ln_branch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (_xlnx(x + y, scale=2.0) - (_xlnx(x) + _xlnx(y))) * (x != y)
 
 
-def j_gamma_batch(mu_a, nu_a, mu_b, nu_b, gamma: float) -> np.ndarray:
+def _j_finish(total: np.ndarray, scale: float, what: str) -> np.ndarray:
+    # 0.0 + total turns a -0.0 channel sum into +0.0 and keeps every other
+    # bit; tests/golden_kernel_digest.json pins the resulting signs of zero
+    return _clamp_nonneg(-(0.0 + total) / scale, what)
+
+
+@lru_cache(maxsize=64, typed=True)
+def j_gamma_split(gamma: float) -> KernelSplit:
+    """The (mu, nu, pi) split of J_gamma: the natural-log branch and
+    -total/2 within GAMMA_BRANCH_TOL of gamma == 1, the power branch and
+    -total/(gamma-1) elsewhere.  Cached: each kernel call looks it up."""
     if not (gamma > 0.0):
         raise InvalidGammaError(f"gamma must be > 0, got {gamma!r}")
-    x, y = _triples(mu_a, nu_a, mu_b, nu_b)
-    natural_log = abs(gamma - 1.0) < GAMMA_BRANCH_TOL
-    branch = _ln_branch(x, y) if natural_log else _power_branch(x, y, gamma)
-    total = 0 + branch[0] + branch[1] + branch[2]  # left to right from 0, as sum() adds
-    if natural_log:
-        return _clamp_nonneg(-total / 2.0, "J_1")
-    return _clamp_nonneg(-total / (gamma - 1.0), "J_gamma")
+    if abs(gamma - 1.0) < GAMMA_BRANCH_TOL:
+        return KernelSplit(_triple, _ln_branch, lambda t, *_: _j_finish(t, 2.0, "J_1"))
+    return KernelSplit(_triple, lambda x, y: _power_branch(x, y, gamma),
+                       lambda t, *_: _j_finish(t, gamma - 1.0, "J_gamma"))
+
+
+def j_gamma_batch(mu_a, nu_a, mu_b, nu_b, gamma: float) -> np.ndarray:
+    return j_gamma_split(gamma)(mu_a, nu_a, mu_b, nu_b)
 
 
 def j_gamma(a: IFV, b: IFV, gamma: float) -> float:

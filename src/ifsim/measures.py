@@ -18,22 +18,28 @@ dist_wu extends it to IFSs as a weighted elementwise sum; entropy is induced
 by the distance from a value to its complement.
 
 All functions are pure.  Every measure is one elementwise *_batch kernel on
-equal-shaped float arrays of mu / nu components.  Its IFV function evaluates
-the kernel on one pair, and its IFS value is aggregate() of the kernel over
-the sets' stored degree rows: a weighted sum over the universe, or the plain
-1/n mean.  aggregate() also scores a (2, P, n) stack of P sets against one
-set, in blocks of at most _BLOCK_CELLS cells.  Audits run the same
-kernels, so they exercise exactly what the set API computes.
+equal-shaped float arrays of mu / nu components, built from one KernelSplit:
+channels(mu, nu) gives each side's channel arrays ((1-mu, nu) here,
+(mu, nu, pi) for the rivals), a two-point term is applied per channel, the
+channel terms are added in channel order (channel_sum), and a finish maps
+that sum to the value (sqrt(z/2) here).  The kernel runs the term on both
+sides' channels, stacked along a leading axis or one channel at a time;
+the audit's grid sweep applies the same term to a table per channel and
+the same finish to the sums, so each term and finish is written once.
+Its IFV function evaluates the kernel on one pair, and its IFS value is
+aggregate() of the kernel over the sets' stored degree rows: a weighted
+sum over the universe, or the plain 1/n mean.  aggregate() also scores a
+(2, P, n) stack of P sets against one set, in blocks of at most
+_BLOCK_CELLS cells.
 
 Numeric conventions: each term p*log2(2p/s) follows 0*log2(0) = 0 without
 np.where (_xlog): the log's argument is 2p/s + (p == 0), which is 1 where
 p == 0, so the term is 0 * 0 = 0 there with no warning, and where p > 0 adding
 False leaves the quotient exact.  s is floored at the smallest subnormal, so
 p == q == 0 gives 0/s, never 0/0.  The ratio 2p/s is formed before the log so
-that p == q gives an exact 0 and d(a, a) == 0 bitwise.  A kernel stacks its
-channels ((1-mu, nu) here, (mu, nu, pi) for the rivals) along a leading axis
-and runs each operation once on the stack; the channel sums keep their
-order, so each bit is the one that a call per channel gives.
+that p == q gives an exact 0 and d(a, a) == 0 bitwise.  Every term is
+elementwise, so each bit of the stacked call is the one that a call per
+channel, or a table of the channel's values, gives.
 Theoretical non-negativity of L is enforced by clamping rounding residues in
 [-1e-15, 0) to 0, while anything more negative raises
 NumericalConsistencyError because it indicates a bug, not rounding.
@@ -42,6 +48,8 @@ NumericalConsistencyError because it indicates a bug, not rounding.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -114,24 +122,29 @@ def _channels(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
     and only the full-size operations broadcast.
     """
     a, b = _stack(a), _stack(b)
-    ndim = max(a.ndim, b.ndim)
-    return _pad(a, ndim), _pad(b, ndim)
+    if a.ndim < b.ndim:
+        return _pad(a, b.ndim), b
+    if b.ndim < a.ndim:
+        return a, _pad(b, a.ndim)
+    return a, b
 
 
 def _stack(channels: tuple) -> np.ndarray:
-    if len({c.shape for c in channels}) > 1:
-        channels = np.broadcast_arrays(*channels)
+    shape = channels[0].shape
+    for c in channels:  # a loop, not a comprehension: no frame per kernel call
+        if c.shape != shape:
+            return np.array(np.broadcast_arrays(*channels))
     return np.array(channels)
 
 
 def _pad(x: np.ndarray, ndim: int) -> np.ndarray:
-    if x.ndim == ndim:
-        return x
     return x.reshape(x.shape[:1] + (1,) * (ndim - x.ndim) + x.shape[1:])
 
 
 def _ratio_terms(p: np.ndarray, q: np.ndarray, log) -> tuple[np.ndarray, np.ndarray]:
-    """p*log(2p/s) and q*log(2q/s), s = p + q, on channel stacks (_channels).
+    """p*log(2p/s) and q*log(2q/s), s = p + q, elementwise on broadcastable
+    arrays of at least one dimension: channel stacks (_channels) or the two
+    axes of a channel's table.
 
     The ratio form makes p == q an exact 0.  s is floored at the smallest
     subnormal, so that p == q == 0 gives 0/s, never 0/0.
@@ -142,7 +155,7 @@ def _ratio_terms(p: np.ndarray, q: np.ndarray, log) -> tuple[np.ndarray, np.ndar
 
 
 def _l_stacked(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """L(p, q) on channel stacks (_channels)."""
+    """L(p, q) elementwise, as _ratio_terms takes its arguments."""
     total, q_term = _ratio_terms(p, q, np.log2)
     total += q_term
     return _clamp_nonneg(total, "L(p, q)")
@@ -154,15 +167,68 @@ def l_divergence_batch(p, q) -> np.ndarray:
     return _l_stacked(p, q)[0]
 
 
+def channel_sum(terms) -> np.ndarray:
+    """The channel terms added in channel order, ((t0 + t1) + t2) + ...;
+    terms is a sequence (or stack) of two or more arrays, none written."""
+    total = terms[0] + terms[1]
+    for t in terms[2:]:
+        total += t
+    return total
+
+
+class KernelSplit(namedtuple("KernelSplit", "channels term finish stacked", defaults=(True,))):
+    """An elementwise kernel as channels, a two-point term and a finish.
+
+    channels(mu, nu) gives one side's channel arrays; term(x_a, x_b) is the
+    two-point function of one channel, elementwise on any broadcastable
+    arrays; finish(total, mu_a, nu_a, mu_b, nu_b) maps the channel_sum of
+    the terms to the kernel's value, and may write into total.  Calling the
+    split is the kernel.  A stacked split runs its term once on both sides'
+    stacked channels (_channels), which saves numpy calls for a term of many
+    steps; an unstacked one runs it per channel, which saves the stacks'
+    copies for a term of few steps.  The bits are the same either way.
+
+    A namedtuple, not a frozen dataclass: building that class at import
+    takes over 1 ms, which every CLI run would pay.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
+        mu_a, nu_a = np.asarray(mu_a, dtype=float), np.asarray(nu_a, dtype=float)
+        mu_b, nu_b = np.asarray(mu_b, dtype=float), np.asarray(nu_b, dtype=float)
+        a, b = self.channels(mu_a, nu_a), self.channels(mu_b, nu_b)
+        terms = self.term(*_channels(a, b)) if self.stacked else tuple(map(self.term, a, b))
+        return self.finish(channel_sum(terms), mu_a, nu_a, mu_b, nu_b)
+
+
+def _wu_channels(mu: np.ndarray, nu: np.ndarray) -> tuple:
+    return 1.0 - mu, nu
+
+
+def _wu_finish(z: np.ndarray, *_) -> np.ndarray:
+    return np.sqrt(z / 2.0)
+
+
+WU_SPLIT = KernelSplit(_wu_channels, _l_stacked, _wu_finish)
+
+
+@lru_cache(maxsize=64, typed=True)
+def wu_lambda_split(lam: float) -> KernelSplit:
+    """WU_SPLIT with every mu and nu entering as mu**lam / nu**lam.  Cached:
+    each kernel call looks it up."""
+    _check_lambda(lam)
+    return KernelSplit(lambda mu, nu: _wu_channels(mu ** lam, nu ** lam), _l_stacked, _wu_finish)
+
+
 def z_score_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
     """L(1-mu_a, 1-mu_b) + L(nu_a, nu_b) on component arrays."""
     mu_a, nu_a, mu_b, nu_b = (np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
-    ell = _l_stacked(*_channels((1.0 - mu_a, nu_a), (1.0 - mu_b, nu_b)))
-    return ell[0] + ell[1]
+    return channel_sum(_l_stacked(*_channels(_wu_channels(mu_a, nu_a), _wu_channels(mu_b, nu_b))))
 
 
 def js_norm_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
-    return np.sqrt(z_score_batch(mu_a, nu_a, mu_b, nu_b) / 2.0)
+    return WU_SPLIT(mu_a, nu_a, mu_b, nu_b)
 
 
 def js_norm_lambda_batch(mu_a, nu_a, mu_b, nu_b, lam: float) -> np.ndarray:
@@ -173,9 +239,7 @@ def js_norm_lambda_batch(mu_a, nu_a, mu_b, nu_b, lam: float) -> np.ndarray:
     <0.3, 1e-200> vs <0.3, 0> gives 0.0, though the exact value is
     sqrt(1e-400 / 2) ~ 7.07e-201.
     """
-    _check_lambda(lam)
-    mu_a, nu_a, mu_b, nu_b = (np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
-    return js_norm_batch(mu_a ** lam, nu_a ** lam, mu_b ** lam, nu_b ** lam)
+    return wu_lambda_split(lam)(mu_a, nu_a, mu_b, nu_b)
 
 
 def js_if_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
@@ -185,7 +249,7 @@ def js_if_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
     (ln2/2) * z_score_batch, so the two stay independent cross-check paths.
     """
     mu_a, nu_a, mu_b, nu_b = (np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
-    p, q = _channels((1.0 - mu_a, nu_a), (1.0 - mu_b, nu_b))
+    p, q = _channels(_wu_channels(mu_a, nu_a), _wu_channels(mu_b, nu_b))
     p_term, q_term = _ratio_terms(p, q, np.log)
     total = p_term[0] + q_term[0] + p_term[1] + q_term[1]
     return _clamp_nonneg(0.5 * total, "js_if")
@@ -307,8 +371,7 @@ def dist_wu_lambda(a: IFS, b: IFS, w: WeightVector, lam: float) -> float:
     (1e-200**2 == 0.0) counts as 0, so sets that differ only in such
     degrees get a false zero; see js_norm_lambda_batch.
     """
-    _check_lambda(lam)
-    return aggregate(lambda *c: js_norm_lambda_batch(*c, lam), a, b, w)
+    return aggregate(wu_lambda_split(lam), a, b, w)
 
 
 def sim_wu_lambda(a: IFS, b: IFS, w: WeightVector, lam: float) -> float:

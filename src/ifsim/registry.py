@@ -2,12 +2,18 @@
 
 A MeasureDescriptor is one elementwise kernel, pair_batch, on mu / nu
 component arrays, plus the IFS-level evaluator that aggregates it over a
-universe (measures.aggregate).  The evaluator's first argument is an IFS,
-giving a float, or a pattern library's (2, P, n) degree stack, giving one
-value per pattern.  The audit sweeps millions of value pairs through the
-kernel alone; classification calls the evaluator once per sample on the
-whole library, and the CLI calls it on sets.  Both fields are required, so
-every measure has a kernel to audit.
+universe (measures.aggregate), plus, optionally, the kernel's split
+(measures.KernelSplit): its channels, its two-point term per channel and
+its finish.  Every built-in kernel is its split called on the arrays, and
+the descriptor carries that split.  The evaluator's first argument is an
+IFS, giving a float, or a pattern library's (2, P, n) degree stack, giving
+one value per pattern.  The audit evaluates its samples through the kernel,
+and sweeps the grid's 13.3M value pairs from per-channel tables of the
+split's term, with the split's finish, when the descriptor has a split;
+classification calls the evaluator once per sample on the whole library,
+and the CLI calls it on sets.  The evaluator and the kernel are required,
+so every measure has a kernel to audit; a descriptor without a split has
+its grid swept through the kernel too.
 
 Built-in names: wu, wu-lambda (param lambda > 0), xiao, yc,
 jgamma (param gamma > 0).  wu and wu-lambda aggregate as a weighted sum
@@ -49,6 +55,7 @@ class MeasureDescriptor:
     params: Mapping[str, float] = field(default_factory=dict)
     evaluator: Evaluator = None  # type: ignore[assignment]
     pair_batch: BatchKernel = None  # type: ignore[assignment]
+    split: Optional[measures.KernelSplit] = None  # pair_batch's decomposition, if any
 
     def __post_init__(self) -> None:
         if self.kind not in ("distance", "similarity"):
@@ -98,23 +105,22 @@ def get_measure(name: str, **params: float) -> MeasureDescriptor:
     params = {k: float(v) for k, v in params.items()}
     # evaluators look the dist_* functions up on their modules at call time
     if name == "wu":
-        kernel = measures.js_norm_batch
+        kernel, split = measures.js_norm_batch, measures.WU_SPLIT
         ev = lambda a, b, w: measures.dist_wu(a, b, _weights_or_uniform(a, w))
     elif name == "wu-lambda":
         lam = params["lambda"]
-        measures._check_lambda(lam)
+        split = measures.wu_lambda_split(lam)
         kernel = lambda *c: measures.js_norm_lambda_batch(*c, lam)
         ev = lambda a, b, w: measures.dist_wu_lambda(a, b, _weights_or_uniform(a, w), lam)
     elif name == "xiao":
-        kernel = baselines.xiao_elem_batch
+        kernel, split = baselines.xiao_elem_batch, baselines.XIAO_SPLIT
         ev = lambda a, b, w: baselines.dist_xiao(a, b)
     elif name == "yc":
-        kernel = baselines.yc_elem_batch
+        kernel, split = baselines.yc_elem_batch, baselines.YC_SPLIT
         ev = lambda a, b, w: baselines.dist_yc(a, b)
     else:
         gamma = params["gamma"]
-        if not (gamma > 0.0):
-            raise baselines.InvalidGammaError(f"gamma must be > 0, got {gamma!r}")
+        split = baselines.j_gamma_split(gamma)
         kernel = lambda *c: baselines.j_gamma_batch(*c, gamma)
         ev = lambda a, b, w: measures.aggregate(kernel, a, b)
-    return MeasureDescriptor(name, "distance", params, ev, kernel)
+    return MeasureDescriptor(name, "distance", params, ev, kernel, split)

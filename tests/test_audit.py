@@ -34,10 +34,19 @@ class TestConfig:
     @pytest.mark.parametrize("kw", [
         {"grid_step": 0.0}, {"grid_step": 0.6}, {"random_pairs": 0},
         {"chain_samples": 0}, {"tolerance": 0.0}, {"seed": -1},
+        # a tolerance must be finite, and counts and the seed integers, not bools
+        {"tolerance": float("inf")}, {"tolerance": float("nan")},
+        {"random_pairs": 200.5}, {"random_triples": 200.0}, {"chain_samples": 50.5},
+        {"seed": 1.5}, {"random_pairs": True}, {"chain_samples": True}, {"seed": True},
+        {"seed": False},
     ])
     def test_validation(self, kw):
         with pytest.raises(OutOfRangeError):
             AuditConfig(**kw)
+
+    def test_numpy_integers_accepted(self):
+        c = AuditConfig(random_pairs=np.int64(5), chain_samples=np.int32(3), seed=np.uint8(7))
+        assert (c.random_pairs, c.chain_samples, c.seed) == (5, 3, 7)
 
 
 class TestSampling:

@@ -13,14 +13,20 @@ shows up as a byte difference:
   pins E1's crisp-endpoint check and S5's family probe without the endpoint
   exemption.
 
+A built-in measure's sweep blocks come from per-channel term tables, not
+from ``pair_batch``; every such block is compared with ``pair_batch`` bit
+for bit below.
+
 Re-record both sets in one command (only when a kernel change is meant to
 move the numbers) with ``PYTHONPATH=src python tests/test_audit_sweep.py``.
 """
 
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
+from test_kernel_digest import CONFIGS
 
 from ifsim import AuditConfig, audit_distance, audit_entropy, get_measure, grid_points
 from ifsim import audit
@@ -182,6 +188,66 @@ def test_builtin_kernels_bitwise_symmetric_on_grid(step, name, params):
     mu, nu = grid[:, 0], grid[:, 1]
     d = get_measure(name, **params).pair_batch(mu[:, None], nu[:, None], mu[None, :], nu[None, :])
     assert np.array_equal(d, d.T)
+
+
+# ---------------------------------------------------------------------------
+# the table-built sweep against the kernel
+# ---------------------------------------------------------------------------
+
+# at 0.05 and 0.07 the pi channel holds more distinct floats than the grid
+# has axis values, since 1 - (mu + nu) rounds apart for equal exact sums
+@pytest.mark.parametrize("block_cells", [None, 97])
+@pytest.mark.parametrize("step", [0.05, 0.3, 0.07])
+@pytest.mark.parametrize("config", list(CONFIGS))
+def test_table_blocks_bitwise_equal_pair_batch(monkeypatch, config, step, block_cells):
+    if block_cells is not None:
+        monkeypatch.setattr(audit, "_GRID_BLOCK_CELLS", block_cells)
+    measure, params = CONFIGS[config]
+    m = get_measure(measure, **params)
+    assert m.split is not None
+    grid = grid_points(step)
+    rows = 0
+    for lo, a, b, block in audit._sweep_blocks(m, grid):
+        want = audit._eval_pairs(m.pair_batch, a, b)
+        assert block.dtype == want.dtype and block.shape == want.shape == (len(block), len(grid) - lo)
+        assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
+        assert lo == rows
+        rows += len(block)
+    assert rows == len(grid)
+
+
+def _counting(f, counts: list):
+    def wrapper(*args):
+        out = f(*args)
+        counts.append(np.size(out))
+        return out
+    return wrapper
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CASES))
+def test_replaced_kernel_and_evaluator_keep_the_split(name):
+    # perfbench's traced run wraps both callables with dataclasses.replace
+    measure, params = GOLDEN_CASES[name]
+    md = get_measure(measure, **params)
+    kernel_cells, evaluator_calls = [], []
+    traced = dataclasses.replace(md, pair_batch=_counting(md.pair_batch, kernel_cells),
+                                 evaluator=_counting(md.evaluator, evaluator_calls))
+    assert traced.split is md.split
+    report = audit_distance(traced, AuditConfig())
+    assert _untimed(report).encode() == (GOLDEN / f"audit_{name}.txt").read_bytes()
+    sweep_cells = sum(b.size for *_, b in audit._sweep_blocks(md, grid_points(0.01)))
+    assert 0 < sum(kernel_cells) < sweep_cells  # the grid's cells skip pair_batch
+
+
+def test_descriptor_without_split_is_swept_through_pair_batch():
+    wu = get_measure("wu")
+    cells = []
+    plain = MeasureDescriptor("wu", "distance", {}, wu.evaluator, _counting(wu.pair_batch, cells))
+    assert plain.split is None
+    grid = grid_points(0.05)
+    sweep = audit._grid_matrix_sweep(plain, grid, TOL)
+    assert sum(cells) == sum(b.size for *_, b in audit._sweep_blocks(wu, grid))
+    assert _canonical(sweep) == _canonical(audit._grid_matrix_sweep(wu, grid, TOL))
 
 
 if __name__ == "__main__":

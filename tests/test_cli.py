@@ -156,6 +156,15 @@ class TestAuditCommand:
         assert err == f"error: {message}\n"
 
 
+    @pytest.mark.parametrize("flags", [["--tolerance", "inf"], ["--tolerance", "nan"]])
+    def test_non_finite_tolerance_is_a_usage_error(self, capsys, flags):
+        code, out, err = run(capsys, "audit", "--measure", "wu", "--grid-step", "0.1",
+                             "--samples", "200", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: tolerance must be finite and > 0")
+
+
 class TestClassifyCommand:
     def test_table_three_winner(self, capsys):
         code, out, _ = run(capsys, "classify", "--measure", "wu-lambda", "--lambda",
