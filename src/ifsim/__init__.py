@@ -51,10 +51,8 @@ from .measures import (
     dist_wu_lambda,
     entropy_ifs,
     entropy_ifv,
-    js_if,
     js_norm,
     l_divergence,
-    shannon_interval_entropy,
     sim_wu,
     sim_wu_lambda,
     z_score,
@@ -95,9 +93,8 @@ __all__ = [
     "builtin_dataset", "dumps_dataset", "load_dataset", "parse_dataset",
     "resolve_dataset", "save_dataset",
     "InvalidLambdaError", "NegativeInputError", "NumericalConsistencyError",
-    "dist_wu", "dist_wu_lambda", "entropy_ifs", "entropy_ifv", "js_if", "js_norm",
-    "l_divergence", "shannon_interval_entropy", "sim_wu", "sim_wu_lambda",
-    "z_score", "zeta",
+    "dist_wu", "dist_wu_lambda", "entropy_ifs", "entropy_ifv", "js_norm",
+    "l_divergence", "sim_wu", "sim_wu_lambda", "z_score", "zeta",
     "ClassificationResult", "PatternLibrary", "classify",
     "MEASURE_NAMES", "InvalidMeasureParamsError", "MeasureDescriptor",
     "UnknownMeasureError", "get_measure",

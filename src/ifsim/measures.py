@@ -9,13 +9,14 @@ as the interval [nu, 1-mu]; the divergence between two IFVs aggregates L over
 the (1-mu) and nu components:
 
     z_score(a, b) = L(1-mu_a, 1-mu_b) + L(nu_a, nu_b)
-    js_if(a, b)   = (ln 2 / 2) * z_score(a, b)        (natural-log JS form)
     js_norm(a, b) = sqrt(z_score(a, b) / 2)           (in [0, 1])
 
 js_norm is a strict distance on IFVs: zero iff equal, one exactly on the
 pair {<0,1>, <1,0>}, strictly monotone along Atanassov chains, and a metric.
 dist_wu extends it to IFSs as a weighted elementwise sum; entropy is induced
-by the distance from a value to its complement.
+by the distance from a value to its complement.  The scalar building
+blocks l_divergence, zeta (= L(x, 1-x)) and z_score run the same kernel as
+js_norm, so each formula has one implementation.
 
 All functions are pure.  Every measure is one elementwise *_batch kernel on
 equal-shaped float arrays of mu / nu components, built from one KernelSplit:
@@ -65,7 +66,6 @@ from .core import (
     _require_same_universe,
 )
 
-LN2 = math.log(2.0)
 L_CLAMP = 1e-15
 _BLOCK_CELLS = 1 << 15  # 256 KiB per float64 kernel temporary
 
@@ -141,23 +141,18 @@ def _pad(x: np.ndarray, ndim: int) -> np.ndarray:
     return x.reshape(x.shape[:1] + (1,) * (ndim - x.ndim) + x.shape[1:])
 
 
-def _ratio_terms(p: np.ndarray, q: np.ndarray, log) -> tuple[np.ndarray, np.ndarray]:
-    """p*log(2p/s) and q*log(2q/s), s = p + q, elementwise on broadcastable
-    arrays of at least one dimension: channel stacks (_channels) or the two
-    axes of a channel's table.
+def _l_stacked(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """L(p, q) = p*log2(2p/s) + q*log2(2q/s), s = p + q, elementwise on
+    broadcastable arrays of at least one dimension: channel stacks
+    (_channels) or the two axes of a channel's table.
 
     The ratio form makes p == q an exact 0.  s is floored at the smallest
     subnormal, so that p == q == 0 gives 0/s, never 0/0.
     """
     s = p + q
     np.maximum(s, _SMALLEST_SUBNORMAL, out=s)
-    return _xlog(p, 2.0 * p / s, log), _xlog(q, 2.0 * q / s, log)
-
-
-def _l_stacked(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """L(p, q) elementwise, as _ratio_terms takes its arguments."""
-    total, q_term = _ratio_terms(p, q, np.log2)
-    total += q_term
+    total = _xlog(p, 2.0 * p / s, np.log2)
+    total += _xlog(q, 2.0 * q / s, np.log2)
     return _clamp_nonneg(total, "L(p, q)")
 
 
@@ -221,10 +216,9 @@ def wu_lambda_split(lam: float) -> KernelSplit:
     return KernelSplit(lambda mu, nu: _wu_channels(mu ** lam, nu ** lam), _l_stacked, _wu_finish)
 
 
-def z_score_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
-    """L(1-mu_a, 1-mu_b) + L(nu_a, nu_b) on component arrays."""
-    mu_a, nu_a, mu_b, nu_b = (np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
-    return channel_sum(_l_stacked(*_channels(_wu_channels(mu_a, nu_a), _wu_channels(mu_b, nu_b))))
+# L(1-mu_a, 1-mu_b) + L(nu_a, nu_b) on component arrays: WU_SPLIT before
+# its finish
+z_score_batch = KernelSplit(_wu_channels, _l_stacked, lambda z, *_: z)
 
 
 def js_norm_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
@@ -242,41 +236,29 @@ def js_norm_lambda_batch(mu_a, nu_a, mu_b, nu_b, lam: float) -> np.ndarray:
     return wu_lambda_split(lam)(mu_a, nu_a, mu_b, nu_b)
 
 
-def js_if_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
-    """Natural-log Jensen-Shannon divergence over the interval components.
-
-    Deliberately computed from its own natural-log expansion rather than as
-    (ln2/2) * z_score_batch, so the two stay independent cross-check paths.
-    """
-    mu_a, nu_a, mu_b, nu_b = (np.asarray(x, dtype=float) for x in (mu_a, nu_a, mu_b, nu_b))
-    p, q = _channels(_wu_channels(mu_a, nu_a), _wu_channels(mu_b, nu_b))
-    p_term, q_term = _ratio_terms(p, q, np.log)
-    total = p_term[0] + q_term[0] + p_term[1] + q_term[1]
-    return _clamp_nonneg(0.5 * total, "js_if")
-
-
 # ---------------------------------------------------------------------------
 # scalar operations on IFVs
 # ---------------------------------------------------------------------------
 
 def l_divergence(p: float, q: float) -> float:
-    """Two-point JS building block; requires p >= 0 and q >= 0."""
+    """Two-point JS building block L(p, q); requires p >= 0 and q >= 0
+    (NegativeInputError), and finite p and q whose doubled sum 2(p + q)
+    does not overflow (OutOfRangeError), so that 2p/s is finite."""
+    p, q = float(p), float(q)  # Python floats: an overflow below raises no warning
     if p < 0.0 or q < 0.0:
         raise NegativeInputError(f"L requires non-negative arguments, got ({p!r}, {q!r})")
+    if not math.isfinite(2.0 * (p + q)):  # false for nan, inf and overflow
+        raise OutOfRangeError(f"L requires finite p, q and 2(p + q), got ({p!r}, {q!r})")
     return float(l_divergence_batch(p, q))
 
 
 def zeta(x: float) -> float:
-    """x*log2(2x) + (1-x)*log2(2(1-x)) on [0, 1]; zeta(0) = zeta(1) = 1,
-    zeta(0.5) = 0, strictly decreasing then increasing around 0.5."""
+    """L(x, 1-x) = x*log2(2x) + (1-x)*log2(2(1-x)) on [0, 1]; zeta(0) =
+    zeta(1) = 1, zeta(0.5) = 0, strictly decreasing then increasing around
+    0.5."""
     if not (0.0 <= x <= 1.0):
         raise OutOfRangeError(f"zeta argument {x!r} outside [0, 1]")
-    out = 0.0
-    if x > 0.0:
-        out += x * (1.0 + math.log2(x))
-    if x < 1.0:
-        out += (1.0 - x) * (1.0 + math.log2(1.0 - x))
-    return out
+    return l_divergence(x, 1.0 - x)
 
 
 def z_score(a: IFV, b: IFV) -> float:
@@ -284,27 +266,11 @@ def z_score(a: IFV, b: IFV) -> float:
     return float(z_score_batch(a.mu, a.nu, b.mu, b.nu))
 
 
-def js_if(a: IFV, b: IFV) -> float:
-    """Natural-log JS divergence between two IFVs; equals (ln2/2)*z_score
-    up to rounding (the two are computed along independent paths)."""
-    return float(js_if_batch(a.mu, a.nu, b.mu, b.nu))
-
-
 def js_norm(a: IFV, b: IFV) -> float:
-    """Normalized JS divergence sqrt(z_score/2) = sqrt(js_if/ln2); the
-    strict distance on IFVs, with values in [0, 1]."""
+    """Normalized JS divergence sqrt(z_score/2), i.e. the square root of
+    the natural-log JS divergence over ln 2; the strict distance on IFVs,
+    with values in [0, 1]."""
     return float(js_norm_batch(a.mu, a.nu, b.mu, b.nu))
-
-
-def shannon_interval_entropy(a: IFV) -> float:
-    """Shannon entropy of the interval reading [nu, 1-mu] of an IFV:
-    -(nu ln nu + (1-mu) ln(1-mu)) with 0 ln 0 = 0."""
-    out = 0.0
-    if a.nu > 0.0:
-        out -= a.nu * math.log(a.nu)
-    if a.mu < 1.0:
-        out -= (1.0 - a.mu) * math.log(1.0 - a.mu)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
-"""The three rival measures: golden values, degeneracies, the J-divergence
-branches, and the verified J_1 = ln2 * d_xiao**2 per-element relation."""
+"""The three rival measures: values against the exact reference
+(tests/exact.py, mpmath on the exact float inputs), degeneracies, the
+J-divergence branches, and the verified J_1 = ln2 * d_xiao**2 per-element
+relation.  The tests named *frozen* pin reference values at the tolerance
+that the once-frozen 50-digit constants had."""
 
 import math
 import warnings
@@ -8,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import exact
 from conftest import ifs_pairs, ifvs
 from ifsim import (
     IFS,
@@ -24,16 +28,6 @@ from ifsim.baselines import j_gamma_batch, xiao_elem_batch, yc_elem_batch
 
 LN2 = math.log(2.0)
 
-# 50-digit mpmath references
-EX1_SIM_NEAR = 0.97389722451770458   # sim_xiao(<0.33,0.36>, <1/3,1/3>)
-EX1_SIM_FAR = 0.97417131265775807    # sim_xiao(<0.33,0.36>, <0.334,0.333333>)
-TAB1_CASE5_XIAO = 0.13224323187024223
-YC_EX4_NEAR = 0.2307608835156416
-YC_EX4_FAR = 0.13098988043445462
-JG1_FROZEN = 0.042474759198849368    # J_1(<0.5,0.25>, <0.25,0.5>)
-JG05_FROZEN = 0.035276180410083049   # J_0.5 of the same pair
-JG1_SUBNORMAL = 0.0067017818222676760  # J_1(<5e-324,0.2>, <0,0.3>)
-
 
 def _one(mu, nu):
     return IFS(("x",), (IFV(mu, nu),))
@@ -45,8 +39,8 @@ class TestDistXiao:
         s12, s13 = sim_xiao(i1, i2), sim_xiao(i1, i3)
         assert s12 == pytest.approx(0.9738972, abs=1e-6)
         assert s13 == pytest.approx(0.9741713, abs=1e-6)
-        assert s12 == pytest.approx(EX1_SIM_NEAR, abs=1e-12)
-        assert s13 == pytest.approx(EX1_SIM_FAR, abs=1e-12)
+        assert abs(s12 - exact.sim("xiao", i1, i2)) <= 1e-12
+        assert abs(s13 - exact.sim("xiao", i1, i3)) <= 1e-12
         # the defect: similarity grows along the chain even though i3 is farther
         assert s12 < s13
 
@@ -64,7 +58,7 @@ class TestDistXiao:
         a = IFS.from_pairs([(0.30, 0.20), (0.40, 0.30)])
         b = IFS.from_pairs([(0.45, 0.15), (0.55, 0.25)])
         assert dist_xiao(a, b) == pytest.approx(0.13224, abs=2e-5)
-        assert dist_xiao(a, b) == pytest.approx(TAB1_CASE5_XIAO, abs=1e-12)
+        assert abs(dist_xiao(a, b) - exact.dist("xiao", a, b)) <= 1e-12
 
     def test_self_distance_and_dual(self):
         a = IFS.from_pairs([(0.3, 0.2), (0.4, 0.1)])
@@ -99,8 +93,8 @@ class TestDistYc:
     def test_counterexample_chain(self):
         i1, i2, i3 = _one(0.5, 0.5), _one(0.6, 0.3), _one(0.7, 0.3)
         d12, d13 = dist_yc(i1, i2), dist_yc(i1, i3)
-        assert d12 == pytest.approx(YC_EX4_NEAR, abs=1e-12)
-        assert d13 == pytest.approx(YC_EX4_FAR, abs=1e-12)
+        assert abs(d12 - exact.dist("yc", i1, i2)) <= 1e-12
+        assert abs(d13 - exact.dist("yc", i1, i3)) <= 1e-12
         assert 1.0 - d12 < 1.0 - d13
 
     def test_degeneracy_maximum_family(self):
@@ -134,9 +128,10 @@ class TestJGamma:
 
     def test_frozen_values(self):
         a, b = IFV(0.5, 0.25), IFV(0.25, 0.5)
-        assert j_gamma(a, b, 1.0) == pytest.approx(JG1_FROZEN, abs=1e-15)
+        for gamma in (1.0, 0.5):
+            want = exact.elem("jgamma", a.mu, a.nu, b.mu, b.nu, gamma=gamma)
+            assert abs(j_gamma(a, b, gamma) - want) <= 1e-15
         assert j_gamma(a, b, 2.0) == 0.03125  # exact dyadic arithmetic
-        assert j_gamma(a, b, 0.5) == pytest.approx(JG05_FROZEN, abs=1e-15)
 
     def test_endpoints(self):
         assert j_gamma(IFV(1, 0), IFV(0, 1), 1.0) == pytest.approx(LN2, abs=1e-15)
@@ -151,7 +146,8 @@ class TestJGamma:
         # identical pi and the fractional-order branch is not blown up by a
         # one-ulp pi difference (x**0.5 amplifies 4e-17 to 1e-9)
         a, b = IFV(0.3, 0.7), IFV(0.7, 0.3)
-        assert j_gamma(a, b, 0.5) == pytest.approx(0.05966195666770677, abs=1e-14)
+        want = exact.elem("jgamma", a.mu, a.nu, b.mu, b.nu, gamma=0.5)
+        assert abs(j_gamma(a, b, 0.5) - want) <= 1e-14
 
     def test_subnormal_membership_stays_finite(self):
         # (x+y)/2 underflows to 0 for x+y = 5e-324; the (x+y)*ln((x+y)/2)
@@ -162,7 +158,8 @@ class TestJGamma:
             v = j_gamma(a, b, 1.0)
             batch = j_gamma_batch(np.array([5e-324, 0.0]), np.array([0.2, 0.2]),
                                   np.zeros(2), np.full(2, 0.3), 1.0)
-        assert v == pytest.approx(JG1_SUBNORMAL, rel=1e-12)
+        want = exact.elem("jgamma", 5e-324, 0.2, 0.0, 0.3, gamma=1.0)
+        assert abs(v - want) <= 1e-12 * want
         assert batch[0] == v and np.isfinite(batch).all()
 
     @pytest.mark.parametrize("gamma", [0.0, -2.0])

@@ -16,7 +16,9 @@ as they are.  Re-record them (only when a kernel change is meant to move the
 numbers) with ``PYTHONPATH=src python tests/test_kernel_digest.py``.
 
 On the edge corpus every kernel must also be finite, free of RuntimeWarning,
-zero on equal values and bitwise symmetric.
+zero on equal values and bitwise symmetric.  On the first ORACLE_PAIRS
+uniform pairs every kernel must lie within 1e-12 of the exact reference
+(tests/exact.py).
 """
 
 import hashlib
@@ -28,6 +30,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import exact
 from ifsim import get_measure, grid_points
 
 GOLDEN = Path(__file__).parent / "golden_kernel_digest.json"
@@ -44,6 +47,7 @@ CONFIGS = {
 SWEEP_BLOCK_CELLS = 1 << 15  # the audit's grid sweep block size
 UNIFORM_PAIRS = 100_000
 UNIFORM_SEED = 20221018
+ORACLE_PAIRS = 500
 
 _TINY = float(np.nextafter(0.0, 1.0))
 EDGE_VALUES = [
@@ -133,6 +137,15 @@ def test_edge_corpus(name):
     assert np.isfinite(d_ab).all()
     assert d_ab.tobytes() == d_ba.tobytes()
     assert EDGE_POINTS[d_aa != 0.0].tolist() == []
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_exact_reference(name):
+    measure, params = CONFIGS[name]
+    a, b = (x[:ORACLE_PAIRS].T for x in _uniform_pairs())
+    got = get_measure(measure, **params).pair_batch(*a, *b)
+    abs_err, _ = exact.worst_errors(got, exact.elems(measure, *a, *b, **params))
+    assert abs_err <= 1e-12
 
 
 if __name__ == "__main__":

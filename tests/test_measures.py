@@ -1,16 +1,24 @@
-"""The JS-based measures: frozen high-precision oracles, conventions,
-cross-path consistency, closed forms, exactness guarantees.
+"""The JS-based measures: values against the exact reference, conventions,
+closed forms, exactness guarantees.
 
-Frozen constants were computed with 50-digit mpmath evaluations of the
-defining formulas (independent of the numpy kernels under test).
+Every reference value comes from tests/exact.py, which evaluates the
+defining formulas in mpmath on the exact values of the float inputs; the
+tests named *frozen* pin such values at the tolerance that the once-frozen
+50-digit constants had.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import exact
+import ifsim
 from conftest import ifs_pairs, ifvs
 from ifsim import (
     IFS,
@@ -27,10 +35,8 @@ from ifsim import (
     dist_wu_lambda,
     entropy_ifs,
     entropy_ifv,
-    js_if,
     js_norm,
     l_divergence,
-    shannon_interval_entropy,
     sim_wu,
     sim_wu_lambda,
     get_measure,
@@ -41,20 +47,12 @@ from ifsim import (
 from ifsim.measures import aggregate, js_norm_lambda_batch
 from ifsim.recognition import PatternLibrary
 
-LN2 = math.log(2.0)
 
-# 50-digit mpmath references
-L_HALF_QUARTER = 0.061278124459132864
-L_03_07 = 0.11870910076930738
-ZETA_QUARTER = 0.18872187554086714
-ZETA_TENTH = 0.53100440641071878
-JSN_EX1 = 0.019313497493827739  # js_norm(<0.33,0.36>, <1/3,1/3>)
-H_HALF_QUARTER = 0.6931471805599453
-E_HALF_QUARTER = 0.77910423115098259
-E_03_02 = 0.90167082121717185
-E_IFS_MIXED = 0.95083541060858593  # {<0.3,0.2>, <0.5,0.5>}, uniform weights
-TAB1_CASE1_WU = 0.085625563918239399
-TAB4_P3_SIM_WU13 = 0.91962283735558333
+def test_import_does_not_load_mpmath():
+    src = str(Path(ifsim.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, ifsim; sys.exit('mpmath' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestLDivergence:
@@ -67,14 +65,23 @@ class TestLDivergence:
         assert l_divergence(p, p) == 0.0
 
     def test_frozen_values(self):
-        assert l_divergence(0.5, 0.25) == pytest.approx(L_HALF_QUARTER, abs=1e-15)
-        assert l_divergence(0.3, 0.7) == pytest.approx(L_03_07, abs=1e-15)
+        for p, q in ((0.5, 0.25), (0.3, 0.7)):
+            assert abs(l_divergence(p, q) - exact.l_divergence(p, q)) <= 1e-15
 
     def test_negative_input(self):
         with pytest.raises(NegativeInputError):
             l_divergence(-0.1, 0.5)
         with pytest.raises(NegativeInputError):
             l_divergence(0.5, -1e-9)
+        with pytest.raises(NegativeInputError):
+            l_divergence(-math.inf, 0.5)
+
+    @pytest.mark.parametrize("p, q", [(math.nan, 0.5), (0.5, math.nan), (math.inf, 1.0),
+                                      (0.5, math.inf), (1e308, 1e308), (1.7e308, 0.0)])
+    def test_non_finite_or_overflowing_sum(self, p, q):
+        # the doubled sum 2(p + q) must be finite, so that 2p/s is; no RuntimeWarning
+        with pytest.raises(OutOfRangeError):
+            l_divergence(p, q)
 
     @given(
         ifvs().map(lambda v: 3.0 * v.mu),  # any non-negative reals are admissible
@@ -92,8 +99,8 @@ class TestZeta:
         assert zeta(1.0) == 1.0
 
     def test_frozen_values(self):
-        assert zeta(0.25) == pytest.approx(ZETA_QUARTER, abs=1e-15)
-        assert zeta(0.1) == pytest.approx(ZETA_TENTH, abs=1e-15)
+        for x in (0.25, 0.1):
+            assert abs(zeta(x) - exact.zeta(x)) <= 1e-15
 
     @pytest.mark.parametrize("x", [-0.01, 1.01])
     def test_domain(self, x):
@@ -104,19 +111,6 @@ class TestZeta:
     def test_bounds_and_mirror(self, x):
         assert 0.0 <= zeta(x) <= 1.0
         assert zeta(x) == pytest.approx(zeta(1.0 - x), abs=1e-12)
-
-
-def _z_via_zeta(a: IFV, b: IFV) -> float:
-    """Independent evaluation path: the zeta decomposition of the score,
-    with zero-denominator terms contributing zero."""
-    out = 0.0
-    s1 = (1.0 - a.mu) + (1.0 - b.mu)
-    if s1 > 0.0:
-        out += s1 * zeta((1.0 - a.mu) / s1)
-    s2 = a.nu + b.nu
-    if s2 > 0.0:
-        out += s2 * zeta(a.nu / s2)
-    return out
 
 
 class TestZScore:
@@ -133,35 +127,8 @@ class TestZScore:
 
     @given(ifvs(), ifvs())
     @settings(max_examples=300)
-    def test_matches_zeta_decomposition(self, a, b):
-        assert z_score(a, b) == pytest.approx(_z_via_zeta(a, b), abs=1e-12)
-
-
-class TestJsIf:
-    @given(ifvs())
-    def test_self_is_zero(self, a):
-        assert js_if(a, a) == 0.0
-
-    def test_endpoints_give_ln2(self):
-        assert js_if(IFV(1, 0), IFV(0, 1)) == pytest.approx(LN2, abs=1e-15)
-
-    @given(ifvs(), ifvs())
-    @settings(max_examples=300)
-    def test_cross_path_with_z_score(self, a, b):
-        assert js_if(a, b) == pytest.approx(0.5 * LN2 * z_score(a, b), abs=1e-12)
-
-    def test_example_one_inputs_cross_path(self):
-        a, b = IFV(0.33, 0.36), IFV(1 / 3, 1 / 3)
-        assert abs(js_if(a, b) - 0.5 * LN2 * z_score(a, b)) < 1e-12
-
-
-class TestShannonIntervalEntropy:
-    def test_vanishes_at_crisp_values(self):
-        assert shannon_interval_entropy(IFV(1, 0)) == 0.0
-        assert shannon_interval_entropy(IFV(0, 1)) == 0.0
-
-    def test_frozen_value(self):
-        assert shannon_interval_entropy(IFV(0.5, 0.25)) == pytest.approx(H_HALF_QUARTER, abs=1e-15)
+    def test_matches_exact_reference(self, a, b):
+        assert abs(z_score(a, b) - exact.z_score(a.mu, a.nu, b.mu, b.nu)) <= 1e-12
 
 
 class TestJsNorm:
@@ -177,7 +144,8 @@ class TestJsNorm:
         assert js_norm(IFV(1, 0), IFV(0.5, 0)) == 0.5
 
     def test_frozen_example_one(self):
-        assert js_norm(IFV(0.33, 0.36), IFV(1 / 3, 1 / 3)) == pytest.approx(JSN_EX1, abs=1e-14)
+        want = exact.elem("wu", 0.33, 0.36, 1 / 3, 1 / 3)
+        assert abs(js_norm(IFV(0.33, 0.36), IFV(1 / 3, 1 / 3)) - want) <= 1e-14
 
     @given(ifvs(), ifvs())
     @settings(max_examples=300)
@@ -214,7 +182,7 @@ class TestDistWu:
         sets, w = builtin_dataset("tableI_case1")
         d = dist_wu(sets["A"], sets["B"], w)
         assert d == pytest.approx(0.08563, abs=2e-5)
-        assert d == pytest.approx(TAB1_CASE1_WU, abs=1e-14)
+        assert abs(d - exact.dist("wu", sets["A"], sets["B"], w)) <= 1e-14
 
     @given(ifs_pairs())
     def test_self_distance_zero(self, pair):
@@ -309,7 +277,7 @@ class TestDistWuLambda:
         sets, w = builtin_dataset("tableIII")
         s = sim_wu_lambda(sets["P3"], sets["S1"], w, 1 / 3)
         assert s == pytest.approx(0.92, abs=5e-3)
-        assert s == pytest.approx(TAB4_P3_SIM_WU13, abs=1e-12)
+        assert abs(s - exact.sim("wu-lambda", sets["P3"], sets["S1"], w, lam=1 / 3)) <= 1e-12
 
     @pytest.mark.parametrize("lam", [0.0, -1.0])
     def test_invalid_lambda(self, lam):
@@ -344,8 +312,8 @@ class TestEntropyIfv:
         assert entropy_ifv(IFV(t, t)) == 1.0
 
     def test_frozen_values(self):
-        assert entropy_ifv(IFV(0.5, 0.25)) == pytest.approx(E_HALF_QUARTER, abs=1e-12)
-        assert entropy_ifv(IFV(0.3, 0.2)) == pytest.approx(E_03_02, abs=1e-12)
+        for a in (IFV(0.5, 0.25), IFV(0.3, 0.2)):
+            assert abs(entropy_ifv(a) - exact.entropy(a)) <= 1e-12
 
     @given(ifvs())
     def test_definition_and_complement_symmetry(self, a):
@@ -369,7 +337,8 @@ class TestEntropyIfs:
 
     def test_frozen_mixed_value(self):
         a = IFS.from_pairs([(0.3, 0.2), (0.5, 0.5)])
-        assert entropy_ifs(a, uniform_weights(2)) == pytest.approx(E_IFS_MIXED, abs=1e-12)
+        w = uniform_weights(2)
+        assert abs(entropy_ifs(a, w) - exact.entropy(a, w)) <= 1e-12
 
     def test_weights_are_respected(self):
         a = IFS.from_pairs([(0.3, 0.2), (0.5, 0.5)])

@@ -1,10 +1,15 @@
 """The golden-value scenario catalog and the curve-family sweeps."""
 
+import re
+
 import numpy as np
 import pytest
+from mpmath import mp, mpf
 
+import exact
 from ifsim import (
     SCENARIO_IDS,
+    builtin_dataset,
     UnknownFamilyError,
     UnknownScenarioError,
     run_all_scenarios,
@@ -12,6 +17,7 @@ from ifsim import (
     sweep_curve,
 )
 from ifsim.core import IfsimError
+from ifsim.scenarios import _TAB2_NOTE
 
 EXPECTED_IDS = (
     "ex1-xiao-s4", "ex1-crossing", "ex2-xiao-monotone", "ex3-xiao-degeneracy",
@@ -40,8 +46,8 @@ class TestCatalog:
 
 class TestTab2KnownDiscrepancy:
     """Cases 3 and 4 of the published comparison table are inconsistent with
-    their stated inputs (verified at 50-digit precision); the scenario must
-    report that instead of widening tolerances."""
+    their stated inputs (the exact reference reproduces the note's values);
+    the scenario must report that instead of widening tolerances."""
 
     def test_pass_fail_pattern(self):
         report = run_scenario("tab2-distances")
@@ -58,6 +64,16 @@ class TestTab2KnownDiscrepancy:
         report = run_scenario("tab2-distances")
         assert any("inconsistent with their stated inputs" in n for n in report.notes)
         assert any("uniform (0.5, 0.5)" in n for n in report.notes)
+
+    def test_note_values_are_exact(self):
+        # the note's recomputed d_xiao and d_wu for cases 3 and 4, each to 1e-16
+        found = re.search(r"d_xiao ([\d.]+) / ([\d.]+) and d_wu ([\d.]+) / ([\d.]+)", _TAB2_NOTE)
+        quoted = dict(zip([("xiao", 3), ("xiao", 4), ("wu", 3), ("wu", 4)], found.groups()))
+        for (measure, case), text in quoted.items():
+            sets, w = builtin_dataset(f"tableI_case{case}")
+            want = exact.dist(measure, sets["A"], sets["B"], w if measure == "wu" else None)
+            with mp.workprec(200):
+                assert abs(mpf(text) - want) <= 1e-16
 
     def test_text_rendering_flags_failures(self):
         text = run_scenario("tab2-distances").to_text()
