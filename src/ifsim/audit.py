@@ -24,10 +24,10 @@ separating genuine axiom violations from floating-point noise.
 
 Every sampled value is computed by the measure's elementwise kernel
 (pair_batch), and each built-in evaluator aggregates that same kernel over
-a universe.  Every kernel call runs on row blocks of at most
-_GRID_BLOCK_CELLS cells (_eval_pairs), the block size that
-measures.aggregate uses for a pattern library.  The grid sweep covers every
-unordered grid pair i <= j once, in such blocks.  When the descriptor has a
+a universe.  Samples are evaluated under the block rule that aggregate
+uses for sets and libraries (_eval_pairs over measures._blocked), and the
+grid sweep covers every unordered grid pair i <= j once, in blocks of the
+same measures._BLOCK_CELLS cells.  When the descriptor has a
 split (measures.KernelSplit, which every built-in measure has), the sweep
 does not call pair_batch: it tabulates the split's term once per channel on
 the channel's distinct grid values, and each block adds the gathered table
@@ -49,8 +49,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import OutOfRangeError
-from .measures import _BLOCK_CELLS as _GRID_BLOCK_CELLS
-from .measures import channel_sum, js_norm_batch
+from . import measures
+from .measures import _blocked, channel_sum, js_norm_batch
 from .registry import MeasureDescriptor
 
 _ENDPOINTS = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -246,23 +246,9 @@ def _is_endpoint(p: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _eval_pairs(kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """kernel on the points a and b, broadcast against each other, called on
-    row blocks of at most _GRID_BLOCK_CELLS cells (one row at the least), as
-    in the grid sweep: the temporaries of a stacked kernel stay cache-sized
-    whatever the sample size.  A sample that fits one block is passed whole."""
-    shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    step = max(1, _GRID_BLOCK_CELLS // max(1, math.prod(shape[1:])))
-
-    def call(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.asarray(kernel(a[..., 0], a[..., 1], b[..., 0], b[..., 1]), dtype=float)
-
-    if shape[0] <= step:
-        return call(a, b)
-    out = np.empty(shape)
-    for lo in range(0, shape[0], step):
-        rows = slice(lo, lo + step)
-        out[rows] = call(a[rows] if len(a) > 1 else a, b[rows] if len(b) > 1 else b)
-    return out
+    """kernel on the points a and b, broadcast against each other, in
+    measures._blocked row blocks whatever the sample size, as float64."""
+    return np.asarray(_blocked(kernel, a[..., 0], a[..., 1], b[..., 0], b[..., 1]), dtype=float)
 
 
 def _fmt_ifv(mu: float, nu: float) -> str:
@@ -369,9 +355,9 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
 
 def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
     """(lo, a, b, block) for the row blocks [lo, hi) of the grid against
-    its columns lo:, each of at most _GRID_BLOCK_CELLS cells (one row at the
-    least); a and b are the (hi-lo, 1, 2) and (1, g-lo, 2) points, block
-    their (hi-lo, g-lo) values.
+    its columns lo:, each of at most measures._BLOCK_CELLS cells (one row
+    at the least); a and b are the (hi-lo, 1, 2) and (1, g-lo, 2) points,
+    block their (hi-lo, g-lo) values.
 
     Without a split, pair_batch computes each block.  With one, each
     channel's distinct grid values u get a table term(u[:, None], u[None, :])
@@ -387,7 +373,7 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
         tables = [(m.split.term(u[:, None], u[None, :]), k) for u, k in distinct]
     lo = 0
     while lo < g:
-        hi = min(lo + max(1, _GRID_BLOCK_CELLS // (g - lo)), g)
+        hi = min(lo + max(1, measures._BLOCK_CELLS // (g - lo)), g)
         a, b = grid[lo:hi, None], grid[None, lo:]
         if m.split is None:
             block = _eval_pairs(m.pair_batch, a, b)

@@ -42,7 +42,7 @@ GAMMA_BRANCH_TOL = 1e-12
 
 
 class InvalidGammaError(IfsimError, ValueError):
-    """The divergence order gamma must be > 0."""
+    """The divergence order gamma must be finite and > 0."""
 
 
 def _triple(mu: np.ndarray, nu: np.ndarray) -> tuple:
@@ -155,8 +155,8 @@ def j_gamma_split(gamma: float) -> KernelSplit:
     """The (mu, nu, pi) split of J_gamma: the natural-log branch and
     -total/2 within GAMMA_BRANCH_TOL of gamma == 1, the power branch and
     -total/(gamma-1) elsewhere.  Cached: each kernel call looks it up."""
-    if not (gamma > 0.0):
-        raise InvalidGammaError(f"gamma must be > 0, got {gamma!r}")
+    if not (0.0 < gamma < math.inf):
+        raise InvalidGammaError(f"gamma must be finite and > 0, got {gamma!r}")
     if abs(gamma - 1.0) < GAMMA_BRANCH_TOL:
         return KernelSplit(_triple, _ln_branch, lambda t, *_: _j_finish(t, 2.0, "J_1"))
     return KernelSplit(_triple, lambda x, y: _power_branch(x, y, gamma),

@@ -29,7 +29,7 @@ import pytest
 from test_kernel_digest import CONFIGS
 
 from ifsim import AuditConfig, audit_distance, audit_entropy, get_measure, grid_points
-from ifsim import audit
+from ifsim import audit, measures
 from ifsim.registry import MeasureDescriptor
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -146,7 +146,7 @@ DEFECTIVE = {
 @pytest.mark.parametrize("name,params", BUILTIN_DISTANCES + [(k, None) for k in DEFECTIVE])
 def test_sweep_equals_full_matrix_reference(monkeypatch, step, block_cells, name, params):
     if block_cells is not None:  # many small blocks, each with a diagonal tile
-        monkeypatch.setattr(audit, "_GRID_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
     m = DEFECTIVE[name] if params is None else get_measure(name, **params)
     grid = grid_points(step)
     assert _canonical(audit._grid_matrix_sweep(m, grid, TOL)) == _canonical(
@@ -201,7 +201,7 @@ def test_builtin_kernels_bitwise_symmetric_on_grid(step, name, params):
 @pytest.mark.parametrize("config", list(CONFIGS))
 def test_table_blocks_bitwise_equal_pair_batch(monkeypatch, config, step, block_cells):
     if block_cells is not None:
-        monkeypatch.setattr(audit, "_GRID_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
     measure, params = CONFIGS[config]
     m = get_measure(measure, **params)
     assert m.split is not None

@@ -162,7 +162,7 @@ class TestJGamma:
         assert abs(v - want) <= 1e-12 * want
         assert batch[0] == v and np.isfinite(batch).all()
 
-    @pytest.mark.parametrize("gamma", [0.0, -2.0])
+    @pytest.mark.parametrize("gamma", [0.0, -2.0, math.inf])
     def test_invalid_gamma(self, gamma):
         with pytest.raises(InvalidGammaError):
             j_gamma(IFV(0.3, 0.2), IFV(0.1, 0.1), gamma)

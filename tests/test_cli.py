@@ -45,6 +45,18 @@ class TestDistSim:
         assert code == 0
         assert float(out) == sim_wu_lambda(sets["P3"], sets["S1"], w, 1 / 3)
 
+    @pytest.mark.parametrize("argv,message", [
+        (["dist", "--measure", "wu-lambda", "--lambda", "inf", "--data", "tableI_case1",
+          "--left", "A", "--right", "B"], "lambda must be finite and > 0"),
+        (["classify", "--measure", "jgamma", "--gamma", "inf", "--data", "tableIII",
+          "--sample", "S1"], "gamma must be finite and > 0"),
+    ])
+    def test_infinite_param_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
     def test_file_dataset_and_weights_file(self, capsys, tmp_path):
         data = tmp_path / "d.json"
         data.write_text(json.dumps({

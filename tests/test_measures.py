@@ -44,7 +44,7 @@ from ifsim import (
     z_score,
     zeta,
 )
-from ifsim.measures import aggregate, js_norm_lambda_batch
+from ifsim.measures import aggregate, wu_lambda_split
 from ifsim.recognition import PatternLibrary
 
 
@@ -253,6 +253,28 @@ class TestAggregateStack:
                 want = [aggregate(kernel, s, sample, w) for s in sets[:3]]
                 assert got.tolist() == want  # == on floats: every bit, as none is nan
 
+    def test_set_longer_than_a_block_is_one_kernel_call(self):
+        # a set is one call on its whole rows, never cut into blocks, so its
+        # value is that call's output reduced as aggregate reduces it
+        n = 40_000
+        rng = np.random.default_rng(n)
+        mu = rng.random((2, n))
+        a, b = (IFS.from_pairs(np.stack([m, rng.random(n) * (1.0 - m)], axis=-1)) for m in mu)
+        raw = rng.random(n) + 0.5
+        weights = WeightVector(tuple(raw / raw.sum()))
+        for kernel in self.KERNELS:
+            calls = []
+
+            def recorded(*c):
+                calls.append(np.broadcast(*c).size)
+                return kernel(*c)
+
+            per_element = kernel(*a.degrees, *b.degrees)
+            got_mean, got_weighted = aggregate(recorded, a, b), aggregate(recorded, a, b, weights)
+            assert calls == [n, n]
+            assert got_mean.hex() == float(np.add.reduce(per_element) / n).hex()
+            assert got_weighted.hex() == float(np.vecdot(per_element, weights.array)).hex()
+
     def test_weight_length_mismatch_on_a_stack(self):
         a = IFS.from_pairs([(0.3, 0.2), (0.4, 0.3)])
         lib = PatternLibrary((("p", a),), uniform_weights(2))
@@ -279,7 +301,7 @@ class TestDistWuLambda:
         assert s == pytest.approx(0.92, abs=5e-3)
         assert abs(s - exact.sim("wu-lambda", sets["P3"], sets["S1"], w, lam=1 / 3)) <= 1e-12
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, math.inf])
     def test_invalid_lambda(self, lam):
         sets, w = builtin_dataset("tableI_case1")
         with pytest.raises(InvalidLambdaError):
@@ -298,7 +320,7 @@ class TestDistWuLambda:
         "log domain (ROADMAP item 1, known limit)"))
     def test_squared_tiny_degree_positive(self):
         # exact value: L(1e-400, 0) = 1e-400, js_norm = sqrt(1e-400 / 2)
-        d = js_norm_lambda_batch(0.3, 1e-200, 0.3, 0.0, 2.0)
+        d = wu_lambda_split(2.0)(0.3, 1e-200, 0.3, 0.0)
         assert d == pytest.approx(1e-200 / math.sqrt(2.0), rel=1e-12, abs=0.0)
 
 
