@@ -363,8 +363,8 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
     channel's distinct grid values u get a table term(u[:, None], u[None, :])
     and each grid point the index of its value, so that table[k_i, k_j] is
     the term of grid points i and j; a block gathers each channel's entries,
-    adds them in channel order and applies the split's finish, which is how
-    the kernel computes them, bit for bit.
+    adds them in channel order and applies the split's finish to that sum
+    alone, which is how the kernel computes them, bit for bit.
     """
     g = len(grid)
     if m.split is not None:
@@ -379,7 +379,7 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
             block = _eval_pairs(m.pair_batch, a, b)
         else:
             total = channel_sum([np.take(t[k[lo:hi]], k[lo:], axis=1) for t, k in tables])
-            block = m.split.finish(total, a[..., 0], a[..., 1], b[..., 0], b[..., 1])
+            block = m.split.finish(total)
         yield lo, a, b, block
         lo = hi
 

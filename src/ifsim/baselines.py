@@ -33,6 +33,7 @@ from .measures import (
     NumericalConsistencyError,
     _clamp_nonneg,
     _l_stacked,
+    _sqrt_half,
     _xlog,
     aggregate,
 )
@@ -52,11 +53,7 @@ def _triple(mu: np.ndarray, nu: np.ndarray) -> tuple:
     return mu, nu, np.maximum(0.0, 1.0 - (mu + nu))
 
 
-def _xiao_finish(radicand: np.ndarray, *_) -> np.ndarray:
-    return np.sqrt(_clamp_nonneg(radicand, "xiao radicand") / 2.0)
-
-
-XIAO_SPLIT = KernelSplit(_triple, _l_stacked, _xiao_finish)
+XIAO_SPLIT = KernelSplit(_triple, _l_stacked, _sqrt_half)
 
 
 def xiao_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
@@ -78,16 +75,18 @@ def _bhattacharyya(x_a: np.ndarray, x_b: np.ndarray) -> np.ndarray:
     return np.sqrt(x_a * x_b)
 
 
-def _yc_finish(arg: np.ndarray, mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
-    """(2/pi) * arccos(arg), masked to an exact +0.0 on equal values."""
+def _yc_finish(arg: np.ndarray) -> np.ndarray:
+    """(2/pi) * arccos(arg); an exact +0.0 on equal values, whose arg is >= 1:
+    sqrt(fl(x*x)) == x unless x*x underflows, so arg = fl(s + fl(1 - s)) for
+    s = fl(mu + nu), which is 1 for s <= 1 (1 - 2**-54 ties to the even 1.0);
+    a square that underflows moves only a sum far below ulp(1), beside pi = 1;
+    and a slack sum above 1 is clipped to 1."""
     # arg <= 1 by Cauchy-Schwarz; allow rounding up to ARCCOS_CLAMP, no more
     high = arg.max() if arg.size else 0.0
     if high > 1.0 + ARCCOS_CLAMP:
         raise NumericalConsistencyError(f"arccos argument {high!r} above 1 beyond rounding")
-    # arg >= 0 as a sum of square roots, so only its upper end needs the clip;
-    # the product with the mask is an exact +0.0 on equal values, a no-op elsewhere
-    out = (2.0 / math.pi) * np.arccos(np.minimum(arg, 1.0))
-    return out * ((mu_a != mu_b) | (nu_a != nu_b))
+    # arg >= 0 as a sum of square roots, so only its upper end needs the clip
+    return (2.0 / math.pi) * np.arccos(np.minimum(arg, 1.0))
 
 
 YC_SPLIT = KernelSplit(_triple, _bhattacharyya, _yc_finish, stacked=False)
@@ -96,8 +95,8 @@ YC_SPLIT = KernelSplit(_triple, _bhattacharyya, _yc_finish, stacked=False)
 def yc_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
     """Per-element spherical distance (2/pi) * arccos(Bhattacharyya sum).
 
-    Equal values map to 0 exactly: arccos is infinitely steep at 1, so one
-    ulp of rounding in the argument would otherwise turn d(a, a) into ~1e-8.
+    Equal values map to 0 exactly, their argument rounding to 1 (_yc_finish):
+    arccos is infinitely steep at 1, so one ulp below gives d(a, a) ~ 1e-8.
     """
     return YC_SPLIT(mu_a, nu_a, mu_b, nu_b)
 
@@ -158,9 +157,9 @@ def j_gamma_split(gamma: float) -> KernelSplit:
     if not (0.0 < gamma < math.inf):
         raise InvalidGammaError(f"gamma must be finite and > 0, got {gamma!r}")
     if abs(gamma - 1.0) < GAMMA_BRANCH_TOL:
-        return KernelSplit(_triple, _ln_branch, lambda t, *_: _j_finish(t, 2.0, "J_1"))
+        return KernelSplit(_triple, _ln_branch, lambda t: _j_finish(t, 2.0, "J_1"))
     return KernelSplit(_triple, lambda x, y: _power_branch(x, y, gamma),
-                       lambda t, *_: _j_finish(t, gamma - 1.0, "J_gamma"))
+                       lambda t: _j_finish(t, gamma - 1.0, "J_gamma"))
 
 
 def j_gamma_batch(mu_a, nu_a, mu_b, nu_b, gamma: float) -> np.ndarray:

@@ -110,11 +110,11 @@ def _checked_universe(universe: Iterable[str], n: int) -> tuple[str, ...]:
 
 
 def _degrees_valid(degrees: np.ndarray) -> bool:
-    """The IFV rules on a (2, n) array of degrees, all pairs at once; a nan
-    makes min and max nan, so it fails the range test."""
+    """The IFV rules on a (2, n) array of degrees, all pairs at once (vacuous
+    for n == 0); a nan makes min and max nan, so it fails the range test."""
     mu, nu = degrees
-    return bool(degrees.min() >= 0.0 and degrees.max() <= 1.0
-                and (mu + nu).max() <= 1.0 + SIMPLEX_SLACK)
+    return bool(not degrees.size or (degrees.min() >= 0.0 and degrees.max() <= 1.0
+                                     and (mu + nu).max() <= 1.0 + SIMPLEX_SLACK))
 
 
 def _pair_rows(pairs: list) -> np.ndarray | None:

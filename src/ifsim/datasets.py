@@ -194,21 +194,16 @@ BUILTIN_DATASET_NAMES = tuple(f"tableI_case{i}" for i in _TABLE_I) + ("tableIII"
 
 def builtin_dataset(name: str) -> tuple[dict[str, IFS], WeightVector | None]:
     """Return one of the built-in datasets by name."""
-    if name.startswith("tableI_case"):
-        try:
-            a_pairs, b_pairs = _TABLE_I[int(name.removeprefix("tableI_case"))]
-        except (KeyError, ValueError):
-            raise DatasetValidationError(f"unknown built-in dataset {name!r}") from None
-        universe = ("x1", "x2")
-        return (
-            {"A": IFS.from_pairs(a_pairs, universe), "B": IFS.from_pairs(b_pairs, universe)},
-            WeightVector((0.5, 0.5)),
-        )
+    if name not in BUILTIN_DATASET_NAMES:
+        raise DatasetValidationError(f"unknown built-in dataset {name!r}")
     if name == "tableIII":
         universe = ("x1", "x2", "x3")
         sets = {k: IFS.from_pairs(v, universe) for k, v in _TABLE_III.items()}
         return sets, WeightVector((1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0))
-    raise DatasetValidationError(f"unknown built-in dataset {name!r}")
+    a_pairs, b_pairs = _TABLE_I[int(name.removeprefix("tableI_case"))]
+    universe = ("x1", "x2")
+    return ({"A": IFS.from_pairs(a_pairs, universe), "B": IFS.from_pairs(b_pairs, universe)},
+            WeightVector((0.5, 0.5)))
 
 
 def resolve_dataset(spec: str | Path) -> tuple[dict[str, IFS], WeightVector | None]:

@@ -23,10 +23,10 @@ equal-shaped float arrays of mu / nu components, built from one KernelSplit:
 channels(mu, nu) gives each side's channel arrays ((1-mu, nu) here,
 (mu, nu, pi) for the rivals), a two-point term is applied per channel, the
 channel terms are added in channel order (channel_sum), and a finish maps
-that sum to the value (sqrt(z/2) here).  The kernel runs the term on both
-sides' channels, stacked along a leading axis or one channel at a time;
-the audit's grid sweep applies the same term to a table per channel and
-the same finish to the sums, so each term and finish is written once.
+that sum alone to the value (sqrt(z/2) here).  The kernel runs the term on
+both sides' channels, stacked along a leading axis or one at a time; the
+audit's grid sweep applies the same term to a table per channel and the
+same finish to the sums, so each term and finish is written once.
 Its IFV function evaluates the kernel on one pair, and its IFS value is
 aggregate() of the kernel over the sets' stored degree rows: a weighted
 sum over the universe, or the plain 1/n mean.  One block rule (_blocked)
@@ -171,8 +171,8 @@ class KernelSplit(namedtuple("KernelSplit", "channels term finish stacked", defa
 
     channels(mu, nu) gives one side's channel arrays; term(x_a, x_b) is the
     two-point function of one channel, elementwise on any broadcastable
-    arrays; finish(total, mu_a, nu_a, mu_b, nu_b) maps the channel_sum of
-    the terms to the kernel's value, and may write into total.  Calling the
+    arrays; finish(total) maps the channel_sum of the terms, its only
+    argument, to the kernel's value, and may write into total.  Calling the
     split is the kernel.  A stacked split runs its term once on both sides'
     stacked channels (_channels), which saves numpy calls for a term of many
     steps; an unstacked one runs it per channel, which saves the stacks'
@@ -185,22 +185,22 @@ class KernelSplit(namedtuple("KernelSplit", "channels term finish stacked", defa
     __slots__ = ()
 
     def __call__(self, mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
-        mu_a, nu_a = np.asarray(mu_a, dtype=float), np.asarray(nu_a, dtype=float)
-        mu_b, nu_b = np.asarray(mu_b, dtype=float), np.asarray(nu_b, dtype=float)
-        a, b = self.channels(mu_a, nu_a), self.channels(mu_b, nu_b)
+        a = self.channels(np.asarray(mu_a, dtype=float), np.asarray(nu_a, dtype=float))
+        b = self.channels(np.asarray(mu_b, dtype=float), np.asarray(nu_b, dtype=float))
         terms = self.term(*_channels(a, b)) if self.stacked else tuple(map(self.term, a, b))
-        return self.finish(channel_sum(terms), mu_a, nu_a, mu_b, nu_b)
+        return self.finish(channel_sum(terms))
 
 
 def _wu_channels(mu: np.ndarray, nu: np.ndarray) -> tuple:
     return 1.0 - mu, nu
 
 
-def _wu_finish(z: np.ndarray, *_) -> np.ndarray:
+def _sqrt_half(z: np.ndarray) -> np.ndarray:
+    """sqrt(z/2), wu's and xiao's finish: z sums _l_stacked terms, each >= +0.0."""
     return np.sqrt(z / 2.0)
 
 
-WU_SPLIT = KernelSplit(_wu_channels, _l_stacked, _wu_finish)
+WU_SPLIT = KernelSplit(_wu_channels, _l_stacked, _sqrt_half)
 
 
 @lru_cache(maxsize=64, typed=True)
@@ -213,12 +213,12 @@ def wu_lambda_split(lam: float) -> KernelSplit:
     sqrt(1e-400 / 2) ~ 7.07e-201.
     """
     _check_lambda(lam)
-    return KernelSplit(lambda mu, nu: _wu_channels(mu ** lam, nu ** lam), _l_stacked, _wu_finish)
+    return KernelSplit(lambda mu, nu: _wu_channels(mu ** lam, nu ** lam), _l_stacked, _sqrt_half)
 
 
 # L(1-mu_a, 1-mu_b) + L(nu_a, nu_b) on component arrays: WU_SPLIT before
 # its finish
-z_score_batch = KernelSplit(_wu_channels, _l_stacked, lambda z, *_: z)
+z_score_batch = KernelSplit(_wu_channels, _l_stacked, lambda z: z)
 
 
 def js_norm_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:

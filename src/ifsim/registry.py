@@ -4,16 +4,16 @@ A MeasureDescriptor is one elementwise kernel, pair_batch, on mu / nu
 component arrays, plus the IFS-level evaluator that aggregates it over a
 universe (measures.aggregate), plus, optionally, the kernel's split
 (measures.KernelSplit): its channels, its two-point term per channel and
-its finish.  Every built-in kernel is its split called on the arrays, and
-the descriptor carries that split.  The evaluator's first argument is an
-IFS, giving a float, or a pattern library's (2, P, n) degree stack, giving
-one value per pattern.  The audit evaluates its samples through the kernel,
-and sweeps the grid's 13.3M value pairs from per-channel tables of the
-split's term, with the split's finish, when the descriptor has a split;
-classification calls the evaluator once per sample on the whole library,
-and the CLI calls it on sets.  The evaluator and the kernel are required,
-so every measure has a kernel to audit; a descriptor without a split has
-its grid swept through the kernel too.
+its finish of the channel sum alone.  Every built-in kernel is its split
+called on the arrays, and the descriptor carries that split.  The
+evaluator's first argument is an IFS (a float back) or a pattern library's
+(2, P, n) degree stack (one value per pattern).  The audit evaluates its
+samples through the kernel, and sweeps the grid's 13.3M value pairs from
+per-channel tables of the split's term, with the split's finish, when the
+descriptor has a split; classification calls the evaluator once per sample
+on the whole library, and the CLI calls it on sets.  The evaluator and the
+kernel are required, so every measure has a kernel to audit; a descriptor
+without a split has its grid swept through the kernel too.
 
 Built-in names: wu, wu-lambda (param lambda), xiao, yc, jgamma (param
 gamma); each param must be finite and > 0.  wu and wu-lambda aggregate as
@@ -90,12 +90,15 @@ def get_measure(name: str, **params: float) -> MeasureDescriptor:
     """Look up a built-in measure; params: lambda (wu-lambda), gamma (jgamma).
 
     Python-reserved spellings are accepted: get_measure("wu-lambda", lam=x)
-    and get_measure("wu-lambda", **{"lambda": x}) are equivalent.
+    and get_measure("wu-lambda", **{"lambda": x}) are equivalent; giving
+    both raises InvalidMeasureParamsError.
     """
-    if "lam" in params:
-        params["lambda"] = params.pop("lam")
     if name not in _PARAM_NAMES:
         raise UnknownMeasureError(f"unknown measure {name!r}; known: {', '.join(MEASURE_NAMES)}")
+    if "lam" in params:
+        if "lambda" in params:
+            raise InvalidMeasureParamsError("lambda given twice, as lam and as lambda")
+        params["lambda"] = params.pop("lam")
     wanted = _PARAM_NAMES[name]
     missing = [p for p in wanted if p not in params]
     extra = [p for p in params if p not in wanted]

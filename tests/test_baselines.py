@@ -120,6 +120,57 @@ class TestDistYc:
         assert 1.0 - dist_yc(p1, s1) == pytest.approx(0.89, abs=5e-3)
 
 
+def _multi_scale_points() -> np.ndarray:
+    """(n, 2) valid (mu, nu) points at every scale, in both orientations:
+    degrees 10**-k down to the smallest subnormal, near-crisp 1 - 10**-k
+    and 1 - ulp, all pairs of those that lie in the simplex, seeded
+    log-uniform draws beside them, and points with mu + nu one ulp above 1."""
+    tiny = np.append(10.0 ** -np.arange(0, 324), [5e-324, 0.0])
+    values = np.concatenate([tiny, 1.0 - tiny[1:17], [np.nextafter(1.0, 0.0), 0.5, 0.3]])
+    grid = np.stack(np.meshgrid(values, values), axis=-1).reshape(-1, 2)
+    rng = np.random.default_rng(14)
+    mu = 10.0 ** -rng.uniform(0.0, 324.0, 20_000)
+    drawn = np.column_stack([mu, np.concatenate([
+        10.0 ** -rng.uniform(0.0, 324.0, 10_000),        # both tiny or far apart
+        (1.0 - mu[10_000:]) * rng.random(10_000)])])     # anywhere in the simplex
+    points = np.concatenate([grid, drawn])
+    points = points[points.sum(axis=1) <= 1.0]
+    # mu + nu one ulp above 1: nu stepped up from 1 - mu until the sum leaves 1
+    m = np.concatenate([values[(values >= 1e-15) & (values < 1.0)], rng.random(2_000)])
+    n = 1.0 - m
+    for _ in range(4):
+        n = np.where(m + n > 1.0, n, np.nextafter(n, 2.0))
+    slack = np.column_stack([m, n])[(m + n == np.nextafter(1.0, 2.0)) & (n <= 1.0)]
+    assert len(slack) > 1_000
+    points = np.concatenate([points, slack])
+    return np.concatenate([points, points[:, ::-1]])
+
+
+class TestSelfDistanceAtEveryScale:
+    """d(a, a) is an exact +0.0 for xiao and yc at every scale, with no
+    equality mask: yc's Bhattacharyya sum of equal values rounds to 1 or
+    above, and each of xiao's L terms is an exact +0.0."""
+
+    POINTS = _multi_scale_points()
+
+    @pytest.mark.parametrize("kernel", [xiao_elem_batch, yc_elem_batch])
+    def test_exact_positive_zero(self, kernel):
+        mu, nu = self.POINTS.T
+        d = kernel(mu, nu, mu, nu)
+        assert not np.any(d), self.POINTS[d != 0.0][:5].tolist()
+        assert not np.signbit(d).any()
+
+    def test_yc_bitwise_symmetric_on_ulp_neighbours(self):
+        a = self.POINTS
+        for col in (0, 1):
+            for toward in (-1.0, 2.0):
+                b = a.copy()
+                b[:, col] = np.clip(np.nextafter(a[:, col], toward), 0.0, 1.0)
+                d_ab = yc_elem_batch(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+                d_ba = yc_elem_batch(b[:, 0], b[:, 1], a[:, 0], a[:, 1])
+                assert np.array_equal(d_ab.view(np.int64), d_ba.view(np.int64))
+
+
 class TestJGamma:
     @pytest.mark.parametrize("gamma", [0.5, 1.0, 2.0, 3.0])
     def test_self_divergence_zero(self, gamma):

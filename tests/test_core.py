@@ -277,6 +277,18 @@ class TestIfsStorage:
         with pytest.raises(OutOfRangeError):
             IFS.from_pairs(pairs)
 
+    @pytest.mark.parametrize("pairs", [[], np.empty((0, 2))])
+    def test_empty_pairs_raise_the_universe_error(self, pairs):
+        for universe in (None, ("x1",)):
+            with pytest.raises(OutOfRangeError) as got:
+                IFS.from_pairs(pairs, universe)
+            with pytest.raises(OutOfRangeError) as expected:
+                IFS(universe or (), ())
+            assert str(got.value) == str(expected.value)
+        assert str(got.value) == "universe has 1 labels but 0 values given"
+        with pytest.raises(OutOfRangeError, match="^universe must contain at least one element$"):
+            IFS.from_pairs(pairs)
+
     @pytest.mark.parametrize("pairs", [[(0.3, float("nan"))], np.array([[float("nan"), 0.2]])])
     def test_nan(self, pairs):
         with pytest.raises(OutOfRangeError):

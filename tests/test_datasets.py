@@ -232,8 +232,11 @@ class TestBuiltins:
         assert len(w) == 3
 
     def test_unknown_name(self):
-        with pytest.raises(DatasetValidationError):
-            builtin_dataset("tableI_case9")
+        # int() would read the last three as case 1, 1 and 5
+        for name in ("tableI_case9", "tableI_case01", "tableI_case 1", "tableI_case+5"):
+            assert name not in BUILTIN_DATASET_NAMES
+            with pytest.raises(DatasetValidationError, match="unknown built-in dataset"):
+                builtin_dataset(name)
 
     def test_resolve_prefers_files(self, tmp_path):
         path = tmp_path / "d.json"

@@ -36,6 +36,13 @@ def test_evaluator_aggregates_the_kernel(name, params):
     assert md.evaluator(a, b, w) == float(want)
 
 
+def test_both_lambda_spellings_are_rejected():
+    assert get_measure("wu-lambda", lam=0.5).label() == "wu-lambda(lambda=0.5)"
+    assert get_measure("wu-lambda", **{"lambda": 0.5}).label() == "wu-lambda(lambda=0.5)"
+    with pytest.raises(InvalidMeasureParamsError, match="twice"):
+        get_measure("wu-lambda", lam=0.5, **{"lambda": 0.7})
+
+
 def test_descriptor_without_kernel_is_rejected():
     md = get_measure("wu")
     with pytest.raises(InvalidMeasureParamsError):
