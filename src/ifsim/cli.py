@@ -21,6 +21,12 @@ column order, fixed formatting, newline-terminated rows).
 
 Exit codes: 0 success, 1 any audit or scenario check failed, 2 usage or
 parse errors (malformed input never produces a bare traceback).
+
+Each process imports only what its command runs: audit, recognition and
+scenarios are imported inside the commands that use them, and building
+the parser imports none of them, so --help of repro and curve does not
+list the scenario and family ids (README lists them, and an unknown id
+exits 2 with the known ones).
 """
 
 from __future__ import annotations
@@ -29,14 +35,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .audit import AuditConfig, audit_distance, audit_entropy
 from .core import IFS, IfsimError, WeightVector, uniform_weights
 from .datasets import BUILTIN_DATASET_NAMES, _parse_weights, resolve_dataset
 from .measures import entropy_ifs
-from .recognition import PatternLibrary, classify
 from .registry import _PARAM_NAMES, MEASURE_NAMES, get_measure
-from .scenarios import FAMILY_IDS, SCENARIO_IDS, CurveTable, run_scenario, sweep_curve
+
+if TYPE_CHECKING:
+    from .scenarios import CurveTable
 
 _AUDIT_CHOICES = MEASURE_NAMES + ("entropy",)
 
@@ -100,12 +107,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro", help="run golden-value scenarios")
     p.add_argument("--scenario", required=True,
-                   help=f"'all' or one of: {', '.join(SCENARIO_IDS)}")
+                   help="'all' or a scenario id")
     _add_out_flag(p)
 
     p = sub.add_parser("curve", help="tabulate a figure family")
     p.add_argument("--family", required=True,
-                   help=f"one of: {', '.join(FAMILY_IDS)} (fig3 = entropy-surface)")
+                   help="a figure family id (fig3 = entropy-surface)")
     p.add_argument("--steps", type=int, default=101)
     _add_out_flag(p)
     p.add_argument("--format", choices=("text", "csv"), default="csv")
@@ -178,6 +185,8 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from .audit import AuditConfig, audit_distance, audit_entropy
+
     params = _measure_params(args)  # also rejects --lambda/--gamma for the entropy
     config = AuditConfig(
         grid_step=args.grid_step,
@@ -196,6 +205,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from .recognition import PatternLibrary, classify
+
     sets, data_w = resolve_dataset(args.data)
     sample = _get_set(sets, args.sample)
     patterns = tuple((name, ifs) for name, ifs in sets.items() if name != args.sample)
@@ -219,6 +230,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_repro(args: argparse.Namespace) -> int:
+    from .scenarios import SCENARIO_IDS, run_scenario
+
     ids = SCENARIO_IDS if args.scenario == "all" else (args.scenario,)
     reports = [run_scenario(s) for s in ids]
     text = "\n\n".join(r.to_text() for r in reports) + "\n"
@@ -231,13 +244,14 @@ def _cmd_repro(args: argparse.Namespace) -> int:
 
 def _curve_text(table: CurveTable, csv: bool) -> str:
     sep = "," if csv else "  "
-    lines = [sep.join(table.columns)]
-    for row in table.rows:
-        lines.append(sep.join(_fmt(v) for v in row))
+    row = sep.join(["%.17g"] * len(table.columns))  # _fmt's format, one row at a time
+    lines = [sep.join(table.columns), *(row % tuple(r) for r in table.rows.tolist())]
     return "\n".join(lines) + "\n"
 
 
 def _cmd_curve(args: argparse.Namespace) -> int:
+    from .scenarios import sweep_curve
+
     table = sweep_curve(args.family, args.steps)
     _emit(_curve_text(table, csv=args.format == "csv"), args.out)
     return 0

@@ -95,11 +95,12 @@ def get_measure(name: str, **params: float) -> MeasureDescriptor:
     """
     if name not in _PARAM_NAMES:
         raise UnknownMeasureError(f"unknown measure {name!r}; known: {', '.join(MEASURE_NAMES)}")
+    wanted = _PARAM_NAMES[name]
     if "lam" in params:
         if "lambda" in params:
             raise InvalidMeasureParamsError("lambda given twice, as lam and as lambda")
-        params["lambda"] = params.pop("lam")
-    wanted = _PARAM_NAMES[name]
+        if "lambda" in wanted:  # elsewhere lam stays superfluous, under the name passed
+            params["lambda"] = params.pop("lam")
     missing = [p for p in wanted if p not in params]
     extra = [p for p in params if p not in wanted]
     if missing:

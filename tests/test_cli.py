@@ -1,11 +1,17 @@
-"""The command-line surface: values, exit codes, CSV stability."""
+"""The command-line surface: values, exit codes, CSV stability, and what
+each command imports."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from ifsim import builtin_dataset, dist_wu, dist_xiao, entropy_ifs, sim_wu_lambda
-from ifsim.cli import main
+from ifsim.cli import _curve_text, _fmt, main
+from ifsim.scenarios import FAMILY_IDS, SCENARIO_IDS, sweep_curve
 
 AUDIT_FAST = ["--grid-step", "0.1", "--samples", "400", "--seed", "7"]
 
@@ -210,6 +216,7 @@ class TestReproCommand:
         code, _, err = run(capsys, "repro", "--scenario", "nope")
         assert code == 2
         assert "unknown scenario" in err
+        assert f"known: {', '.join(SCENARIO_IDS)}" in err  # --help does not list them
 
     def test_all_reports_known_discrepancy(self, capsys):
         # tab2-distances carries the documented source inconsistency, so the
@@ -266,3 +273,90 @@ class TestCurveCommand:
         code, _, err = run(capsys, "curve", "--family", "fig99")
         assert code == 2
         assert "unknown curve family" in err
+        assert f"known: {', '.join(FAMILY_IDS)}" in err  # --help does not list them
+
+
+def _curve_text_per_value(table, csv):
+    sep = "," if csv else "  "
+    lines = [sep.join(table.columns)]
+    lines += [sep.join(_fmt(v) for v in row) for row in table.rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("family", [*FAMILY_IDS, "fig3"])
+@pytest.mark.parametrize("steps", [2, 7, 101])
+def test_curve_rows_format_as_each_value(family, steps):
+    table = sweep_curve(family, steps)
+    for csv in (True, False):
+        assert _curve_text(table, csv) == _curve_text_per_value(table, csv)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+LAZY = ("ifsim.audit", "ifsim.recognition", "ifsim.scenarios")
+SCENARIO_MODULES = {"ifsim.recognition", "ifsim.scenarios"}  # scenarios imports recognition
+
+
+def run_fresh(code: str) -> str:
+    """Run code in a fresh interpreter on src/; its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# bare import, the two --help texts that used to list ids, and the mix of
+# commands that the benchmark times, on cheap arguments
+@pytest.mark.parametrize("argv,loaded", [
+    (None, set()),
+    (["repro", "--help"], set()),
+    (["curve", "--help"], set()),
+    (["repro", "--scenario", "ex1-xiao-s4"], SCENARIO_MODULES),
+    (["curve", "--family", "fig10", "--steps", "3"], SCENARIO_MODULES),
+    (["curve", "--family", "entropy-surface", "--steps", "3"], SCENARIO_MODULES),
+    (["classify", "--measure", "wu", "--data", "tableIII", "--sample", "S1"],
+     {"ifsim.recognition"}),
+    (["dist", "--measure", "wu", "--data", "tableI_case1", "--left", "A", "--right", "B"], set()),
+    (["sim", "--measure", "wu-lambda", "--lambda", "0.5", "--data", "tableIII", "--left", "P3",
+      "--right", "S1"], set()),
+    (["entropy", "--data", "tableIII", "--set", "P1"], set()),
+    (["audit", "--measure", "entropy", *AUDIT_FAST], {"ifsim.audit"}),
+], ids=lambda v: ("import ifsim" if v is None
+                   else " ".join(v if isinstance(v, list) else sorted(v))))
+def test_each_command_imports_only_what_it_runs(argv, loaded):
+    code = "import contextlib, io, json, sys\nimport ifsim\n"
+    if argv is not None:
+        code += ("import ifsim.cli\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    ifsim.cli.main({argv!r})\n")
+    code += f"print(json.dumps([m for m in {LAZY!r} if m in sys.modules]))\n"
+    assert set(json.loads(run_fresh(code))) == loaded
+
+
+def test_package_contract():
+    run_fresh("""
+import importlib, sys, types
+import ifsim
+
+lazy = ("audit", "recognition", "scenarios")
+assert not any(f"ifsim.{m}" in sys.modules for m in lazy)
+assert set(ifsim.__all__) <= set(dir(ifsim))
+for m in lazy:
+    assert getattr(ifsim, m) is sys.modules[f"ifsim.{m}"]
+    assert isinstance(getattr(ifsim, m), types.ModuleType)
+homes = [importlib.import_module(f"ifsim.{m}") for m in (
+    "audit", "baselines", "core", "datasets", "measures", "recognition", "registry", "scenarios")]
+for name in ifsim.__all__:
+    value = getattr(ifsim, name)
+    defining = [home for home in homes if name in vars(home)] or [ifsim]
+    assert all(vars(home)[name] is value for home in defining), name
+ns = {}
+exec("from ifsim import *", ns)
+assert all(ns[name] is getattr(ifsim, name) for name in ifsim.__all__)
+try:
+    ifsim.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("ifsim.no_such_name resolved")
+""")

@@ -43,6 +43,12 @@ def test_both_lambda_spellings_are_rejected():
         get_measure("wu-lambda", lam=0.5, **{"lambda": 0.7})
 
 
+@pytest.mark.parametrize("params,spelling", [({"lam": 0.5}, "lam"), ({"lambda": 0.5}, "lambda")])
+def test_superfluous_param_is_named_as_passed(params, spelling):
+    with pytest.raises(InvalidMeasureParamsError, match=f"does not take: {spelling}$"):
+        get_measure("wu", **params)
+
+
 def test_descriptor_without_kernel_is_rejected():
     md = get_measure("wu")
     with pytest.raises(InvalidMeasureParamsError):
