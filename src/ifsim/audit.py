@@ -48,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import OutOfRangeError
+from .core import OutOfRangeError, _is_int
 from . import measures
 from .measures import _blocked, channel_sum, js_norm_batch
 from .registry import MeasureDescriptor
@@ -82,11 +82,6 @@ class AuditConfig:
             raise OutOfRangeError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise OutOfRangeError(f"seed must be a non-negative integer, got {self.seed!r}")
-
-
-def _is_int(x) -> bool:
-    """An int or numpy integer, not a bool."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -298,9 +293,7 @@ def _graded(margin: np.ndarray, tol: float, columns: dict, strict: bool = False)
 # ---------------------------------------------------------------------------
 
 def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
-    """Audit a distance-kind measure against S1-S5 and the triangle inequality."""
-    if m.kind != "distance":
-        raise OutOfRangeError(f"audit_distance needs a distance measure, got kind={m.kind!r}")
+    """Audit a measure's distance against S1-S5 and the triangle inequality."""
     t0 = time.perf_counter()
     tol = config.tolerance
     plan = _Plan(config)

@@ -22,7 +22,6 @@ to [0, 1].
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -149,11 +148,10 @@ def _j_finish(total: np.ndarray, scale: float, what: str) -> np.ndarray:
     return _clamp_nonneg(-(0.0 + total) / scale, what)
 
 
-@lru_cache(maxsize=64, typed=True)
 def j_gamma_split(gamma: float) -> KernelSplit:
     """The (mu, nu, pi) split of J_gamma: the natural-log branch and
     -total/2 within GAMMA_BRANCH_TOL of gamma == 1, the power branch and
-    -total/(gamma-1) elsewhere.  Cached: each kernel call looks it up."""
+    -total/(gamma-1) elsewhere."""
     if not (0.0 < gamma < math.inf):
         raise InvalidGammaError(f"gamma must be finite and > 0, got {gamma!r}")
     if abs(gamma - 1.0) < GAMMA_BRANCH_TOL:

@@ -33,7 +33,10 @@ WEIGHT_SUM_TOL = 1e-9
 
 
 class IfsimError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.  str() is the plain
+    message, also for the subclasses of KeyError, which would quote it."""
+
+    __str__ = Exception.__str__
 
 
 class OutOfRangeError(IfsimError, ValueError):
@@ -52,6 +55,11 @@ class WeightLengthMismatchError(IfsimError, ValueError):
     """A weight vector's length differs from the universe size."""
 
 
+def _is_int(x) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class IFV:
     """An intuitionistic fuzzy value <mu, nu>."""
@@ -60,8 +68,11 @@ class IFV:
     nu: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "nu", float(self.nu))
+        try:
+            object.__setattr__(self, "mu", float(self.mu))
+            object.__setattr__(self, "nu", float(self.nu))
+        except OverflowError:
+            raise OutOfRangeError("a degree is too large for a float") from None
         for name, v in (("mu", self.mu), ("nu", self.nu)):
             if not (0.0 <= v <= 1.0):
                 raise OutOfRangeError(f"{name}={v!r} outside [0, 1]")
@@ -164,12 +175,15 @@ class IFS:
     ) -> "IFS":
         """Build an IFS from (mu, nu) pairs, an iterable or an (n, 2) array;
         labels default to x1..xn."""
-        if isinstance(pairs, np.ndarray):
-            rows = np.array(pairs, dtype=np.float64)
-        else:
-            rows = _pair_rows(list(pairs))
-            if rows is None:
-                raise OutOfRangeError("every pair must hold two degrees (mu, nu)")
+        try:
+            if isinstance(pairs, np.ndarray):
+                rows = np.array(pairs, dtype=np.float64)
+            else:
+                rows = _pair_rows(list(pairs))
+        except OverflowError:
+            raise OutOfRangeError("a degree is too large for a float") from None
+        if rows is None:
+            raise OutOfRangeError("every pair must hold two degrees (mu, nu)")
         if rows.ndim != 2 or rows.shape[1] != 2:
             raise OutOfRangeError(f"pairs must form an (n, 2) array, got shape {rows.shape}")
         degrees = np.ascontiguousarray(rows.T)
@@ -251,7 +265,10 @@ class WeightVector:
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(map(float, self.weights)))
+        try:
+            object.__setattr__(self, "weights", tuple(map(float, self.weights)))
+        except OverflowError:
+            raise OutOfRangeError("a weight is too large for a float") from None
         if len(self.weights) < 1:
             raise OutOfRangeError("weight vector must be non-empty")
         array = np.array(self.weights, dtype=np.float64)
@@ -273,9 +290,9 @@ class WeightVector:
 
 
 def uniform_weights(n: int) -> WeightVector:
-    """Uniform weights (1/n, ..., 1/n)."""
-    if n < 1:
-        raise OutOfRangeError(f"n must be >= 1, got {n}")
+    """Uniform weights (1/n, ..., 1/n); n must be an integer >= 1."""
+    if not _is_int(n) or n < 1:
+        raise OutOfRangeError(f"n must be an integer >= 1, got {n!r}")
     return WeightVector((1.0 / n,) * n)
 
 

@@ -27,6 +27,7 @@ test sample, with uniform 1/3 weights).
 from __future__ import annotations
 
 import json
+import reprlib
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -56,7 +57,8 @@ def _check_pairs(name: str, raw_pairs: list) -> None:
         try:
             IFV(pair[0], pair[1])
         except IfsimError as exc:
-            raise DatasetValidationError(f"set {name!r}, pair {i + 1} {pair!r}: {exc}") from exc
+            raise DatasetValidationError(
+                f"set {name!r}, pair {i + 1} {reprlib.repr(pair)}: {exc}") from exc
 
 
 def _parse_degrees(name: str, raw_pairs, n: int) -> np.ndarray:

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -176,7 +175,10 @@ class KernelSplit(namedtuple("KernelSplit", "channels term finish stacked", defa
     split is the kernel.  A stacked split runs its term once on both sides'
     stacked channels (_channels), which saves numpy calls for a term of many
     steps; an unstacked one runs it per channel, which saves the stacks'
-    copies for a term of few steps.  The bits are the same either way.
+    copies for a term of few steps.  The bits are the same either way
+    (tests/test_kernel_digest.py).  An unstacked term gets each channel as
+    it is, 0-d in a scalar call, so it must accept 0-d arrays and numpy
+    scalars; _l_stacked and _ln_branch do not.
 
     A namedtuple, not a frozen dataclass: building that class at import
     takes over 1 ms, which every CLI run would pay.
@@ -203,14 +205,12 @@ def _sqrt_half(z: np.ndarray) -> np.ndarray:
 WU_SPLIT = KernelSplit(_wu_channels, _l_stacked, _sqrt_half)
 
 
-@lru_cache(maxsize=64, typed=True)
 def wu_lambda_split(lam: float) -> KernelSplit:
     """WU_SPLIT with every mu and nu entering as mu**lam / nu**lam; calling
-    it is the parametric kernel.  Cached: each set-level call looks it up.
-    Known limit: the powers are taken before the kernel, so a degree whose
-    power underflows becomes 0.0 and can give a false zero.  At lam = 2,
-    <0.3, 1e-200> vs <0.3, 0> gives 0.0, though the exact value is
-    sqrt(1e-400 / 2) ~ 7.07e-201.
+    it is the parametric kernel.  Known limit: the powers are taken before
+    the kernel, so a degree whose power underflows becomes 0.0 and can give
+    a false zero.  At lam = 2, <0.3, 1e-200> vs <0.3, 0> gives 0.0, though
+    the exact value is sqrt(1e-400 / 2) ~ 7.07e-201.
     """
     _check_lambda(lam)
     return KernelSplit(lambda mu, nu: _wu_channels(mu ** lam, nu ** lam), _l_stacked, _sqrt_half)
@@ -233,7 +233,10 @@ def l_divergence(p: float, q: float) -> float:
     """Two-point JS building block L(p, q); requires p >= 0 and q >= 0
     (NegativeInputError), and finite p and q whose doubled sum 2(p + q)
     does not overflow (OutOfRangeError), so that 2p/s is finite."""
-    p, q = float(p), float(q)  # Python floats: an overflow below raises no warning
+    try:  # Python floats: an overflow below raises no warning
+        p, q = float(p), float(q)
+    except OverflowError:
+        raise OutOfRangeError("L requires p and q within the float range") from None
     if p < 0.0 or q < 0.0:
         raise NegativeInputError(f"L requires non-negative arguments, got ({p!r}, {q!r})")
     if not math.isfinite(2.0 * (p + q)):  # false for nan, inf and overflow

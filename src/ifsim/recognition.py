@@ -1,7 +1,7 @@
 """Max-similarity pattern classification.
 
-A test sample is scored against every pattern in a library; distance-kind
-measures score as 1 - d.  The library keeps its patterns' degrees as one
+A test sample is scored against every pattern in a library; each score is
+1 - d, for d the distance.  The library keeps its patterns' degrees as one
 read-only (2, P, n) stack in name order, and classify scores the sample
 against all of them with one evaluator call, which returns one value per
 pattern (measures.aggregate blocks the kernel work).  Each value has the
@@ -83,8 +83,7 @@ def classify(
         raise OutOfRangeError(f"tie_tol must be >= 0, got {tie_tol!r}")
     if sample.universe != lib.universe:
         raise UniverseMismatchError("sample universe differs from the library universe")
-    values = measure.evaluator(lib, sample, lib.weights)
-    scores = 1.0 - values if measure.kind == "distance" else values
+    scores = 1.0 - measure.evaluator(lib, sample, lib.weights)
     # stable, and the stack is in name order: ties keep name order
     order = np.argsort(-scores, kind="stable")
     scored = tuple(zip([lib.names[i] for i in order.tolist()], scores[order].tolist()))

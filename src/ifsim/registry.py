@@ -20,12 +20,12 @@ gamma); each param must be finite and > 0.  wu and wu-lambda aggregate as
 a weighted sum (uniform weights when none are given).  xiao, yc and jgamma
 ignore the weight vector: xiao and yc average with fixed 1/n as published,
 and jgamma is a per-value divergence exposed through its unweighted
-elementwise mean.
+elementwise mean.  Every measure is a distance d, scored as 1 - d.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Union
 
 import numpy as np
@@ -49,20 +49,13 @@ class InvalidMeasureParamsError(IfsimError, ValueError):
 
 @dataclass(frozen=True)
 class MeasureDescriptor:
-    """A named measure usable by audit, classify, and the repro runner."""
+    """A named distance usable by audit, classify, and the repro runner."""
 
     name: str
-    kind: str  # "distance" or "similarity"
-    params: Mapping[str, float] = field(default_factory=dict)
-    evaluator: Evaluator = None  # type: ignore[assignment]
-    pair_batch: BatchKernel = None  # type: ignore[assignment]
+    params: Mapping[str, float]
+    evaluator: Evaluator
+    pair_batch: BatchKernel
     split: Optional[measures.KernelSplit] = None  # pair_batch's decomposition, if any
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("distance", "similarity"):
-            raise InvalidMeasureParamsError(f"kind must be distance/similarity, got {self.kind!r}")
-        if self.evaluator is None or self.pair_batch is None:
-            raise InvalidMeasureParamsError("evaluator and pair_batch kernel are required")
 
     def label(self) -> str:
         if not self.params:
@@ -107,7 +100,11 @@ def get_measure(name: str, **params: float) -> MeasureDescriptor:
         raise InvalidMeasureParamsError(f"measure {name!r} requires parameter(s): {', '.join(missing)}")
     if extra:
         raise InvalidMeasureParamsError(f"measure {name!r} does not take: {', '.join(extra)}")
-    params = {k: float(v) for k, v in params.items()}
+    try:
+        params = {k: float(v) for k, v in params.items()}
+    except OverflowError:
+        raise InvalidMeasureParamsError(
+            f"measure {name!r}: a parameter is too large for a float") from None
     # Pinned by perfbench/layers.py, which traces by rebinding module
     # attributes and dataclasses.replace(md, evaluator=, pair_batch=), and
     # whose test wants every layer metric > 0 and ifsim.audit.js_norm_batch:
@@ -131,4 +128,4 @@ def get_measure(name: str, **params: float) -> MeasureDescriptor:
         split = baselines.j_gamma_split(gamma)
         kernel = lambda *c: baselines.j_gamma_batch(*c, gamma)
         ev = lambda a, b, w: measures.aggregate(kernel, a, b)
-    return MeasureDescriptor(name, "distance", params, ev, kernel, split)
+    return MeasureDescriptor(name, params, ev, kernel, split)

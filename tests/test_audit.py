@@ -11,13 +11,11 @@ from ifsim import (
     atanassov_strict_subset,
     audit_distance,
     audit_entropy,
-    dist_wu,
     get_measure,
     grid_points,
     uniform_weights,
 )
 from ifsim import audit
-from ifsim.measures import js_norm_batch
 from ifsim.registry import MeasureDescriptor
 
 SMALL = AuditConfig(grid_step=0.05, random_pairs=3000, random_triples=3000,
@@ -158,14 +156,11 @@ class TestAuditDefectiveMeasures:
 
 
 class TestAuditPlumbing:
-    def test_distance_kind_required(self):
-        sim = MeasureDescriptor(
-            "sim-wu", "similarity", {},
-            lambda a, b, w: 1.0 - dist_wu(a, b, w if w is not None else uniform_weights(len(a))),
-            lambda *c: 1.0 - js_norm_batch(*c),
-        )
-        with pytest.raises(OutOfRangeError):
-            audit_distance(sim, SMALL)
+    def test_entry_of_unknown_axiom(self):
+        report = audit.AxiomReport("wu", (audit.AxiomCheck("S1", "pass"),))
+        assert report.entry("S1").verdict == "pass"
+        with pytest.raises(KeyError):
+            report.entry("S9")
 
     def test_counts_reported(self):
         report = audit_distance(get_measure("wu"), SMALL)
@@ -200,7 +195,7 @@ def _stepped(step: float) -> MeasureDescriptor:
         same = (ma == mb) & (na == nb)
         spread = np.abs(ma - mb) + np.abs(na - nb)
         return np.where(same, 0.0, np.where(spread > 0.3, 0.5 - step, 0.5))
-    return MeasureDescriptor("stepped", "distance", {}, lambda a, b, w: 0.0, kernel)
+    return MeasureDescriptor("stepped", {}, lambda a, b, w: 0.0, kernel)
 
 
 def _chain_rows(config: AuditConfig, weak: bool) -> np.ndarray:
@@ -226,6 +221,13 @@ class TestChainGrading:
     TOL = SMALL.tolerance
     BELOW = np.floor(TOL * 2.0 ** 53) / 2.0 ** 53  # the largest step <= tol
     ABOVE = BELOW + 2.0 ** -53  # the smallest step > tol
+
+    def test_indeterminate_label_and_text(self):
+        report = audit_distance(_stepped(self.BELOW), SMALL)
+        entry = report.entry("S4")
+        assert entry.verdict_label() == "indeterminate at tolerance"
+        line = f"  S4         indeterminate at tolerance  [{entry.detail}]"
+        assert line in report.to_text().split("\n")
 
     def test_steps_bracket_tolerance(self):
         assert 0.0 < self.BELOW <= self.TOL < self.ABOVE

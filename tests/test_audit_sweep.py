@@ -116,7 +116,7 @@ def _canonical(sweep: dict) -> str:
 
 def _symmetric_kernel(f):
     """A deliberately defective but exactly symmetric distance."""
-    return MeasureDescriptor("defective", "distance", {}, lambda a, b, w: 0.0, f)
+    return MeasureDescriptor("defective", {}, lambda a, b, w: 0.0, f)
 
 
 def _l1(ma, na, mb, nb):
@@ -242,7 +242,7 @@ def test_replaced_kernel_and_evaluator_keep_the_split(name):
 def test_descriptor_without_split_is_swept_through_pair_batch():
     wu = get_measure("wu")
     cells = []
-    plain = MeasureDescriptor("wu", "distance", {}, wu.evaluator, _counting(wu.pair_batch, cells))
+    plain = MeasureDescriptor("wu", {}, wu.evaluator, _counting(wu.pair_batch, cells))
     assert plain.split is None
     grid = grid_points(0.05)
     sweep = audit._grid_matrix_sweep(plain, grid, TOL)

@@ -9,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from ifsim import builtin_dataset, dist_wu, dist_xiao, entropy_ifs, sim_wu_lambda
+from ifsim import (IFS, builtin_dataset, dist_wu, dist_xiao, entropy_ifs, sim_wu_lambda,
+                   uniform_weights)
 from ifsim.cli import _curve_text, _fmt, main
 from ifsim.scenarios import FAMILY_IDS, SCENARIO_IDS, sweep_curve
 
 AUDIT_FAST = ["--grid-step", "0.1", "--samples", "400", "--seed", "7"]
+BIG = 10**400  # an int too large for a float
 
 
 def run(capsys, *argv):
@@ -76,6 +78,18 @@ class TestDistSim:
         assert code == 0
         assert float(out) > 0.0
 
+    def test_uniform_weights_override_the_dataset_weights(self, capsys, tmp_path):
+        data = tmp_path / "d.json"
+        pairs = {"A": [[0.3, 0.2], [0.4, 0.3]], "B": [[0.15, 0.25], [0.05, 0.85]]}
+        data.write_text(json.dumps({"universe": ["x1", "x2"], "sets": pairs,
+                                    "weights": [0.25, 0.75]}), encoding="utf-8")
+        argv = ["dist", "--measure", "wu", "--data", str(data), "--left", "A", "--right", "B"]
+        _, weighted, _ = run(capsys, *argv)
+        code, out, _ = run(capsys, *argv, "--weights", "uniform")
+        a, b = (IFS.from_pairs(p) for p in pairs.values())
+        assert code == 0
+        assert float(out) == dist_wu(a, b, uniform_weights(2)) != float(weighted)
+
     def test_unknown_set_name(self, capsys):
         code, _, err = run(capsys, "dist", "--measure", "wu", "--data", "tableI_case1",
                            "--left", "A", "--right", "Z")
@@ -135,6 +149,24 @@ class TestMalformedFiles:
         wfile.write_text(text, encoding="utf-8")
         err = self.run_error(capsys, "--data", "tableI_case1", "--weights", str(wfile))
         assert str(wfile) in err and message in err
+
+    @pytest.mark.parametrize("sets,weights,message", [
+        ({"A": [[0.3, 0.2]], "B": [[BIG, 0]]}, None, "set 'B', pair 1 [1000"),
+        ({"A": [[0.3, 0.2]], "B": [[0.1, 0.2]]}, [BIG], "weights (1 entries): a weight is too large"),
+    ])
+    def test_int_too_large_for_a_float_in_data_file(self, capsys, tmp_path, sets, weights, message):
+        data = tmp_path / "big.json"
+        doc = {"universe": ["x1"], "sets": sets, **({"weights": weights} if weights else {})}
+        data.write_text(json.dumps(doc), encoding="utf-8")
+        err = self.run_error(capsys, "--data", str(data))
+        assert message in err and "too large for a float" in err and len(err) < 120
+
+    def test_int_too_large_for_a_float_in_weights_file(self, capsys, tmp_path):
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps([BIG, 0.5]), encoding="utf-8")
+        err = self.run_error(capsys, "--data", "tableI_case1", "--weights", str(wfile))
+        assert err == (f"error: weights file {str(wfile)!r}: "
+                       "weights (2 entries): a weight is too large for a float\n")
 
 
 class TestEntropyCommand:
@@ -198,6 +230,25 @@ class TestClassifyCommand:
         assert lines[0] == "pattern,similarity"
         assert len(lines) == 4
 
+    def test_dataset_of_only_the_sample(self, capsys, tmp_path):
+        data = tmp_path / "d.json"
+        data.write_text(json.dumps({"universe": ["x1"], "sets": {"S": [[0.3, 0.2]]}}),
+                        encoding="utf-8")
+        code, out, err = run(capsys, "classify", "--measure", "wu", "--data", str(data),
+                             "--sample", "S")
+        assert (code, out) == (2, "")
+        assert err == "error: dataset holds no patterns besides the sample\n"
+
+    def test_identical_patterns_are_undecided(self, capsys, tmp_path):
+        data = tmp_path / "d.json"
+        pairs = [[0.3, 0.2], [0.4, 0.3]]
+        data.write_text(json.dumps({"universe": ["x1", "x2"], "sets": {
+            "P": pairs, "Q": pairs, "S": [[0.1, 0.6], [0.2, 0.2]]}}), encoding="utf-8")
+        code, out, _ = run(capsys, "classify", "--measure", "wu", "--data", str(data),
+                           "--sample", "S")
+        assert code == 0
+        assert out.endswith("\nundecided (tie margin 0 <= 0.0001)\n")
+
     def test_nan_tie_tol_rejected(self, capsys):
         code, out, err = run(capsys, "classify", "--measure", "wu", "--data", "tableIII",
                              "--sample", "S1", "--tie-tol", "nan")
@@ -215,8 +266,8 @@ class TestReproCommand:
     def test_unknown_scenario(self, capsys):
         code, _, err = run(capsys, "repro", "--scenario", "nope")
         assert code == 2
-        assert "unknown scenario" in err
-        assert f"known: {', '.join(SCENARIO_IDS)}" in err  # --help does not list them
+        # --help does not list the ids
+        assert err == f"error: unknown scenario 'nope'; known: {', '.join(SCENARIO_IDS)}\n"
 
     def test_all_reports_known_discrepancy(self, capsys):
         # tab2-distances carries the documented source inconsistency, so the
@@ -272,8 +323,8 @@ class TestCurveCommand:
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "curve", "--family", "fig99")
         assert code == 2
-        assert "unknown curve family" in err
-        assert f"known: {', '.join(FAMILY_IDS)}" in err  # --help does not list them
+        # --help does not list the ids
+        assert err == f"error: unknown curve family 'fig99'; known: {', '.join(FAMILY_IDS)}\n"
 
 
 def _curve_text_per_value(table, csv):

@@ -25,6 +25,8 @@ from ifsim import (
     uniform_weights,
 )
 
+BIG = 10**400  # an int too large for a float
+
 
 class TestMakeIfv:
     """Building an IFV validates its degrees."""
@@ -53,6 +55,11 @@ class TestMakeIfv:
     def test_values_stored_as_given(self):
         v = IFV(0.3, 0.7)
         assert (v.mu, v.nu) == (0.3, 0.7)
+
+    @pytest.mark.parametrize("mu,nu", [(BIG, 0.0), (0.0, BIG)])
+    def test_int_too_large_for_a_float(self, mu, nu):
+        with pytest.raises(OutOfRangeError, match="^a degree is too large for a float$"):
+            IFV(mu, nu)
 
 
 class TestIndeterminacy:
@@ -177,6 +184,22 @@ class TestWeights:
     def test_uniform_invalid_n(self):
         with pytest.raises(OutOfRangeError):
             uniform_weights(0)
+
+    @pytest.mark.parametrize("n", [2.5, True])
+    def test_uniform_n_must_be_an_integer(self, n):
+        with pytest.raises(OutOfRangeError, match=f"^n must be an integer >= 1, got {n!r}$"):
+            uniform_weights(n)
+
+    def test_uniform_numpy_integer_n(self):
+        assert uniform_weights(np.int64(2)) == uniform_weights(2)
+
+    def test_empty_rejected(self):
+        with pytest.raises(OutOfRangeError, match="non-empty"):
+            WeightVector(())
+
+    def test_int_too_large_for_a_float(self):
+        with pytest.raises(OutOfRangeError, match="^a weight is too large for a float$"):
+            WeightVector((0.5, BIG))
 
     def test_sum_must_be_one(self):
         with pytest.raises(OutOfRangeError):
@@ -310,6 +333,12 @@ class TestIfsStorage:
         for pairs in ([(0.1, 0.2), (0.5, 0.5 + 1.5e-9)], np.array([(0.1, 0.2), (0.5, 0.5 + 1.5e-9)])):
             with pytest.raises(SimplexViolationError):
                 IFS.from_pairs(pairs)
+
+    @pytest.mark.parametrize("pairs", [[(0.1, 0.2), (BIG, 0.0)],
+                                       np.array([(0.1, 0.2), (0.0, BIG)], dtype=object)])
+    def test_int_too_large_for_a_float(self, pairs):
+        with pytest.raises(OutOfRangeError, match="^a degree is too large for a float$"):
+            IFS.from_pairs(pairs)
 
     def test_non_ifv_values(self):
         with pytest.raises(OutOfRangeError, match="IFVs"):

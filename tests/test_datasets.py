@@ -101,6 +101,29 @@ class TestParsing:
         with pytest.raises(DatasetValidationError, match="unique"):
             parse_dataset(doc)
 
+    @pytest.mark.parametrize("doc,message", [
+        ('[1, 2]', "^top level must be an object$"),
+        ('{"universe": ["x"], "sets": [[[0.3, 0.2]]]}', "^field 'sets': expected a non-empty object"),
+        ('{"universe": ["x"], "sets": {"A": {"x": [0.3, 0.2]}}}', "^set 'A': expected a list of"),
+    ])
+    def test_wrong_structure(self, doc, message):
+        with pytest.raises(DatasetParseError, match=message):
+            parse_dataset(doc)
+
+    def test_int_too_large_for_a_float_in_a_pair(self):
+        doc = '{"universe": ["x1", "x2"], "sets": {"A": [[0.3, 0.2], [0, 1%s]]}}' % ("0" * 400)
+        with pytest.raises(DatasetValidationError) as info:
+            parse_dataset(doc)
+        message = str(info.value)
+        assert message.startswith("set 'A', pair 2 [0, 1000")
+        assert message.endswith("]: a degree is too large for a float") and len(message) < 100
+
+    def test_int_too_large_for_a_float_in_the_weights(self):
+        doc = '{"universe": ["x"], "sets": {"A": [[0.3, 0.2]]}, "weights": [1%s]}' % ("0" * 400)
+        with pytest.raises(DatasetValidationError,
+                           match=r"^weights \(1 entries\): a weight is too large for a float$"):
+            parse_dataset(doc)
+
 
 class TestVectorParsing:
     """Sets are checked as arrays; a failed check still names the first
@@ -186,6 +209,17 @@ def _datasets(draw):
 def test_round_trip_property(dataset):
     sets, weights = dataset
     assert parse_dataset(dumps_dataset(sets, weights)) == (sets, weights)
+
+
+class TestDumpsRejects:
+    def test_empty_dataset(self):
+        with pytest.raises(DatasetValidationError, match="^cannot serialize an empty dataset$"):
+            dumps_dataset({})
+
+    def test_sets_over_two_universes(self):
+        sets = {"A": IFS.from_pairs([(0.3, 0.2)], ["x"]), "B": IFS.from_pairs([(0.3, 0.2)], ["y"])}
+        with pytest.raises(DatasetValidationError, match="^all sets must share one universe$"):
+            dumps_dataset(sets)
 
 
 class TestRoundTrip:

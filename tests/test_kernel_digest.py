@@ -148,6 +148,21 @@ def test_exact_reference(name):
     assert abs_err <= 1e-12
 
 
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_stacked_and_unstacked_split_agree(name):
+    # every channel at least 1-D: an unstacked _l_stacked or _ln_branch
+    # term rejects a channel that is 0-d on both sides
+    measure, params = CONFIGS[name]
+    split = get_measure(measure, **params).split
+    flipped = split._replace(stacked=not split.stacked)
+    calls = [(a[:, 0], a[:, 1], b[:, 0], b[:, 1]) for a, b in (_uniform_pairs(), edge_pairs())]
+    calls += [tuple(np.atleast_1d(np.asarray(x, dtype=float)) for x in args)
+              for args in _scenario_calls()]
+    for args in calls:
+        x, y = split(*args), flipped(*args)
+        assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+
+
 if __name__ == "__main__":
     digests = {name: kernel_digest(name) for name in CONFIGS}
     GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")

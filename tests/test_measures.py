@@ -83,6 +83,11 @@ class TestLDivergence:
         with pytest.raises(OutOfRangeError):
             l_divergence(p, q)
 
+    @pytest.mark.parametrize("p, q", [(10**400, 1), (1, 10**400)])
+    def test_int_too_large_for_a_float(self, p, q):
+        with pytest.raises(OutOfRangeError, match="^L requires p and q within the float range$"):
+            l_divergence(p, q)
+
     @given(
         ifvs().map(lambda v: 3.0 * v.mu),  # any non-negative reals are admissible
         ifvs().map(lambda v: 3.0 * v.nu),

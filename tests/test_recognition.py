@@ -13,7 +13,6 @@ from ifsim import (
     WeightVector,
     builtin_dataset,
     classify,
-    dist_wu,
     get_measure,
     uniform_weights,
 )
@@ -81,22 +80,6 @@ class TestClassifyBehavior:
         md = get_measure("wu-lambda", lam=1 / 3)
         assert classify(base, sets["S1"], md) == classify(shuffled, sets["S1"], md)
 
-    def test_distance_and_dual_similarity_rank_identically(self):
-        sets, w = builtin_dataset("tableIII")
-        lib = PatternLibrary(tuple((n, sets[n]) for n in ("P1", "P2", "P3")), w)
-        dist_md = get_measure("wu")
-        sim_md = MeasureDescriptor(
-            "wu-dual", "similarity", {},
-            lambda a, b, wv: 1.0 - dist_wu(a, b, wv if wv is not None else uniform_weights(len(a))),
-            lambda *c: 1.0 - js_norm_batch(*c),
-        )
-        r_dist = classify(lib, sets["S1"], dist_md)
-        r_sim = classify(lib, sets["S1"], sim_md)
-        assert [n for n, _ in r_dist.scores] == [n for n, _ in r_sim.scores]
-        assert r_dist.winner == r_sim.winner
-        for (_, a), (_, b) in zip(r_dist.scores, r_sim.scores):
-            assert a == pytest.approx(b, abs=1e-15)
-
 
 class TestClassifyValidation:
     def test_universe_mismatch(self):
@@ -127,9 +110,11 @@ class TestClassifyValidation:
         with pytest.raises(OutOfRangeError):
             PatternLibrary((("P", sets["P1"]), ("P", sets["P2"])), w)
 
-
-def _sim_kernel(*c):
-    return 1.0 - js_norm_batch(*c)
+    def test_patterns_over_different_universes_rejected(self):
+        sets, w = builtin_dataset("tableIII")
+        other = IFS.from_pairs(sets["P2"].degrees.T, ["y1", "y2", "y3"])
+        with pytest.raises(UniverseMismatchError, match="^pattern 'P2' has a different universe$"):
+            PatternLibrary((("P1", sets["P1"]), ("P2", other)), w)
 
 
 EQUIVALENCE_MEASURES = {
@@ -139,19 +124,15 @@ EQUIVALENCE_MEASURES = {
     "yc": get_measure("yc"),
     "jgamma-1": get_measure("jgamma", gamma=1.0),
     "jgamma-2": get_measure("jgamma", gamma=2.0),
-    "wu-sim": MeasureDescriptor(
-        "wu-sim", "similarity", {}, lambda a, b, w: aggregate(_sim_kernel, a, b, w), _sim_kernel
-    ),
 }
 
 
 def _reference_classify(lib, sample, measure, tie_tol=1e-4):
-    """The per-pattern algorithm: one evaluator call per pattern, 1 - v for
-    a distance, then a sort on (score desc, name asc)."""
+    """The per-pattern algorithm: one evaluator call per pattern, scored
+    1 - d, then a sort on (score desc, name asc)."""
     scored = []
     for name, pattern in lib.patterns:
-        value = measure.evaluator(pattern, sample, lib.weights)
-        scored.append((name, 1.0 - value if measure.kind == "distance" else value))
+        scored.append((name, 1.0 - measure.evaluator(pattern, sample, lib.weights)))
     scored.sort(key=lambda item: (-item[1], item[0]))
     if len(scored) == 1:
         return ClassificationResult(tuple(scored), scored[0][0], False, math.inf)
@@ -231,9 +212,7 @@ class TestClassifyBlocks:
             shapes.append(out.shape)
             return out
 
-        md = MeasureDescriptor(
-            "wu-recorded", "distance", {}, lambda a, b, w: aggregate(kernel, a, b, w), kernel
-        )
+        md = MeasureDescriptor("wu-recorded", {}, lambda a, b, w: aggregate(kernel, a, b, w), kernel)
         rng = np.random.default_rng(p)
         rows = _random_degrees(rng, p + 1, n)
         universe = [f"x{j}" for j in range(n)]

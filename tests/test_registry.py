@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ifsim import IFS, InvalidMeasureParamsError, UniverseMismatchError, builtin_dataset, get_measure
-from ifsim.registry import MeasureDescriptor
+from ifsim.registry import MEASURE_NAMES, MeasureDescriptor, UnknownMeasureError
 
 BUILTINS = [
     ("wu", {}), ("wu-lambda", {"lambda": 0.5}), ("xiao", {}), ("yc", {}),
@@ -51,5 +51,26 @@ def test_superfluous_param_is_named_as_passed(params, spelling):
 
 def test_descriptor_without_kernel_is_rejected():
     md = get_measure("wu")
-    with pytest.raises(InvalidMeasureParamsError):
-        MeasureDescriptor("wu-no-kernel", "distance", {}, md.evaluator)
+    with pytest.raises(TypeError):
+        MeasureDescriptor("wu-no-kernel", {}, md.evaluator)
+
+
+def test_unknown_measure_lists_the_known_names():
+    with pytest.raises(UnknownMeasureError) as got:
+        get_measure("nope")
+    assert isinstance(got.value, KeyError)
+    assert str(got.value) == f"unknown measure 'nope'; known: {', '.join(MEASURE_NAMES)}"
+
+
+def test_missing_parameter_is_named():
+    with pytest.raises(InvalidMeasureParamsError,
+                       match=r"^measure 'jgamma' requires parameter\(s\): gamma$"):
+        get_measure("jgamma")
+
+
+@pytest.mark.parametrize("name,params", [("jgamma", {"gamma": 10**400}),
+                                         ("wu-lambda", {"lam": 10**400})])
+def test_parameter_too_large_for_a_float(name, params):
+    with pytest.raises(InvalidMeasureParamsError,
+                       match=f"^measure '{name}': a parameter is too large for a float$"):
+        get_measure(name, **params)
