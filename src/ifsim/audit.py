@@ -77,8 +77,13 @@ class AuditConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise OutOfRangeError(f"{name} must be an integer >= 1, got {value!r}")
-        # an infinite tolerance would grade the sweep's masked diagonal as a witness
-        if not (0.0 < self.tolerance < math.inf):
+        # an infinite tolerance would grade the sweep's masked diagonal as a
+        # witness; an int above the float range would overflow in the audits
+        try:
+            finite = 0.0 < self.tolerance and math.isfinite(self.tolerance)
+        except OverflowError:
+            raise OutOfRangeError("tolerance is too large for a float") from None
+        if not finite:
             raise OutOfRangeError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise OutOfRangeError(f"seed must be a non-negative integer, got {self.seed!r}")

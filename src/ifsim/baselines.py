@@ -9,9 +9,9 @@ Three published measures with known axiomatic defects:
 * dist_yc    — spherical distance (2/(n*pi)) * sum arccos(sqrt(mu1*mu2) +
   sqrt(nu1*nu2) + sqrt(pi1*pi2)); same two defects.
 * j_gamma    — power-mean divergence for gamma != 1 and the natural-log JS
-  divergence over (mu, nu, pi) at gamma == 1.  Per element, J_1 relates to
-  the per-element Xiao distance d by J_1 = ln2 * d**2 (verified numerically;
-  the commonly quoted form sqrt(J_1) = ln2 * d does not hold).
+  divergence over (mu, nu, pi) at gamma == 1, which per element is ln 2 / 2
+  times Xiao's channel sum, so J_1 = ln2 * d**2 for the per-element Xiao
+  distance d (the commonly quoted sqrt(J_1) = ln2 * d does not hold).
 
 These are kept faithful to their published forms: dist_xiao takes no weight
 vector, j_gamma is exposed per IFV with averaging left to callers, and
@@ -27,13 +27,11 @@ import numpy as np
 
 from .core import IFS, IFV, IfsimError
 from .measures import (
-    _SMALLEST_SUBNORMAL,
     KernelSplit,
     NumericalConsistencyError,
     _clamp_nonneg,
     _l_stacked,
     _sqrt_half,
-    _xlog,
     aggregate,
 )
 
@@ -117,47 +115,22 @@ def _power_branch(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
     return mid
 
 
-def _xlnx(x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """x * ln(x/scale) with 0*ln 0 = 0 (elementwise), through measures._xlog:
-    no np.where, the log's argument is raised to 1 where x == 0.
-
-    For the smallest subnormals x/scale underflows to 0 when scale > 1; the
-    quotient is then raised to the smallest subnormal, so the term stays
-    finite and within 1e-323 of its exact value.  No other quotient changes.
-    """
-    q = x / scale
-    if scale > 1.0:  # x/scale cannot underflow otherwise
-        np.maximum(q, _SMALLEST_SUBNORMAL, out=q)
-    return _xlog(x, q)
-
-
-def _ln_branch(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """(x+y)*ln((x+y)/2) - x*ln x - y*ln y with 0*ln 0 = 0 (elementwise).
-
-    Grouped as s - (x-term + y-term) so swapping x and y is bitwise neutral.
-    Exactly 0 where x == y: for subnormal x, 2x*ln(x) and 2*(x*ln x) round
-    to different multiples of the smallest subnormal, which would leave
-    J(a, a) = 5e-324 at a = <5e-324, 5e-324>.
-    """
-    return (_xlnx(x + y, scale=2.0) - (_xlnx(x) + _xlnx(y))) * (x != y)
-
-
-def _j_finish(total: np.ndarray, scale: float, what: str) -> np.ndarray:
+def _j_finish(total: np.ndarray, scale: float) -> np.ndarray:
     # 0.0 + total turns a -0.0 channel sum into +0.0 and keeps every other
     # bit; tests/golden_kernel_digest.json pins the resulting signs of zero
-    return _clamp_nonneg(-(0.0 + total) / scale, what)
+    return _clamp_nonneg(-(0.0 + total) / scale, "J_gamma")
 
 
 def j_gamma_split(gamma: float) -> KernelSplit:
-    """The (mu, nu, pi) split of J_gamma: the natural-log branch and
-    -total/2 within GAMMA_BRANCH_TOL of gamma == 1, the power branch and
-    -total/(gamma-1) elsewhere."""
+    """The (mu, nu, pi) split of J_gamma: within GAMMA_BRANCH_TOL of gamma == 1,
+    XIAO_SPLIT finished by total * (ln 2 / 2), J_1 being ln 2 / 2 times Xiao's
+    channel sum; elsewhere the power branch and -total/(gamma-1)."""
     if not (0.0 < gamma < math.inf):
         raise InvalidGammaError(f"gamma must be finite and > 0, got {gamma!r}")
     if abs(gamma - 1.0) < GAMMA_BRANCH_TOL:
-        return KernelSplit(_triple, _ln_branch, lambda t: _j_finish(t, 2.0, "J_1"))
+        return XIAO_SPLIT._replace(finish=lambda t: t * (math.log(2.0) / 2.0))
     return KernelSplit(_triple, lambda x, y: _power_branch(x, y, gamma),
-                       lambda t: _j_finish(t, gamma - 1.0, "J_gamma"))
+                       lambda t: _j_finish(t, gamma - 1.0))
 
 
 def j_gamma_batch(mu_a, nu_a, mu_b, nu_b, gamma: float) -> np.ndarray:

@@ -293,7 +293,11 @@ def uniform_weights(n: int) -> WeightVector:
     """Uniform weights (1/n, ..., 1/n); n must be an integer >= 1."""
     if not _is_int(n) or n < 1:
         raise OutOfRangeError(f"n must be an integer >= 1, got {n!r}")
-    return WeightVector((1.0 / n,) * n)
+    try:  # 1.0 / n overflows above the float range, the repeat above sys.maxsize
+        weights = (1.0 / n,) * n
+    except OverflowError:
+        raise OutOfRangeError("n is too large for uniform weights") from None
+    return WeightVector(weights)
 
 
 def check_weights(w: WeightVector, n: int) -> None:

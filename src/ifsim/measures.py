@@ -178,7 +178,7 @@ class KernelSplit(namedtuple("KernelSplit", "channels term finish stacked", defa
     copies for a term of few steps.  The bits are the same either way
     (tests/test_kernel_digest.py).  An unstacked term gets each channel as
     it is, 0-d in a scalar call, so it must accept 0-d arrays and numpy
-    scalars; _l_stacked and _ln_branch do not.
+    scalars; _l_stacked does not.
 
     A namedtuple, not a frozen dataclass: building that class at import
     takes over 1 ms, which every CLI run would pay.

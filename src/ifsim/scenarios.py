@@ -36,7 +36,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baselines, measures
-from .core import IFS, IFV, IfsimError, atanassov_strict_subset, ifs_strict_subset
+from .core import (
+    IFS,
+    IFV,
+    IfsimError,
+    OutOfRangeError,
+    _is_int,
+    atanassov_strict_subset,
+    ifs_strict_subset,
+)
 from .datasets import builtin_dataset
 from .measures import NumericalConsistencyError
 from .recognition import PatternLibrary, classify
@@ -521,8 +529,8 @@ FAMILY_IDS = tuple(_FAMILIES)
 
 def sweep_curve(family: str, steps: int = 101) -> CurveTable:
     """Tabulate one figure family at evenly spaced parameters."""
-    if steps < 2:
-        raise IfsimError(f"steps must be >= 2, got {steps}")
+    if not _is_int(steps) or steps < 2:
+        raise OutOfRangeError(f"steps must be an integer >= 2, got {steps!r}")
     name = _FAMILY_ALIASES.get(family, family)
     try:
         builder = _FAMILIES[name]

@@ -37,6 +37,8 @@ class TestConfig:
         {"random_pairs": 200.5}, {"random_triples": 200.0}, {"chain_samples": 50.5},
         {"seed": 1.5}, {"random_pairs": True}, {"chain_samples": True}, {"seed": True},
         {"seed": False},
+        # an int that passes the comparisons but has no float
+        {"tolerance": 10**400},
     ])
     def test_validation(self, kw):
         with pytest.raises(OutOfRangeError):

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from mpmath import mp
 
 import exact
 from conftest import ifs_pairs, ifvs
@@ -27,6 +28,17 @@ from ifsim import (
 from ifsim.baselines import j_gamma_batch, xiao_elem_batch, yc_elem_batch
 
 LN2 = math.log(2.0)
+
+
+def _simplex_points(seed: int, n: int) -> np.ndarray:
+    """n seeded rows (mu_a, nu_a, mu_b, nu_b), each point reflected into
+    the simplex."""
+    pts = np.random.default_rng(seed).random((n, 4))
+    for col in (0, 2):
+        over = pts[:, col] + pts[:, col + 1] > 1.0
+        pts[over, col] = 1.0 - pts[over, col]
+        pts[over, col + 1] = 1.0 - pts[over, col + 1]
+    return pts
 
 
 def _one(mu, nu):
@@ -229,15 +241,19 @@ class TestJGamma:
     def test_relates_to_xiao_squared(self):
         """Per element, J_1 == ln2 * d_xiao**2 (the commonly quoted
         sqrt(J_1) == ln2 * d_xiao does not hold; see the mismatch check)."""
-        rng = np.random.default_rng(42)
-        pts = rng.random((10_000, 4))
-        for col in (0, 2):
-            over = pts[:, col] + pts[:, col + 1] > 1.0
-            pts[over, col] = 1.0 - pts[over, col]
-            pts[over, col + 1] = 1.0 - pts[over, col + 1]
+        pts = _simplex_points(42, 10_000)
         j1 = j_gamma_batch(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3], 1.0)
         d = xiao_elem_batch(pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3])
         assert np.max(np.abs(j1 - LN2 * d ** 2)) < 1e-12
         # and the other form is measurably wrong
         mismatch = np.abs(np.sqrt(j1) - LN2 * d)
         assert np.max(mismatch) > 1e-2
+
+    def test_relates_to_xiao_squared_exactly(self):
+        """The same identity in exact arithmetic, a witness independent of
+        the kernel, which computes J_1 from xiao's channel sum: tests/exact.py
+        evaluates J_1 through its own natural-log term."""
+        for v in _simplex_points(43, 300).tolist():
+            j1, d = exact.elem("jgamma", *v, gamma=1.0), exact.elem("xiao", *v)
+            with mp.workprec(exact.working_bits(v)):
+                assert abs(j1 - mp.ln2 * d ** 2) <= 1e-40 * j1

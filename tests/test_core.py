@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -188,6 +189,13 @@ class TestWeights:
     @pytest.mark.parametrize("n", [2.5, True])
     def test_uniform_n_must_be_an_integer(self, n):
         with pytest.raises(OutOfRangeError, match=f"^n must be an integer >= 1, got {n!r}$"):
+            uniform_weights(n)
+
+    # neither n allocates: 1.0 / n overflows first, and the tuple repeat
+    # rejects a count above sys.maxsize before building anything
+    @pytest.mark.parametrize("n", [10**400, sys.maxsize + 1])
+    def test_uniform_n_too_large(self, n):
+        with pytest.raises(OutOfRangeError, match="^n is too large for uniform weights$"):
             uniform_weights(n)
 
     def test_uniform_numpy_integer_n(self):

@@ -16,13 +16,15 @@ as they are.  Re-record them (only when a kernel change is meant to move the
 numbers) with ``PYTHONPATH=src python tests/test_kernel_digest.py``.
 
 On the edge corpus every kernel must also be finite, free of RuntimeWarning,
-zero on equal values and bitwise symmetric.  On the first ORACLE_PAIRS
-uniform pairs every kernel must lie within 1e-12 of the exact reference
-(tests/exact.py).
+zero on equal values, bitwise symmetric and within its range: [0, 1], or
+[0, ln 2] for the raw J_1, which must also hold on the 0.01 grid, with
+exactly ln 2 on the endpoint pair.  On the first ORACLE_PAIRS uniform pairs
+every kernel must lie within 1e-12 of the exact reference (tests/exact.py).
 """
 
 import hashlib
 import json
+import math
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -48,6 +50,7 @@ SWEEP_BLOCK_CELLS = 1 << 15  # the audit's grid sweep block size
 UNIFORM_PAIRS = 100_000
 UNIFORM_SEED = 20221018
 ORACLE_PAIRS = 500
+HIGH = {"jgamma(1)": math.log(2.0)}  # the top of a range other than [0, 1]
 
 _TINY = float(np.nextafter(0.0, 1.0))
 EDGE_VALUES = [
@@ -137,6 +140,17 @@ def test_edge_corpus(name):
     assert np.isfinite(d_ab).all()
     assert d_ab.tobytes() == d_ba.tobytes()
     assert EDGE_POINTS[d_aa != 0.0].tolist() == []
+    assert 0.0 <= d_ab.min() and d_ab.max() <= HIGH.get(name, 1.0)
+
+
+def test_j1_range_on_grid():
+    kernel = get_measure("jgamma", gamma=1.0).pair_batch
+    low, high = math.inf, -math.inf
+    for a, b in _sweep_blocks(grid_points(0.01)):
+        block = kernel(a[..., 0], a[..., 1], b[..., 0], b[..., 1])
+        low, high = min(low, block.min()), max(high, block.max())
+    assert (low, high) == (0.0, math.log(2.0))
+    assert kernel(1.0, 0.0, 0.0, 1.0) == math.log(2.0)
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
@@ -150,8 +164,8 @@ def test_exact_reference(name):
 
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_stacked_and_unstacked_split_agree(name):
-    # every channel at least 1-D: an unstacked _l_stacked or _ln_branch
-    # term rejects a channel that is 0-d on both sides
+    # every channel at least 1-D: an unstacked _l_stacked term rejects a
+    # channel that is 0-d on both sides
     measure, params = CONFIGS[name]
     split = get_measure(measure, **params).split
     flipped = split._replace(stacked=not split.stacked)

@@ -10,13 +10,13 @@ import exact
 from ifsim import (
     SCENARIO_IDS,
     builtin_dataset,
+    OutOfRangeError,
     UnknownFamilyError,
     UnknownScenarioError,
     run_all_scenarios,
     run_scenario,
     sweep_curve,
 )
-from ifsim.core import IfsimError
 from ifsim.scenarios import _TAB2_NOTE
 
 EXPECTED_IDS = (
@@ -141,8 +141,9 @@ class TestCurves:
             assert np.all(table.rows[:, 2:] <= 1.0)
 
     def test_steps_validation(self):
-        with pytest.raises(IfsimError):
-            sweep_curve("fig7", 1)
+        for steps in (1, 2.5, 3.0, True):
+            with pytest.raises(OutOfRangeError, match="^steps must be an integer >= 2"):
+                sweep_curve("fig7", steps)
 
     def test_unknown_family(self):
         with pytest.raises(UnknownFamilyError):
