@@ -1,9 +1,10 @@
 """Machine verification of the strict distance and entropy axioms.
 
-An audit evaluates a measure on one deterministic sample plan (`_Plan`), all
-drawn from one seed: a simplex grid, random value pairs, random triples,
-random strictly-nested chains, and nested pairs for the entropy.  It reports
-one verdict per axiom:
+An audit evaluates a measure on deterministic samples, all drawn from one
+seed: a simplex grid, random value pairs, random triples, random
+strictly-nested chains, and nested pairs for the entropy.  Each sample is
+built by its own function where the audit first uses it, and each random
+one reads its own stream of the seed.  It reports one verdict per axiom:
 
 * S1  range [0, 1]                      * S4   weak chain monotonicity
 * S2  d(a,a) == 0 and d(a,b) > 0        * S4'  strict chain monotonicity
@@ -44,11 +45,10 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .core import OutOfRangeError, _is_int
+from .core import OutOfRangeError, _is_int, _show
 from . import measures
 from .measures import _blocked, channel_sum, js_norm_batch
 from .registry import MeasureDescriptor
@@ -72,11 +72,11 @@ class AuditConfig:
 
     def __post_init__(self) -> None:
         if not (0.0 < self.grid_step <= 0.5):
-            raise OutOfRangeError(f"grid_step {self.grid_step!r} outside (0, 0.5]")
+            raise OutOfRangeError(f"grid_step {_show(self.grid_step)} outside (0, 0.5]")
         for name in ("random_pairs", "random_triples", "chain_samples"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
-                raise OutOfRangeError(f"{name} must be an integer >= 1, got {value!r}")
+                raise OutOfRangeError(f"{name} must be an integer >= 1, got {_show(value)}")
         # an infinite tolerance would grade the sweep's masked diagonal as a
         # witness; an int above the float range would overflow in the audits
         try:
@@ -84,9 +84,9 @@ class AuditConfig:
         except OverflowError:
             raise OutOfRangeError("tolerance is too large for a float") from None
         if not finite:
-            raise OutOfRangeError(f"tolerance must be finite and > 0, got {self.tolerance!r}")
+            raise OutOfRangeError(f"tolerance must be finite and > 0, got {_show(self.tolerance)}")
         if not _is_int(self.seed) or self.seed < 0:
-            raise OutOfRangeError(f"seed must be a non-negative integer, got {self.seed!r}")
+            raise OutOfRangeError(f"seed must be a non-negative integer, got {_show(self.seed)}")
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,7 @@ class AxiomReport:
 
 
 # ---------------------------------------------------------------------------
-# the sample plan: every point is a (..., 2) array of (mu, nu)
+# the samples: every point is a (..., 2) array of (mu, nu)
 # ---------------------------------------------------------------------------
 
 def grid_points(step: float) -> np.ndarray:
@@ -157,6 +157,13 @@ def _random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
     over = xy[:, 0] + xy[:, 1] > 1.0
     np.subtract(1.0, xy, out=xy, where=over[:, None])  # folded in place, no copy
     return xy
+
+
+def _uniform(config: AuditConfig, stream: int, k: int, n: int) -> np.ndarray:
+    """(n, k, 2) uniform simplex points from stream `stream` of config.seed:
+    the random pairs are stream 0 (k = 2), the random triples stream 1 (k = 3)."""
+    rng = np.random.default_rng([config.seed, stream])
+    return _random_simplex(rng, k * n).reshape(n, k, 2)
 
 
 def _strict_rows(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -198,43 +205,6 @@ def _nested_pairs(config: AuditConfig) -> np.ndarray:
     drawn = np.stack([np.column_stack([mu_a, nu_a]), b], axis=1)
     direct = np.vstack([np.array([_PINNED_E4_PAIR]), drawn])
     return np.vstack([direct, direct[..., ::-1]])
-
-
-class _Plan:
-    """The points of one audit, all drawn from config.seed, each sample on
-    first use; a sample of k-tuples is an (n, k, 2) array of (mu, nu)."""
-
-    def __init__(self, config: AuditConfig) -> None:
-        self.config = config
-
-    def _uniform(self, stream: int, k: int, n: int) -> np.ndarray:
-        rng = np.random.default_rng([self.config.seed, stream])
-        return _random_simplex(rng, k * n).reshape(n, k, 2)
-
-    @cached_property
-    def grid(self) -> np.ndarray:
-        return grid_points(self.config.grid_step)
-
-    @cached_property
-    def pairs(self) -> np.ndarray:
-        return self._uniform(0, 2, self.config.random_pairs)
-
-    @cached_property
-    def points(self) -> np.ndarray:
-        """The grid, then every point of the random pairs."""
-        return np.vstack([self.grid, self.pairs.reshape(-1, 2)])
-
-    @cached_property
-    def triples(self) -> np.ndarray:
-        return self._uniform(1, 3, self.config.random_triples)
-
-    @cached_property
-    def chains(self) -> np.ndarray:
-        return _chains_array(self.config)
-
-    @cached_property
-    def nested(self) -> np.ndarray:
-        return _nested_pairs(self.config)
 
 
 def _is_endpoint(p: np.ndarray) -> np.ndarray:
@@ -301,27 +271,30 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
     """Audit a measure's distance against S1-S5 and the triangle inequality."""
     t0 = time.perf_counter()
     tol = config.tolerance
-    plan = _Plan(config)
-    grid = plan.grid
+    grid = grid_points(config.grid_step)
 
-    pa, pb = plan.pairs[:, 0], plan.pairs[:, 1]
+    pairs = _uniform(config, 0, 2, config.random_pairs)
+    pa, pb = pairs[:, 0], pairs[:, 1]
     kernel = m.pair_batch
     d_ab, d_ba = _eval_pairs(kernel, pa, pb), _eval_pairs(kernel, pb, pa)
     pair_cols = {"a": pa, "b": pb, "d": d_ab}
-    d_self = _eval_pairs(kernel, plan.points, plan.points)
+    points = np.vstack([grid, pairs.reshape(-1, 2)])
+    d_self = _eval_pairs(kernel, points, points)
     distinct = (pa != pb).any(axis=1)
     sweep = _grid_matrix_sweep(m, grid, tol)
     rng_min = min(sweep["min"], float(np.min(d_ab)))
     rng_max = max(sweep["max"], float(np.max(d_ab)))
     min_off = min(sweep["min_off_diagonal"], float(np.min(d_ab[distinct])))
 
-    ta, tb, tc = plan.triples[:, 0], plan.triples[:, 1], plan.triples[:, 2]
+    triples = _uniform(config, 1, 3, config.random_triples)
+    ta, tb, tc = triples[:, 0], triples[:, 1], triples[:, 2]
     d1, d2 = _eval_pairs(kernel, ta, tb), _eval_pairs(kernel, tb, tc)
     d3 = _eval_pairs(kernel, ta, tc)
     excess = d3 - (d1 + d2)
     worst = float(np.max(excess))
     triple_cols = {"a": ta, "b": tb, "c": tc, "d(a,c)": d3, "d(a,b)+d(b,c)": d1 + d2, "excess": excess}
 
+    chains = _chains_array(config)
     checks = [
         _verdict("S3", [
             ("fail", _witness(d_ab != d_ba, {"a": pa, "b": pb, "d(a,b)": d_ab, "d(b,a)": d_ba}),
@@ -332,11 +305,11 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
             ("fail", _witness((d_ab < 0.0) | (d_ab > 1.0), pair_cols), "value outside [0, 1]"),
         ], f"observed range [{rng_min:.17g}, {rng_max:.17g}]", {"min": rng_min, "max": rng_max}),
         _verdict("S2", [
-            ("fail", _witness(d_self != 0.0, {"a": plan.points, "d(a,a)": d_self}), "d(a,a) != 0"),
+            ("fail", _witness(d_self != 0.0, {"a": points, "d(a,a)": d_self}), "d(a,a) != 0"),
             ("fail", _witness(distinct & (d_ab <= 0.0), pair_cols), "d(a,b) == 0 for a != b"),
             ("fail", sweep["positivity_witness"], "d(a,b) == 0 for a != b"),
         ], "d(a,a)=0 everywhere; d>0 on all distinct sampled pairs", {"min_off_diagonal": min_off}),
-        *_chain_checks(m, plan.chains, tol),
+        *_chain_checks(m, chains, tol),
         _maximality_check(m, sweep, grid, tol),
         _verdict("D-triangle", [
             ("fail", _witness(excess > tol, triple_cols), f"violated beyond tolerance {tol:g}"),
@@ -346,7 +319,7 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
         "grid": len(grid),
         "pairs": config.random_pairs,
         "triples": config.random_triples,
-        "chains": len(plan.chains),
+        "chains": len(chains),
     }
     return AxiomReport(m.label(), tuple(checks), counts, time.perf_counter() - t0)
 
@@ -500,13 +473,14 @@ def _entropy_batch(p: np.ndarray) -> np.ndarray:
 def audit_entropy(config: AuditConfig) -> AxiomReport:
     """Audit the induced IFV entropy against E1-E4."""
     t0 = time.perf_counter()
-    plan = _Plan(config)
-    grid = plan.grid
-    samples = plan.points
+    grid = grid_points(config.grid_step)
+    # the grid, then every point of the distance audit's random pairs
+    samples = np.vstack([grid, _uniform(config, 0, 2, config.random_pairs).reshape(-1, 2)])
     ent, ent_c = _entropy_batch(samples), _entropy_batch(samples[:, ::-1])
     grid_ent = ent[: len(grid)]
     pinned = _entropy_batch(_PINNED_ENTROPY)
-    lo, hi = plan.nested[:, 0], plan.nested[:, 1]
+    nested = _nested_pairs(config)
+    lo, hi = nested[:, 0], nested[:, 1]
     e_lo, e_hi = _entropy_batch(lo), _entropy_batch(hi)
     on_diag = samples[:, 0] == samples[:, 1]
 
@@ -533,7 +507,7 @@ def audit_entropy(config: AuditConfig) -> AxiomReport:
         # E4: monotone toward the diagonal on nested pairs (and mirrored pairs)
         _verdict("E4", _graded(e_lo - e_hi, config.tolerance,
                                {"a": lo, "b": hi, "E(a)": e_lo, "E(b)": e_hi}),
-                 f"monotone on {len(plan.nested)} nested pairs (both orientations)"),
+                 f"monotone on {len(nested)} nested pairs (both orientations)"),
     )
-    counts = {"grid": len(grid), "samples": len(samples), "nested_pairs": len(plan.nested)}
+    counts = {"grid": len(grid), "samples": len(samples), "nested_pairs": len(nested)}
     return AxiomReport("entropy(js_norm)", checks, counts, time.perf_counter() - t0)

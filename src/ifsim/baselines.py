@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .core import IFS, IFV, IfsimError
+from .core import IFS, IFV, IfsimError, _show
 from .measures import (
     KernelSplit,
     NumericalConsistencyError,
@@ -126,7 +126,7 @@ def j_gamma_split(gamma: float) -> KernelSplit:
     XIAO_SPLIT finished by total * (ln 2 / 2), J_1 being ln 2 / 2 times Xiao's
     channel sum; elsewhere the power branch and -total/(gamma-1)."""
     if not (0.0 < gamma < math.inf):
-        raise InvalidGammaError(f"gamma must be finite and > 0, got {gamma!r}")
+        raise InvalidGammaError(f"gamma must be finite and > 0, got {_show(gamma)}")
     if abs(gamma - 1.0) < GAMMA_BRANCH_TOL:
         return XIAO_SPLIT._replace(finish=lambda t: t * (math.log(2.0) / 2.0))
     return KernelSplit(_triple, lambda x, y: _power_branch(x, y, gamma),

@@ -132,9 +132,9 @@ def _load_weights(arg: str | None, from_data: WeightVector | None, n: int) -> We
         return from_data if from_data is not None else uniform_weights(n)
     if arg == "uniform":
         return uniform_weights(n)
-    try:  # unreadable, not UTF-8, or not JSON (the decode errors are ValueErrors)
+    try:  # unreadable, not UTF-8, not JSON (the decode errors are ValueErrors), or too deep
         raw = json.loads(Path(arg).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise IfsimError(f"cannot read weights file {arg!r}: {exc}") from exc
     try:  # the rule of a dataset's weights field
         return _parse_weights(raw, n)

@@ -60,6 +60,14 @@ def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _show(x) -> str:
+    """repr(x) for an error message, or the size of an int too long to print."""
+    try:
+        return repr(x)
+    except ValueError:  # an int of more than sys.get_int_max_str_digits() digits
+        return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+
+
 @dataclass(frozen=True)
 class IFV:
     """An intuitionistic fuzzy value <mu, nu>."""
@@ -292,7 +300,7 @@ class WeightVector:
 def uniform_weights(n: int) -> WeightVector:
     """Uniform weights (1/n, ..., 1/n); n must be an integer >= 1."""
     if not _is_int(n) or n < 1:
-        raise OutOfRangeError(f"n must be an integer >= 1, got {n!r}")
+        raise OutOfRangeError(f"n must be an integer >= 1, got {_show(n)}")
     try:  # 1.0 / n overflows above the float range, the repeat above sys.maxsize
         weights = (1.0 / n,) * n
     except OverflowError:

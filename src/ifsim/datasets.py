@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 import reprlib
+import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -86,6 +87,11 @@ def parse_dataset(text: str) -> tuple[dict[str, IFS], WeightVector | None]:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatasetParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # the decoder's int() refuses the literal
+        limit = sys.get_int_max_str_digits()
+        raise DatasetParseError(f"invalid JSON: an integer has more than {limit} digits") from exc
+    except RecursionError as exc:
+        raise DatasetParseError("invalid JSON: arrays or objects nested too deeply") from exc
     if not isinstance(doc, dict):
         raise DatasetParseError("top level must be an object")
     universe = doc.get("universe")

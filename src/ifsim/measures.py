@@ -64,6 +64,7 @@ from .core import (
     check_weights,
     complement,
     _require_same_universe,
+    _show,
 )
 
 L_CLAMP = 1e-15
@@ -89,8 +90,8 @@ class NumericalConsistencyError(IfsimError, ArithmeticError):
 _SMALLEST_SUBNORMAL = float(np.nextafter(0.0, 1.0))
 
 
-def _xlog(x: np.ndarray, q: np.ndarray, log=np.log) -> np.ndarray:
-    """x * log(q) with the 0*log(0) = 0 convention (elementwise), in q.
+def _xlog(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """x * log2(q) with the 0*log2(0) = 0 convention (elementwise), in q.
 
     q is the caller's quotient: a new array of the result's shape, 0 or at
     most the smallest subnormal where x == 0.  There the argument is raised
@@ -99,7 +100,7 @@ def _xlog(x: np.ndarray, q: np.ndarray, log=np.log) -> np.ndarray:
     overwrites q, so the term costs no temporary of its own.
     """
     q += x == 0.0
-    log(q, out=q)
+    np.log2(q, out=q)
     q *= x
     return q
 
@@ -151,8 +152,8 @@ def _l_stacked(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """
     s = p + q
     np.maximum(s, _SMALLEST_SUBNORMAL, out=s)
-    total = _xlog(p, 2.0 * p / s, np.log2)
-    total += _xlog(q, 2.0 * q / s, np.log2)
+    total = _xlog(p, 2.0 * p / s)
+    total += _xlog(q, 2.0 * q / s)
     return _clamp_nonneg(total, "L(p, q)")
 
 
@@ -249,7 +250,7 @@ def zeta(x: float) -> float:
     zeta(1) = 1, zeta(0.5) = 0, strictly decreasing then increasing around
     0.5."""
     if not (0.0 <= x <= 1.0):
-        raise OutOfRangeError(f"zeta argument {x!r} outside [0, 1]")
+        raise OutOfRangeError(f"zeta argument {_show(x)} outside [0, 1]")
     return l_divergence(x, 1.0 - x)
 
 
@@ -332,7 +333,7 @@ def sim_wu(a: IFS, b: IFS, w: WeightVector) -> float:
 
 def _check_lambda(lam: float) -> None:
     if not (0.0 < lam < math.inf):
-        raise InvalidLambdaError(f"lambda must be finite and > 0, got {lam!r}")
+        raise InvalidLambdaError(f"lambda must be finite and > 0, got {_show(lam)}")
 
 
 def dist_wu_lambda(a: IFS, b: IFS, w: WeightVector, lam: float) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import IFS, OutOfRangeError, UniverseMismatchError, WeightVector, check_weights
+from .core import IFS, OutOfRangeError, UniverseMismatchError, WeightVector, _show, check_weights
 from .registry import MeasureDescriptor
 
 
@@ -80,7 +80,7 @@ def classify(
 ) -> ClassificationResult:
     """Assign the sample to the pattern with the greatest similarity."""
     if not tie_tol >= 0.0:  # false for nan too
-        raise OutOfRangeError(f"tie_tol must be >= 0, got {tie_tol!r}")
+        raise OutOfRangeError(f"tie_tol must be >= 0, got {_show(tie_tol)}")
     if sample.universe != lib.universe:
         raise UniverseMismatchError("sample universe differs from the library universe")
     scores = 1.0 - measure.evaluator(lib, sample, lib.weights)

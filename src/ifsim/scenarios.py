@@ -42,6 +42,7 @@ from .core import (
     IfsimError,
     OutOfRangeError,
     _is_int,
+    _show,
     atanassov_strict_subset,
     ifs_strict_subset,
 )
@@ -209,7 +210,7 @@ def _ex2_xiao_monotone():
 
 def _xiao_to_full_closed(lams: np.ndarray) -> np.ndarray:
     """Closed form for the xiao distance from <1,0> to <lam, nu> (nu-free)."""
-    lam_term = measures._xlog(lams, 2.0 * lams / (1.0 + lams), np.log2)
+    lam_term = measures._xlog(lams, 2.0 * lams / (1.0 + lams))
     return np.sqrt(0.5 * (np.log2(2.0 / (1.0 + lams)) + lam_term + (1.0 - lams)))
 
 
@@ -530,7 +531,7 @@ FAMILY_IDS = tuple(_FAMILIES)
 def sweep_curve(family: str, steps: int = 101) -> CurveTable:
     """Tabulate one figure family at evenly spaced parameters."""
     if not _is_int(steps) or steps < 2:
-        raise OutOfRangeError(f"steps must be an integer >= 2, got {steps!r}")
+        raise OutOfRangeError(f"steps must be an integer >= 2, got {_show(steps)}")
     name = _FAMILY_ALIASES.get(family, family)
     try:
         builder = _FAMILIES[name]

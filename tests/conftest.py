@@ -6,6 +6,11 @@ from ifsim import IFS, IFV
 
 _degrees = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 
+# an int beyond the interpreter's 4,300-digit limit for str(), and the text
+# that error messages quote it as
+LONG_INT = -10**5000
+LONG_INT_SHOWN = "<negative int of 16610 bits>"
+
 
 @st.composite
 def ifvs(draw) -> IFV:

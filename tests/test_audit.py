@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import LONG_INT, LONG_INT_SHOWN
 from ifsim import (
     IFS,
     IFV,
@@ -44,9 +45,27 @@ class TestConfig:
         with pytest.raises(OutOfRangeError):
             AuditConfig(**kw)
 
+    @pytest.mark.parametrize("name,message", [
+        ("grid_step", f"grid_step {LONG_INT_SHOWN} outside (0, 0.5]"),
+        ("random_pairs", f"random_pairs must be an integer >= 1, got {LONG_INT_SHOWN}"),
+        ("tolerance", f"tolerance must be finite and > 0, got {LONG_INT_SHOWN}"),
+        ("seed", f"seed must be a non-negative integer, got {LONG_INT_SHOWN}"),
+    ], ids=["grid_step", "random_pairs", "tolerance", "seed"])
+    def test_int_too_long_to_print(self, name, message):
+        with pytest.raises(OutOfRangeError) as info:
+            AuditConfig(**{name: LONG_INT})
+        assert str(info.value) == message
+
     def test_numpy_integers_accepted(self):
         c = AuditConfig(random_pairs=np.int64(5), chain_samples=np.int32(3), seed=np.uint8(7))
         assert (c.random_pairs, c.chain_samples, c.seed) == (5, 3, 7)
+
+
+def _samples(c: AuditConfig) -> dict:
+    """Every sample that the audits draw for c, each from its own function."""
+    return {"grid": grid_points(c.grid_step), "pairs": audit._uniform(c, 0, 2, c.random_pairs),
+            "triples": audit._uniform(c, 1, 3, c.random_triples),
+            "chains": audit._chains_array(c), "nested": audit._nested_pairs(c)}
 
 
 class TestSampling:
@@ -61,18 +80,21 @@ class TestSampling:
     def test_simplex_stream_deterministic(self):
         c = AuditConfig(grid_step=0.25, random_pairs=50, random_triples=7,
                         chain_samples=3, seed=99)
-        first, second = audit._Plan(c), audit._Plan(c)
-        for name in ("grid", "pairs", "points", "triples", "chains", "nested"):
-            assert np.array_equal(getattr(first, name), getattr(second, name))
-        assert first.grid.shape == grid_points(0.25).shape
-        assert first.pairs.shape == (50, 2, 2) and first.triples.shape == (7, 3, 2)
-        assert first.chains.shape == (3, 3, 2) and first.nested.shape == (8, 2, 2)
+        first, second = _samples(c), _samples(c)
+        for name in ("grid", "pairs", "triples", "chains", "nested"):
+            assert np.array_equal(first[name], second[name])
+        assert first["grid"].shape == grid_points(0.25).shape
+        assert first["pairs"].shape == (50, 2, 2) and first["triples"].shape == (7, 3, 2)
+        assert first["chains"].shape == (3, 3, 2) and first["nested"].shape == (8, 2, 2)
+        # the entropy samples are the grid, then every point of the pairs
+        one, two = audit_entropy(c), audit_entropy(c)
+        assert one.checks == two.checks
+        assert one.counts["samples"] == len(first["grid"]) + 2 * 50
 
     def test_simplex_stream_respects_domain(self):
         c = AuditConfig(grid_step=0.5, random_pairs=500, random_triples=100,
                         chain_samples=100, seed=3)
-        plan = audit._Plan(c)
-        for sample in (plan.grid, plan.pairs, plan.triples, plan.chains, plan.nested):
+        for sample in _samples(c).values():
             for mu, nu in sample.reshape(-1, 2):
                 IFV(mu, nu)  # construction enforces mu + nu <= 1
 

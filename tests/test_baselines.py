@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from mpmath import mp
 
 import exact
-from conftest import ifs_pairs, ifvs
+from conftest import LONG_INT, LONG_INT_SHOWN, ifs_pairs, ifvs
 from ifsim import (
     IFS,
     IFV,
@@ -25,7 +25,7 @@ from ifsim import (
     j_gamma,
     sim_xiao,
 )
-from ifsim.baselines import j_gamma_batch, xiao_elem_batch, yc_elem_batch
+from ifsim.baselines import j_gamma_batch, j_gamma_split, xiao_elem_batch, yc_elem_batch
 
 LN2 = math.log(2.0)
 
@@ -229,6 +229,14 @@ class TestJGamma:
     def test_invalid_gamma(self, gamma):
         with pytest.raises(InvalidGammaError):
             j_gamma(IFV(0.3, 0.2), IFV(0.1, 0.1), gamma)
+
+    def test_gamma_too_long_to_print(self):
+        message = f"gamma must be finite and > 0, got {LONG_INT_SHOWN}"
+        for call in (lambda: j_gamma_split(LONG_INT),
+                     lambda: j_gamma(IFV(0.3, 0.2), IFV(0.1, 0.1), LONG_INT)):
+            with pytest.raises(InvalidGammaError) as info:
+                call()
+            assert str(info.value) == message
 
     @given(ifvs(), ifvs())
     @settings(max_examples=200)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import ifsim
 from ifsim import (IFS, builtin_dataset, dist_wu, dist_xiao, entropy_ifs, sim_wu_lambda,
                    uniform_weights)
 from ifsim.cli import _curve_text, _fmt, main
@@ -109,6 +110,8 @@ class TestDistSim:
 
 
 BAD_BYTES = b"\xff\xfe\x00bad"
+LONG_LITERAL = "1" + "0" * 5000  # above the interpreter's 4,300-digit int limit
+DEEP = "[" * 100_000 + "]" * 100_000  # deeper than the decoder's recursion limit
 
 
 class TestMalformedFiles:
@@ -143,7 +146,9 @@ class TestMalformedFiles:
         ("[0.2, 0.3, 0.5]", "3 entries for a universe of 2 elements"),
         ("[0.5, 0.6]", "weights (2 entries)"),
         ("[0.5,", "cannot read weights file"),
-    ])
+        (f"[{LONG_LITERAL}, 0.5]", "cannot read weights file"),
+        (DEEP, "cannot read weights file"),
+    ], ids=lambda v: v if len(v) < 40 else f"{v[:8]}...({len(v)} chars)")
     def test_bad_weights_file(self, capsys, tmp_path, text, message):
         wfile = tmp_path / "w.json"
         wfile.write_text(text, encoding="utf-8")
@@ -160,6 +165,17 @@ class TestMalformedFiles:
         data.write_text(json.dumps(doc), encoding="utf-8")
         err = self.run_error(capsys, "--data", str(data))
         assert message in err and "too large for a float" in err and len(err) < 120
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"universe": ["x1"], "sets": {"A": [[%s, 0]], "B": [[0, 0]]}}' % LONG_LITERAL,
+         "an integer has more than"),
+        (DEEP, "nested too deeply"),
+    ], ids=["int-over-digit-limit", "nested-too-deeply"])
+    def test_json_that_the_decoder_refuses_in_data_file(self, capsys, tmp_path, text, message):
+        data = tmp_path / "d.json"
+        data.write_text(text, encoding="utf-8")
+        err = self.run_error(capsys, "--data", str(data))
+        assert err.startswith("error: invalid JSON: ") and message in err
 
     def test_int_too_large_for_a_float_in_weights_file(self, capsys, tmp_path):
         wfile = tmp_path / "w.json"
@@ -411,3 +427,12 @@ except AttributeError as exc:
 else:
     raise AssertionError("ifsim.no_such_name resolved")
 """)
+
+
+def test_dir_lists_lazy_names_without_loading_them():
+    run_fresh("""
+import sys, ifsim
+assert {"classify", "recognition"} <= set(dir(ifsim))
+assert "ifsim.recognition" not in sys.modules
+""")
+    assert set(ifsim._LAZY) <= set(dir(ifsim))  # the same __dir__, in this process

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from conftest import ifs_pairs, ifvs
+from conftest import LONG_INT, LONG_INT_SHOWN, ifs_pairs, ifvs
 from ifsim import (
     IFS,
     IFV,
@@ -197,6 +197,11 @@ class TestWeights:
     def test_uniform_n_too_large(self, n):
         with pytest.raises(OutOfRangeError, match="^n is too large for uniform weights$"):
             uniform_weights(n)
+
+    def test_uniform_n_too_long_to_print(self):
+        with pytest.raises(OutOfRangeError) as info:
+            uniform_weights(LONG_INT)
+        assert str(info.value) == f"n must be an integer >= 1, got {LONG_INT_SHOWN}"
 
     def test_uniform_numpy_integer_n(self):
         assert uniform_weights(np.int64(2)) == uniform_weights(2)

@@ -118,6 +118,16 @@ class TestParsing:
         assert message.startswith("set 'A', pair 2 [0, 1000")
         assert message.endswith("]: a degree is too large for a float") and len(message) < 100
 
+    # json.loads raises a plain ValueError for the first, RecursionError for the second
+    @pytest.mark.parametrize("text,message", [
+        ('{"universe": ["x"], "sets": {"A": [[1%s, 0]]}}' % ("0" * 5000),
+         r"^invalid JSON: an integer has more than \d+ digits$"),
+        ("[" * 100_000 + "]" * 100_000, "^invalid JSON: arrays or objects nested too deeply$"),
+    ], ids=["int-over-digit-limit", "nested-too-deeply"])
+    def test_json_that_the_decoder_refuses(self, text, message):
+        with pytest.raises(DatasetParseError, match=message):
+            parse_dataset(text)
+
     def test_int_too_large_for_a_float_in_the_weights(self):
         doc = '{"universe": ["x"], "sets": {"A": [[0.3, 0.2]]}, "weights": [1%s]}' % ("0" * 400)
         with pytest.raises(DatasetValidationError,

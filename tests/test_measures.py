@@ -19,12 +19,13 @@ from hypothesis import given, settings
 
 import exact
 import ifsim
-from conftest import ifs_pairs, ifvs
+from conftest import LONG_INT, LONG_INT_SHOWN, ifs_pairs, ifvs
 from ifsim import (
     IFS,
     IFV,
     InvalidLambdaError,
     NegativeInputError,
+    NumericalConsistencyError,
     OutOfRangeError,
     UniverseMismatchError,
     WeightLengthMismatchError,
@@ -44,7 +45,7 @@ from ifsim import (
     z_score,
     zeta,
 )
-from ifsim.measures import aggregate, wu_lambda_split
+from ifsim.measures import L_CLAMP, _clamp_nonneg, aggregate, wu_lambda_split
 from ifsim.recognition import PatternLibrary
 
 
@@ -97,6 +98,17 @@ class TestLDivergence:
         assert l_divergence(p, q) == l_divergence(q, p)
 
 
+class TestClampNonneg:
+    def test_raises_below_the_clamp(self):
+        with pytest.raises(NumericalConsistencyError, match=r"^L\(p, q\) = .* below 0 beyond"):
+            _clamp_nonneg(np.array([0.5, -2 * L_CLAMP]), "L(p, q)")
+
+    def test_clamps_a_residue_to_positive_zero_in_place(self):
+        x = np.array([0.25, -L_CLAMP, -5e-324, 0.0])
+        assert _clamp_nonneg(x, "L(p, q)") is x
+        assert x.tolist() == [0.25, 0.0, 0.0, 0.0] and not np.signbit(x).any()
+
+
 class TestZeta:
     def test_pinned_points(self):
         assert zeta(0.5) == 0.0
@@ -111,6 +123,14 @@ class TestZeta:
     def test_domain(self, x):
         with pytest.raises(OutOfRangeError):
             zeta(x)
+
+    @pytest.mark.parametrize("x,shown", [(LONG_INT, LONG_INT_SHOWN),
+                                         (-LONG_INT, LONG_INT_SHOWN.replace("negative ", ""))],
+                             ids=["negative", "positive"])
+    def test_domain_int_too_long_to_print(self, x, shown):
+        with pytest.raises(OutOfRangeError) as info:
+            zeta(x)
+        assert str(info.value) == f"zeta argument {shown} outside [0, 1]"
 
     @given(ifvs().map(lambda v: v.mu))
     def test_bounds_and_mirror(self, x):
@@ -311,6 +331,15 @@ class TestDistWuLambda:
         sets, w = builtin_dataset("tableI_case1")
         with pytest.raises(InvalidLambdaError):
             dist_wu_lambda(sets["A"], sets["B"], w, lam)
+
+    def test_lambda_too_long_to_print(self):
+        sets, w = builtin_dataset("tableI_case1")
+        message = f"lambda must be finite and > 0, got {LONG_INT_SHOWN}"
+        for call in (lambda: wu_lambda_split(LONG_INT),
+                     lambda: dist_wu_lambda(sets["A"], sets["B"], w, LONG_INT)):
+            with pytest.raises(InvalidLambdaError) as info:
+                call()
+            assert str(info.value) == message
 
     @given(ifs_pairs())
     def test_bounds(self, pair):

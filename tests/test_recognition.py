@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import LONG_INT, LONG_INT_SHOWN
 from ifsim import (
     IFS,
     OutOfRangeError,
@@ -93,6 +94,12 @@ class TestClassifyValidation:
         lib, sample = _tableiii_library()
         with pytest.raises(OutOfRangeError):
             classify(lib, sample, get_measure("wu"), tie_tol=-1e-3)
+
+    def test_tie_tol_too_long_to_print(self):
+        lib, sample = _tableiii_library()
+        with pytest.raises(OutOfRangeError) as info:
+            classify(lib, sample, get_measure("wu"), tie_tol=LONG_INT)
+        assert str(info.value) == f"tie_tol must be >= 0, got {LONG_INT_SHOWN}"
 
     def test_nan_tie_tol(self):
         sets, w = builtin_dataset("tableIII")

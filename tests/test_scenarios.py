@@ -7,6 +7,7 @@ import pytest
 from mpmath import mp, mpf
 
 import exact
+from conftest import LONG_INT, LONG_INT_SHOWN
 from ifsim import (
     SCENARIO_IDS,
     builtin_dataset,
@@ -144,6 +145,11 @@ class TestCurves:
         for steps in (1, 2.5, 3.0, True):
             with pytest.raises(OutOfRangeError, match="^steps must be an integer >= 2"):
                 sweep_curve("fig7", steps)
+
+    def test_steps_too_long_to_print(self):
+        with pytest.raises(OutOfRangeError) as info:
+            sweep_curve("fig7", LONG_INT)
+        assert str(info.value) == f"steps must be an integer >= 2, got {LONG_INT_SHOWN}"
 
     def test_unknown_family(self):
         with pytest.raises(UnknownFamilyError):
