@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import OutOfRangeError, _is_int, _show
+from .core import OutOfRangeError, _count, _is_int, _positive_float, _show
 from . import measures
 from .measures import _blocked, channel_sum, js_norm_batch
 from .registry import MeasureDescriptor
@@ -73,18 +73,12 @@ class AuditConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.grid_step <= 0.5):
             raise OutOfRangeError(f"grid_step {_show(self.grid_step)} outside (0, 0.5]")
+        _count(_axis_count(self.grid_step), 3, f"grid_step {self.grid_step!r}: points per axis")
         for name in ("random_pairs", "random_triples", "chain_samples"):
-            value = getattr(self, name)
-            if not _is_int(value) or value < 1:
-                raise OutOfRangeError(f"{name} must be an integer >= 1, got {_show(value)}")
+            _count(getattr(self, name), 1, name)
         # an infinite tolerance would grade the sweep's masked diagonal as a
         # witness; an int above the float range would overflow in the audits
-        try:
-            finite = 0.0 < self.tolerance and math.isfinite(self.tolerance)
-        except OverflowError:
-            raise OutOfRangeError("tolerance is too large for a float") from None
-        if not finite:
-            raise OutOfRangeError(f"tolerance must be finite and > 0, got {_show(self.tolerance)}")
+        _positive_float(self.tolerance, OutOfRangeError, "tolerance")
         if not _is_int(self.seed) or self.seed < 0:
             raise OutOfRangeError(f"seed must be a non-negative integer, got {_show(self.seed)}")
 
@@ -143,10 +137,16 @@ class AxiomReport:
 # the samples: every point is a (..., 2) array of (mu, nu)
 # ---------------------------------------------------------------------------
 
+def _axis_count(step: float) -> int:
+    """Points per axis of grid_points(step), floor(1/step + 1e-9) + 1; a step
+    so small that 1/step is inf counts as 2**1024, past the float range."""
+    span = 1.0 / step + 1e-9
+    return int(np.floor(span)) + 1 if span < math.inf else 2 ** 1024
+
+
 def grid_points(step: float) -> np.ndarray:
     """All (i*step, j*step) with mu + nu <= 1, row-major in (mu, nu)."""
-    count = int(np.floor(1.0 / step + 1e-9)) + 1
-    axis = np.minimum(np.arange(count) * step, 1.0)
+    axis = np.minimum(np.arange(_axis_count(step)) * step, 1.0)
     pts = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     return pts[pts[:, 0] + pts[:, 1] <= 1.0 + 1e-12]
 

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 from .core import IFS, IfsimError, WeightVector, uniform_weights
 from .datasets import BUILTIN_DATASET_NAMES, _parse_weights, resolve_dataset
 from .measures import entropy_ifs
-from .registry import _PARAM_NAMES, MEASURE_NAMES, get_measure
+from .registry import MEASURE_NAMES, get_measure
 
 if TYPE_CHECKING:
     from .scenarios import CurveTable
@@ -143,19 +143,10 @@ def _load_weights(arg: str | None, from_data: WeightVector | None, n: int) -> We
 
 
 def _measure_params(args: argparse.Namespace) -> dict:
-    """The registry parameters of args.measure, each from its --<name> flag;
-    a flag given for a measure that does not take it is an error."""
-    params: dict = {}
-    for measure, names in _PARAM_NAMES.items():
-        for name in names:
-            value = getattr(args, name)
-            if args.measure == measure:
-                if value is None:
-                    raise IfsimError(f"--measure {measure} requires --{name}")
-                params[name] = value
-            elif value is not None:
-                raise IfsimError(f"--{name} is only valid with --measure {measure}")
-    return params
+    """The --lambda and --gamma flags given, as measure parameters;
+    get_measure rejects a missing one and one the measure does not take."""
+    return {name: getattr(args, name) for name in ("lambda", "gamma")
+            if getattr(args, name) is not None}
 
 
 def _get_set(sets: dict[str, IFS], name: str) -> IFS:
@@ -187,7 +178,9 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 def _cmd_audit(args: argparse.Namespace) -> int:
     from .audit import AuditConfig, audit_distance, audit_entropy
 
-    params = _measure_params(args)  # also rejects --lambda/--gamma for the entropy
+    params = _measure_params(args)
+    if args.measure == "entropy" and params:
+        raise IfsimError(f"measure 'entropy' does not take: {', '.join(params)}")
     config = AuditConfig(
         grid_step=args.grid_step,
         random_pairs=args.samples,

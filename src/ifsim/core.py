@@ -21,7 +21,9 @@ tolerance).
 
 from __future__ import annotations
 
+import math
 import reprlib
+import sys
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Sequence
@@ -61,11 +63,34 @@ def _is_int(x) -> bool:
 
 
 def _show(x) -> str:
-    """repr(x) for an error message, or the size of an int too long to print."""
-    try:
-        return repr(x)
-    except ValueError:  # an int of more than sys.get_int_max_str_digits() digits
+    """repr(x) for an error message; an int of more than 128 bits, which
+    str() may refuse to print, shows as its sign and size in bits."""
+    if isinstance(x, int) and x.bit_length() > 128:
         return f"<{'negative ' if x < 0 else ''}int of {x.bit_length()} bits>"
+    return repr(x)
+
+
+def _floats(values: Iterable, error: type[IfsimError], what: str) -> tuple[float, ...]:
+    """The values as floats, converted in one pass; an int beyond the float
+    range raises `error` with a one-line message, not OverflowError."""
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise error(f"{what} is too large for a float") from None
+
+
+def _positive_float(x, error: type[IfsimError], name: str) -> float:
+    """x as a float, finite and > 0; else `error` with a one-line message."""
+    if not (0.0 < x < math.inf):
+        raise error(f"{name} must be finite and > 0, got {_show(x)}")
+    return _floats((x,), error, name)[0]
+
+
+def _count(value, low: int, name: str) -> None:
+    """Raise OutOfRangeError unless value, a count, is an int or numpy
+    integer (not a bool) in [low, sys.maxsize], the most Python can index."""
+    if not (_is_int(value) and low <= value <= sys.maxsize):
+        raise OutOfRangeError(f"{name} must be an integer in [{low}, {sys.maxsize}], got {_show(value)}")
 
 
 @dataclass(frozen=True)
@@ -76,11 +101,9 @@ class IFV:
     nu: float
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "mu", float(self.mu))
-            object.__setattr__(self, "nu", float(self.nu))
-        except OverflowError:
-            raise OutOfRangeError("a degree is too large for a float") from None
+        mu, nu = _floats((self.mu, self.nu), OutOfRangeError, "a degree")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "nu", nu)
         for name, v in (("mu", self.mu), ("nu", self.nu)):
             if not (0.0 <= v <= 1.0):
                 raise OutOfRangeError(f"{name}={v!r} outside [0, 1]")
@@ -273,10 +296,7 @@ class WeightVector:
     array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "weights", tuple(map(float, self.weights)))
-        except OverflowError:
-            raise OutOfRangeError("a weight is too large for a float") from None
+        object.__setattr__(self, "weights", _floats(self.weights, OutOfRangeError, "a weight"))
         if len(self.weights) < 1:
             raise OutOfRangeError("weight vector must be non-empty")
         array = np.array(self.weights, dtype=np.float64)
@@ -298,14 +318,9 @@ class WeightVector:
 
 
 def uniform_weights(n: int) -> WeightVector:
-    """Uniform weights (1/n, ..., 1/n); n must be an integer >= 1."""
-    if not _is_int(n) or n < 1:
-        raise OutOfRangeError(f"n must be an integer >= 1, got {_show(n)}")
-    try:  # 1.0 / n overflows above the float range, the repeat above sys.maxsize
-        weights = (1.0 / n,) * n
-    except OverflowError:
-        raise OutOfRangeError("n is too large for uniform weights") from None
-    return WeightVector(weights)
+    """Uniform weights (1/n, ..., 1/n); n must be an integer in [1, sys.maxsize]."""
+    _count(n, 1, "n")
+    return WeightVector((1.0 / n,) * n)
 
 
 def check_weights(w: WeightVector, n: int) -> None:

@@ -35,7 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import IFS, IFV, IfsimError, WeightVector, _degrees_valid, _pair_rows
+from .core import IFS, IFV, IfsimError, WeightVector, _degrees_valid, _pair_rows, check_weights
 
 
 class DatasetParseError(IfsimError, ValueError):
@@ -163,13 +163,16 @@ def dumps_dataset(sets: dict[str, IFS], weights: WeightVector | None = None) -> 
     universe = next(iter(universes))
     named = []
     for name, ifs in sets.items():
-        key = json.dumps({name: 0})[1:-4]  # the key as json.dumps writes it
+        if not isinstance(name, str):  # json.dumps writes the keys 1 and None as "1" and "null"
+            raise DatasetValidationError(f"set names must be strings, got {reprlib.repr(name)}")
+        key = encode_basestring_ascii(name)  # the key as json.dumps writes it
         named.append(f"    {key}: " + _json_array(map(_PAIR, *ifs.degrees.tolist()), "    "))
     parts = [
         '  "universe": ' + _json_array(map(encode_basestring_ascii, universe), "  "),
         '  "sets": {\n' + ",\n".join(named) + "\n  }",
     ]
     if weights is not None:
+        check_weights(weights, len(universe))
         parts.append('  "weights": ' + _json_array(map(repr, weights.weights), "  "))
     return "{\n" + ",\n".join(parts) + "\n}\n"
 

@@ -63,6 +63,8 @@ from .core import (
     WeightVector,
     check_weights,
     complement,
+    _floats,
+    _positive_float,
     _require_same_universe,
     _show,
 )
@@ -213,7 +215,7 @@ def wu_lambda_split(lam: float) -> KernelSplit:
     a false zero.  At lam = 2, <0.3, 1e-200> vs <0.3, 0> gives 0.0, though
     the exact value is sqrt(1e-400 / 2) ~ 7.07e-201.
     """
-    _check_lambda(lam)
+    lam = _positive_float(lam, InvalidLambdaError, "lambda")
     return KernelSplit(lambda mu, nu: _wu_channels(mu ** lam, nu ** lam), _l_stacked, _sqrt_half)
 
 
@@ -234,10 +236,8 @@ def l_divergence(p: float, q: float) -> float:
     """Two-point JS building block L(p, q); requires p >= 0 and q >= 0
     (NegativeInputError), and finite p and q whose doubled sum 2(p + q)
     does not overflow (OutOfRangeError), so that 2p/s is finite."""
-    try:  # Python floats: an overflow below raises no warning
-        p, q = float(p), float(q)
-    except OverflowError:
-        raise OutOfRangeError("L requires p and q within the float range") from None
+    # Python floats: 2(p + q) below overflows to inf with no warning
+    p, q = _floats((p, q), OutOfRangeError, "an argument of L")
     if p < 0.0 or q < 0.0:
         raise NegativeInputError(f"L requires non-negative arguments, got ({p!r}, {q!r})")
     if not math.isfinite(2.0 * (p + q)):  # false for nan, inf and overflow
@@ -329,11 +329,6 @@ def dist_wu(a: IFS, b: IFS, w: WeightVector) -> float:
 def sim_wu(a: IFS, b: IFS, w: WeightVector) -> float:
     """Dual similarity 1 - dist_wu."""
     return 1.0 - dist_wu(a, b, w)
-
-
-def _check_lambda(lam: float) -> None:
-    if not (0.0 < lam < math.inf):
-        raise InvalidLambdaError(f"lambda must be finite and > 0, got {_show(lam)}")
 
 
 def dist_wu_lambda(a: IFS, b: IFS, w: WeightVector, lam: float) -> float:

@@ -31,7 +31,7 @@ from typing import Any, Callable, Mapping, Optional, Union
 import numpy as np
 
 from . import baselines, measures
-from .core import IFS, IfsimError, WeightVector, uniform_weights
+from .core import IFS, IfsimError, WeightVector, _floats, uniform_weights
 
 # (a, b, w) -> value; a is an IFS (a float back) or a PatternLibrary, whose
 # (2, P, n) degree stack gives an array of P values, one per pattern
@@ -100,11 +100,8 @@ def get_measure(name: str, **params: float) -> MeasureDescriptor:
         raise InvalidMeasureParamsError(f"measure {name!r} requires parameter(s): {', '.join(missing)}")
     if extra:
         raise InvalidMeasureParamsError(f"measure {name!r} does not take: {', '.join(extra)}")
-    try:
-        params = {k: float(v) for k, v in params.items()}
-    except OverflowError:
-        raise InvalidMeasureParamsError(
-            f"measure {name!r}: a parameter is too large for a float") from None
+    params = dict(zip(params, _floats(params.values(), InvalidMeasureParamsError,
+                                      f"measure {name!r}: a parameter")))
     # Pinned by perfbench/layers.py, which traces by rebinding module
     # attributes and dataclasses.replace(md, evaluator=, pair_batch=), and
     # whose test wants every layer metric > 0 and ifsim.audit.js_norm_batch:

@@ -40,9 +40,7 @@ from .core import (
     IFS,
     IFV,
     IfsimError,
-    OutOfRangeError,
-    _is_int,
-    _show,
+    _count,
     atanassov_strict_subset,
     ifs_strict_subset,
 )
@@ -530,8 +528,7 @@ FAMILY_IDS = tuple(_FAMILIES)
 
 def sweep_curve(family: str, steps: int = 101) -> CurveTable:
     """Tabulate one figure family at evenly spaced parameters."""
-    if not _is_int(steps) or steps < 2:
-        raise OutOfRangeError(f"steps must be an integer >= 2, got {_show(steps)}")
+    _count(steps, 2, "steps")
     name = _FAMILY_ALIASES.get(family, family)
     try:
         builder = _FAMILIES[name]

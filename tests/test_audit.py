@@ -1,5 +1,7 @@
 """The axiom auditor: deterministic sampling, verdicts, witnesses."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("name,message", [
         ("grid_step", f"grid_step {LONG_INT_SHOWN} outside (0, 0.5]"),
-        ("random_pairs", f"random_pairs must be an integer >= 1, got {LONG_INT_SHOWN}"),
+        ("random_pairs", f"random_pairs must be an integer in [1, {sys.maxsize}], got {LONG_INT_SHOWN}"),
         ("tolerance", f"tolerance must be finite and > 0, got {LONG_INT_SHOWN}"),
         ("seed", f"seed must be a non-negative integer, got {LONG_INT_SHOWN}"),
     ], ids=["grid_step", "random_pairs", "tolerance", "seed"])

@@ -210,18 +210,6 @@ class TestAuditCommand:
         assert code == 0
         assert "E4" in out
 
-    @pytest.mark.parametrize("flags,message", [
-        (["--lambda", "5"], "--lambda is only valid with --measure wu-lambda"),
-        (["--gamma", "2"], "--gamma is only valid with --measure jgamma"),
-        (["--lambda", "5", "--gamma", "2"], "--lambda is only valid with --measure wu-lambda"),
-    ])
-    def test_entropy_audit_rejects_measure_params(self, capsys, flags, message):
-        code, out, err = run(capsys, "audit", "--measure", "entropy", *AUDIT_FAST, *flags)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: {message}\n"
-
-
     @pytest.mark.parametrize("flags", [["--tolerance", "inf"], ["--tolerance", "nan"]])
     def test_non_finite_tolerance_is_a_usage_error(self, capsys, flags):
         code, out, err = run(capsys, "audit", "--measure", "wu", "--grid-step", "0.1",
@@ -229,6 +217,34 @@ class TestAuditCommand:
         assert code == 2
         assert out == ""
         assert err.startswith("error: tolerance must be finite and > 0")
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["audit", "--measure", "entropy", *AUDIT_FAST, "--lambda", "5"],
+     "measure 'entropy' does not take: lambda"),
+    (["audit", "--measure", "entropy", *AUDIT_FAST, "--gamma", "2"],
+     "measure 'entropy' does not take: gamma"),
+    (["audit", "--measure", "entropy", *AUDIT_FAST, "--lambda", "5", "--gamma", "2"],
+     "measure 'entropy' does not take: lambda, gamma"),
+    (["sim", "--measure", "wu-lambda", "--data", "tableIII", "--left", "P1", "--right", "S1"],
+     "measure 'wu-lambda' requires parameter(s): lambda"),
+    (["dist", "--measure", "wu", "--gamma", "2", "--data", "tableI_case1",
+      "--left", "A", "--right", "B"], "measure 'wu' does not take: gamma"),
+    # counts stop at sys.maxsize, so none of these allocates
+    (["audit", "--measure", "wu", "--samples", str(10**20)],
+     f"random_pairs must be an integer in [1, {sys.maxsize}], got {10**20}"),
+    (["audit", "--measure", "wu", "--grid-step", "1e-300"],
+     f"grid_step 1e-300: points per axis must be an integer in [3, {sys.maxsize}], "
+     "got <int of 997 bits>"),
+    (["curve", "--family", "fig7", "--steps", str(10**20)],
+     f"steps must be an integer in [2, {sys.maxsize}], got {10**20}"),
+], ids=["entropy-lambda", "entropy-gamma", "entropy-both", "missing-lambda", "foreign-gamma",
+        "audit-samples", "audit-grid-step", "curve-steps"])
+def test_bad_parameter_or_count_is_one_error_line(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 class TestClassifyCommand:

@@ -188,20 +188,22 @@ class TestWeights:
 
     @pytest.mark.parametrize("n", [2.5, True])
     def test_uniform_n_must_be_an_integer(self, n):
-        with pytest.raises(OutOfRangeError, match=f"^n must be an integer >= 1, got {n!r}$"):
+        with pytest.raises(OutOfRangeError) as info:
             uniform_weights(n)
+        assert str(info.value) == f"n must be an integer in [1, {sys.maxsize}], got {n!r}"
 
-    # neither n allocates: 1.0 / n overflows first, and the tuple repeat
-    # rejects a count above sys.maxsize before building anything
+    # neither n allocates: counts stop at sys.maxsize
     @pytest.mark.parametrize("n", [10**400, sys.maxsize + 1])
     def test_uniform_n_too_large(self, n):
-        with pytest.raises(OutOfRangeError, match="^n is too large for uniform weights$"):
+        shown = {10**400: "<int of 1329 bits>", sys.maxsize + 1: repr(sys.maxsize + 1)}[n]
+        with pytest.raises(OutOfRangeError) as info:
             uniform_weights(n)
+        assert str(info.value) == f"n must be an integer in [1, {sys.maxsize}], got {shown}"
 
     def test_uniform_n_too_long_to_print(self):
         with pytest.raises(OutOfRangeError) as info:
             uniform_weights(LONG_INT)
-        assert str(info.value) == f"n must be an integer >= 1, got {LONG_INT_SHOWN}"
+        assert str(info.value) == f"n must be an integer in [1, {sys.maxsize}], got {LONG_INT_SHOWN}"
 
     def test_uniform_numpy_integer_n(self):
         assert uniform_weights(np.int64(2)) == uniform_weights(2)

@@ -14,6 +14,7 @@ from ifsim import (
     IFV,
     DatasetParseError,
     DatasetValidationError,
+    WeightLengthMismatchError,
     WeightVector,
     builtin_dataset,
     dumps_dataset,
@@ -230,6 +231,20 @@ class TestDumpsRejects:
         sets = {"A": IFS.from_pairs([(0.3, 0.2)], ["x"]), "B": IFS.from_pairs([(0.3, 0.2)], ["y"])}
         with pytest.raises(DatasetValidationError, match="^all sets must share one universe$"):
             dumps_dataset(sets)
+
+    def test_weights_of_another_length(self):
+        sets = {"A": IFS.from_pairs([(0.3, 0.2), (0.4, 0.3)])}
+        with pytest.raises(WeightLengthMismatchError) as info:
+            dumps_dataset(sets, WeightVector((1.0,)))
+        assert str(info.value) == "weight vector has length 1, universe has 2 elements"
+
+    # json.dumps would write 1 and None as the keys "1" and "null", which
+    # read back as other names, and refuse a tuple with a bare TypeError
+    @pytest.mark.parametrize("name,shown", [(1, "1"), (None, "None"), (("A",), "('A',)")])
+    def test_name_that_is_not_a_string(self, name, shown):
+        with pytest.raises(DatasetValidationError) as info:
+            dumps_dataset({name: IFS.from_pairs([(0.3, 0.2)])})
+        assert str(info.value) == f"set names must be strings, got {shown}"
 
 
 class TestRoundTrip:
