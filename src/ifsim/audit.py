@@ -38,11 +38,21 @@ pair_batch gives.  A descriptor without a split is swept through
 pair_batch.  The sweep relies on the kernel being exactly symmetric, which
 S3 checks; for a symmetric kernel the witnesses and the sup pair are those
 of the full ordered matrix in row-major order.
+
+audit_distance runs the sweep on one helper thread, started after the grid
+is built and joined before S1, S2 and S5 read it, while the calling thread
+evaluates the random pairs, self pairs, triples and chains.  The sweep
+reads nothing those samples write, and its result depends on the grid and
+the kernel alone, so the reports are the same bytes as a serial run's; the
+helper runs under a copy of the caller's context, np.errstate included.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import sys
+import threading
 import time
 from dataclasses import dataclass, field
 
@@ -57,6 +67,10 @@ _ENDPOINTS = np.array([[0.0, 1.0], [1.0, 0.0]])
 _PINNED_CHAIN = ((0.33, 0.36), (1.0 / 3.0, 1.0 / 3.0), (0.334, 0.333333))
 _PINNED_E4_PAIR = ((0.1, 0.8), (0.3, 0.5))
 _PINNED_ENTROPY = np.vstack([_ENDPOINTS, [[0.2, 0.2]]])  # E1's endpoints, E2's diagonal point
+# float64 bytes per unit of each count in the largest array that count sizes:
+# the (n, 2, 2) random pairs, the (n, 3, 2) triples and the (2n, 3, 2) chain
+# candidates of _chains_array; numpy refuses an array above sys.maxsize bytes
+_SAMPLE_BYTES = {"random_pairs": 32, "random_triples": 48, "chain_samples": 96}
 
 
 @dataclass(frozen=True)
@@ -74,8 +88,12 @@ class AuditConfig:
         if not (0.0 < self.grid_step <= 0.5):
             raise OutOfRangeError(f"grid_step {_show(self.grid_step)} outside (0, 0.5]")
         _count(_axis_count(self.grid_step), 3, f"grid_step {self.grid_step!r}: points per axis")
-        for name in ("random_pairs", "random_triples", "chain_samples"):
-            _count(getattr(self, name), 1, name)
+        for name, size in _SAMPLE_BYTES.items():
+            n = getattr(self, name)
+            _count(n, 1, name)
+            if n * size > sys.maxsize:
+                raise OutOfRangeError(f"{name} {n} needs an array of {n * size} bytes, "
+                                      f"above numpy's limit of {sys.maxsize}")
         # an infinite tolerance would grade the sweep's masked diagonal as a
         # witness; an int above the float range would overflow in the audits
         _positive_float(self.tolerance, OutOfRangeError, "tolerance")
@@ -267,34 +285,66 @@ def _graded(margin: np.ndarray, tol: float, columns: dict, strict: bool = False)
 # distance audit
 # ---------------------------------------------------------------------------
 
+def _sweep_into(outcome: list, *args) -> None:
+    """The helper thread's target: append _grid_matrix_sweep(*args), or the
+    exception it raised, to outcome, for the calling thread to read."""
+    try:
+        outcome.append(_grid_matrix_sweep(*args))
+    except BaseException as exc:  # raised again in the calling thread
+        outcome.append(exc)
+
+
 def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
-    """Audit a measure's distance against S1-S5 and the triangle inequality."""
+    """Audit a measure's distance against S1-S5 and the triangle inequality.
+
+    The grid sweep runs on a helper thread while this thread evaluates the
+    sampled pairs, triples and chains; the thread is joined before S1, S2
+    and S5 read the sweep, and before any error leaves this function.  The
+    sweep's result does not depend on that timing, so the report is the
+    one a serial run gives, byte for byte.  So is the error raised: one from
+    the pairs or self pairs stops the sweep, and the sweep's own error wins
+    over one from the triples or chains.
+    """
     t0 = time.perf_counter()
     tol = config.tolerance
     grid = grid_points(config.grid_step)
+    stop, outcome = threading.Event(), []
+    helper = threading.Thread(target=contextvars.copy_context().run,
+                              args=(_sweep_into, outcome, m, grid, tol, stop))
+    helper.start()
 
-    pairs = _uniform(config, 0, 2, config.random_pairs)
-    pa, pb = pairs[:, 0], pairs[:, 1]
     kernel = m.pair_batch
-    d_ab, d_ba = _eval_pairs(kernel, pa, pb), _eval_pairs(kernel, pb, pa)
+    try:
+        pairs = _uniform(config, 0, 2, config.random_pairs)
+        pa, pb = pairs[:, 0], pairs[:, 1]
+        d_ab, d_ba = _eval_pairs(kernel, pa, pb), _eval_pairs(kernel, pb, pa)
+        points = np.vstack([grid, pairs.reshape(-1, 2)])
+        d_self = _eval_pairs(kernel, points, points)
+    except BaseException:
+        stop.set()
+        helper.join()
+        raise
+    try:
+        triples = _uniform(config, 1, 3, config.random_triples)
+        ta, tb, tc = triples[:, 0], triples[:, 1], triples[:, 2]
+        d1, d2 = _eval_pairs(kernel, ta, tb), _eval_pairs(kernel, tb, tc)
+        d3 = _eval_pairs(kernel, ta, tc)
+        excess = d3 - (d1 + d2)
+        worst = float(np.max(excess))
+        chains = _chains_array(config)
+        chain_checks = _chain_checks(m, chains, tol)
+    finally:
+        helper.join()
+        if isinstance(outcome[0], BaseException):
+            raise outcome[0]
+    sweep = outcome[0]
+
     pair_cols = {"a": pa, "b": pb, "d": d_ab}
-    points = np.vstack([grid, pairs.reshape(-1, 2)])
-    d_self = _eval_pairs(kernel, points, points)
     distinct = (pa != pb).any(axis=1)
-    sweep = _grid_matrix_sweep(m, grid, tol)
     rng_min = min(sweep["min"], float(np.min(d_ab)))
     rng_max = max(sweep["max"], float(np.max(d_ab)))
     min_off = min(sweep["min_off_diagonal"], float(np.min(d_ab[distinct])))
-
-    triples = _uniform(config, 1, 3, config.random_triples)
-    ta, tb, tc = triples[:, 0], triples[:, 1], triples[:, 2]
-    d1, d2 = _eval_pairs(kernel, ta, tb), _eval_pairs(kernel, tb, tc)
-    d3 = _eval_pairs(kernel, ta, tc)
-    excess = d3 - (d1 + d2)
-    worst = float(np.max(excess))
     triple_cols = {"a": ta, "b": tb, "c": tc, "d(a,c)": d3, "d(a,b)+d(b,c)": d1 + d2, "excess": excess}
-
-    chains = _chains_array(config)
     checks = [
         _verdict("S3", [
             ("fail", _witness(d_ab != d_ba, {"a": pa, "b": pb, "d(a,b)": d_ab, "d(b,a)": d_ba}),
@@ -309,7 +359,7 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
             ("fail", _witness(distinct & (d_ab <= 0.0), pair_cols), "d(a,b) == 0 for a != b"),
             ("fail", sweep["positivity_witness"], "d(a,b) == 0 for a != b"),
         ], "d(a,a)=0 everywhere; d>0 on all distinct sampled pairs", {"min_off_diagonal": min_off}),
-        *_chain_checks(m, chains, tol),
+        *chain_checks,
         _maximality_check(m, sweep, grid, tol),
         _verdict("D-triangle", [
             ("fail", _witness(excess > tol, triple_cols), f"violated beyond tolerance {tol:g}"),
@@ -355,9 +405,11 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
         lo = hi
 
 
-def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float) -> dict:
+def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
+                       stop: threading.Event | None = None) -> dict | None:
     """Grid x grid pass over the unordered pairs i <= j, tracking range,
-    off-diagonal minimum, and the supremum over non-endpoint pairs.
+    off-diagonal minimum, and the supremum over non-endpoint pairs; None
+    when `stop` is set, which is checked once per block.
 
     Rows are taken in blocks [lo, hi) against the columns lo: only, i.e. the
     upper triangle plus the diagonal tile, each block sized to stay in cache
@@ -374,6 +426,8 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float) -> di
     min_off = np.inf
     range_witness = positivity_witness = near_one_witness = None
     for lo, a, b, block in _sweep_blocks(m, grid):
+        if stop is not None and stop.is_set():
+            return None
         hi = lo + len(block)
         if not (block.flags.owndata and block.flags.writeable):
             block = block.copy()  # masked in place below; never write into kernel-owned memory

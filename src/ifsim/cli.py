@@ -20,7 +20,8 @@ significant digits; CSV output is byte-stable for fixed inputs (fixed
 column order, fixed formatting, newline-terminated rows).
 
 Exit codes: 0 success, 1 any audit or scenario check failed, 2 usage or
-parse errors (malformed input never produces a bare traceback).
+parse errors, or a count that memory cannot hold (malformed input never
+produces a bare traceback).
 
 Each process imports only what its command runs: audit, recognition and
 scenarios are imported inside the commands that use them, and building
@@ -269,8 +270,8 @@ def main(argv: list[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (IfsimError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (IfsimError, OSError, MemoryError) as exc:  # a bare MemoryError has no message
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

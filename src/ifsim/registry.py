@@ -49,7 +49,12 @@ class InvalidMeasureParamsError(IfsimError, ValueError):
 
 @dataclass(frozen=True)
 class MeasureDescriptor:
-    """A named distance usable by audit, classify, and the repro runner."""
+    """A named distance usable by audit, classify, and the repro runner.
+
+    audit_distance may call pair_batch and the split's functions from two
+    threads at once, since it sweeps the grid on a helper thread, so they
+    must keep no state between calls; every built-in is pure numpy.
+    """
 
     name: str
     params: Mapping[str, float]

@@ -1,6 +1,8 @@
 """The axiom auditor: deterministic sampling, verdicts, witnesses."""
 
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -57,6 +59,13 @@ class TestConfig:
         with pytest.raises(OutOfRangeError) as info:
             AuditConfig(**{name: LONG_INT})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("name,size", [
+        ("random_pairs", 32), ("random_triples", 48), ("chain_samples", 96)])
+    def test_count_stops_at_numpys_array_limit(self, name, size):
+        assert getattr(AuditConfig(**{name: sys.maxsize // size}), name) == sys.maxsize // size
+        with pytest.raises(OutOfRangeError, match=f"^{name} {sys.maxsize // size + 1} needs"):
+            AuditConfig(**{name: sys.maxsize // size + 1})
 
     def test_numpy_integers_accepted(self):
         c = AuditConfig(random_pairs=np.int64(5), chain_samples=np.int32(3), seed=np.uint8(7))
@@ -268,3 +277,98 @@ class TestChainGrading:
         # S4' counts ties as violations, so its first indeterminate witness is a tie
         rows = _chain_rows(SMALL, weak=not strict)
         assert entry.witness == _first_chain_witness(m, rows, strict and not above)
+
+
+# The grid sweep runs on a helper thread while the calling thread evaluates
+# the samples.  With TINY every sample is one kernel call, in this order:
+# the pairs (calls 1, 2) and self pairs (3), the triples (4-6), the chains
+# (7-9), then S5's families (10); the sweep of its 0.01 grid (431 blocks)
+# never calls the kernel, only the split.
+TINY = AuditConfig(grid_step=0.01, random_pairs=100, random_triples=100, chain_samples=50,
+                   seed=3)
+TINY_BLOCKS = 431
+
+
+class Boom(Exception):
+    pass
+
+
+def _rigged(kernel_fails_at: int = 0, finish_fails_at: int = 0, hook=None):
+    """wu with a kernel that raises Boom("kernel") on its kernel_fails_at-th
+    call and a split whose finish raises Boom("sweep") on its
+    finish_fails_at-th; hook("kernel" or "finish") runs before each call."""
+    wu = get_measure("wu")
+    calls = {"kernel": 0, "finish": 0}
+
+    def rigged(name, fails_at, f):
+        def call(*args):
+            calls[name] += 1
+            if hook is not None:
+                hook(name)
+            if calls[name] == fails_at:
+                raise Boom("sweep" if name == "finish" else name)
+            return f(*args)
+        return call
+
+    split = wu.split._replace(finish=rigged("finish", finish_fails_at, wu.split.finish))
+    kernel = rigged("kernel", kernel_fails_at, wu.pair_batch)
+    return MeasureDescriptor("wu", {}, wu.evaluator, kernel, split), calls
+
+
+class TestSweepThread:
+    def test_tiny_plan(self):
+        m, calls = _rigged()
+        report = audit_distance(m, TINY)
+        assert report.passed
+        assert calls == {"kernel": 10, "finish": TINY_BLOCKS}
+        assert report.checks == audit_distance(get_measure("wu"), TINY).checks
+
+    def test_no_thread_outlives_a_returning_audit(self):
+        before = threading.active_count()
+        audit_distance(get_measure("wu"), TINY)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("kernel_fails_at,finish_fails_at,raised,blocks", [
+        # an error from the pairs or self pairs precedes the sweep's
+        (1, 1, "kernel", None), (3, TINY_BLOCKS, "kernel", None),
+        # the sweep's error precedes one from the triples or chains
+        (4, TINY_BLOCKS, "sweep", TINY_BLOCKS), (9, 1, "sweep", 1),
+        (0, TINY_BLOCKS, "sweep", TINY_BLOCKS),
+        # which wait for the sweep to finish, as S5 does
+        (4, 0, "kernel", TINY_BLOCKS), (7, 0, "kernel", TINY_BLOCKS),
+        (10, 0, "kernel", TINY_BLOCKS),
+    ])
+    def test_errors_keep_the_serial_order(self, kernel_fails_at, finish_fails_at, raised, blocks):
+        m, calls = _rigged(kernel_fails_at, finish_fails_at)
+        before = threading.active_count()
+        with pytest.raises(Boom, match=f"^{raised}$"):
+            audit_distance(m, TINY)
+        assert threading.active_count() == before
+        if blocks is not None:
+            assert calls["finish"] == blocks
+
+    def test_sweep_runs_under_the_callers_errstate(self):
+        def divide(name):
+            if name == "finish":
+                np.divide(1.0, np.zeros(1))
+
+        m, _ = _rigged(hook=divide)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            audit_distance(m, TINY)
+
+    def test_callers_error_stops_the_sweep(self):
+        swept = threading.Event()
+
+        def hook(name):
+            if name == "finish":  # a sweep of TINY_BLOCKS ms at the least
+                swept.set()
+                time.sleep(0.001)
+            else:  # the first pair, which fails, waits for the sweep's first block
+                assert swept.wait(timeout=10.0)
+
+        m, calls = _rigged(kernel_fails_at=1, hook=hook)
+        before = threading.active_count()
+        with pytest.raises(Boom, match="^kernel$"):
+            audit_distance(m, TINY)
+        assert threading.active_count() == before
+        assert 1 <= calls["finish"] < TINY_BLOCKS

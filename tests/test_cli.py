@@ -230,21 +230,34 @@ class TestAuditCommand:
      "measure 'wu-lambda' requires parameter(s): lambda"),
     (["dist", "--measure", "wu", "--gamma", "2", "--data", "tableI_case1",
       "--left", "A", "--right", "B"], "measure 'wu' does not take: gamma"),
-    # counts stop at sys.maxsize, so none of these allocates
+    # counts stop at sys.maxsize and at numpy's array limit, so none of these allocates
     (["audit", "--measure", "wu", "--samples", str(10**20)],
      f"random_pairs must be an integer in [1, {sys.maxsize}], got {10**20}"),
+    (["audit", "--measure", "wu", "--grid-step", "0.5", "--samples", str(10**18)],
+     f"random_pairs {10**18} needs an array of {32 * 10**18} bytes, "
+     f"above numpy's limit of {sys.maxsize}"),
     (["audit", "--measure", "wu", "--grid-step", "1e-300"],
      f"grid_step 1e-300: points per axis must be an integer in [3, {sys.maxsize}], "
      "got <int of 997 bits>"),
     (["curve", "--family", "fig7", "--steps", str(10**20)],
      f"steps must be an integer in [2, {sys.maxsize}], got {10**20}"),
 ], ids=["entropy-lambda", "entropy-gamma", "entropy-both", "missing-lambda", "foreign-gamma",
-        "audit-samples", "audit-grid-step", "curve-steps"])
+        "audit-samples", "audit-samples-array", "audit-grid-step", "curve-steps"])
 def test_bad_parameter_or_count_is_one_error_line(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_count_that_memory_cannot_hold_is_one_error_line(capsys):
+    # within numpy's limit, but 5.3 EiB of pairs: no address space holds it,
+    # so the allocation fails at once
+    code, out, err = run(capsys, "audit", "--measure", "wu", "--grid-step", "0.5",
+                         "--samples", str(sys.maxsize // 48))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
 
 
 class TestClassifyCommand:

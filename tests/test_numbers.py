@@ -2,7 +2,8 @@
 
 A number with no float (an int beyond the float range) raises the entry
 point's own IfsimError subclass, and a count must be an int or numpy
-integer, not a bool, in [low, sys.maxsize]; each with a one-line message,
+integer, not a bool, in [low, sys.maxsize], and an audit's sample count
+must not size an array beyond numpy's limit; each with a one-line message,
 before anything is allocated.  Inputs that an entry point's own tests
 already check are not repeated here: 10**400 for IFV, WeightVector,
 l_divergence and get_measure (the *_too_large_for_a_float tests), -10**5000
@@ -38,7 +39,10 @@ BIG = 10**400  # passes every comparison with a float, but has no float
 SHOWN = {BIG: "<int of 1329 bits>", LONG_INT: "<negative int of 16610 bits>",
          True: "True", 2.5: "2.5", sys.maxsize + 1: repr(sys.maxsize + 1)}
 LABEL = {BIG: "10**400", LONG_INT: "-10**5000", True: "True", 2.5: "2.5",
-         sys.maxsize + 1: "maxsize+1", 1e-300: "1e-300", 5e-324: "5e-324"}
+         sys.maxsize + 1: "maxsize+1", 1e-300: "1e-300", 5e-324: "5e-324", 10**18: "10**18"}
+# float64 bytes per count in each count's largest array: (n, 2, 2) pairs,
+# (n, 3, 2) triples and (2n, 3, 2) chain candidates
+SAMPLE_BYTES = {"random_pairs": 32, "random_triples": 48, "chain_samples": 96}
 
 SETS, W = builtin_dataset("tableI_case1")
 
@@ -81,6 +85,10 @@ def _cases():
         for x in inputs:
             yield (name, lambda x, name=name: AuditConfig(**{name: x}), OutOfRangeError, x,
                    _count_message(name, 1, SHOWN[x]))
+        # within sys.maxsize, but numpy could not size the samples
+        yield (name, lambda x, name=name: AuditConfig(**{name: x}), OutOfRangeError, 10**18,
+               f"{name} {10**18} needs an array of {SAMPLE_BYTES[name] * 10**18} bytes, "
+               f"above numpy's limit of {sys.maxsize}")
     for x in (BIG, sys.maxsize + 1):
         yield ("sweep_curve", lambda x: sweep_curve("fig7", x), OutOfRangeError, x,
                _count_message("steps", 2, SHOWN[x]))
