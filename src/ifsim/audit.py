@@ -34,10 +34,16 @@ does not call pair_batch: it tabulates the split's term once per channel on
 the channel's distinct grid values, and each block adds the gathered table
 entries in channel order and applies the split's finish.  The kernel is
 that split called on the arrays, so every swept value has the bits that
-pair_batch gives.  A descriptor without a split is swept through
-pair_batch.  The sweep relies on the kernel being exactly symmetric, which
-S3 checks; for a symmetric kernel the witnesses and the sup pair are those
-of the full ordered matrix in row-major order.
+pair_batch gives.  The gathers and their sum fill two buffers allocated
+once per sweep, which the finish may write into; a descriptor without a
+split is swept through pair_batch, and only that output, which may be
+read-only or the kernel's own, is copied before the sweep masks it.  Each
+block takes two full reductions, a masked minimum and a masked argmax,
+and the range comes from these and the masked cells.  The sweep relies on
+the kernel being exactly symmetric, which S3 checks; for a symmetric
+kernel the witnesses and the sup pair are those of the full ordered
+matrix in row-major order.  A nan is out of range, and the range and sup
+follow numpy's reductions on it.
 
 audit_distance runs the sweep on one helper thread, started after the grid
 is built and joined before S1, S2 and S5 read it, while the calling thread
@@ -60,7 +66,7 @@ import numpy as np
 
 from .core import OutOfRangeError, _count, _is_int, _positive_float, _show
 from . import measures
-from .measures import _blocked, channel_sum, js_norm_batch
+from .measures import _blocked, js_norm_batch
 from .registry import MeasureDescriptor
 
 _ENDPOINTS = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -352,7 +358,8 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
         ], "exact equality on all sampled pairs"),
         _verdict("S1", [
             ("fail", sweep["range_witness"], "value outside [0, 1]"),
-            ("fail", _witness((d_ab < 0.0) | (d_ab > 1.0), pair_cols), "value outside [0, 1]"),
+            ("fail", _witness(~((d_ab >= 0.0) & (d_ab <= 1.0)), pair_cols),
+             "value outside [0, 1]"),
         ], f"observed range [{rng_min:.17g}, {rng_max:.17g}]", {"min": rng_min, "max": rng_max}),
         _verdict("S2", [
             ("fail", _witness(d_self != 0.0, {"a": points, "d(a,a)": d_self}), "d(a,a) != 0"),
@@ -378,28 +385,45 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
     """(lo, a, b, block) for the row blocks [lo, hi) of the grid against
     its columns lo:, each of at most measures._BLOCK_CELLS cells (one row
     at the least); a and b are the (hi-lo, 1, 2) and (1, g-lo, 2) points,
-    block their (hi-lo, g-lo) values.
+    block their (hi-lo, g-lo) values, which the caller may write into
+    until it asks for the next block.
 
-    Without a split, pair_batch computes each block.  With one, each
-    channel's distinct grid values u get a table term(u[:, None], u[None, :])
-    and each grid point the index of its value, so that table[k_i, k_j] is
-    the term of grid points i and j; a block gathers each channel's entries,
+    Without a split, pair_batch computes each block, copied when the
+    kernel's output is read-only or not its own.  With one, each channel's
+    distinct grid values u get a table term(u[:, None], u[None, :]) and
+    each grid point the index of its value, so that table[k_i, k_j] is the
+    term of grid points i and j; a block gathers each channel's entries,
     adds them in channel order and applies the split's finish to that sum
-    alone, which is how the kernel computes them, bit for bit.
+    alone, which is how the kernel computes them, bit for bit.  The gathers
+    and the sum fill two buffers allocated once per sweep, and the finish
+    gets the sum's buffer, so a block that a finish writes in place is a
+    view of that buffer, overwritten by the next block.
     """
     g = len(grid)
     if m.split is not None:
         distinct = (np.unique(x, return_inverse=True)
                     for x in m.split.channels(grid[:, 0], grid[:, 1]))
         tables = [(m.split.term(u[:, None], u[None, :]), k) for u, k in distinct]
+        cells = max(measures._BLOCK_CELLS, g)  # the largest block below
+        sums, gathered = np.empty(cells), np.empty(cells)
     lo = 0
     while lo < g:
         hi = min(lo + max(1, measures._BLOCK_CELLS // (g - lo)), g)
         a, b = grid[lo:hi, None], grid[None, lo:]
         if m.split is None:
             block = _eval_pairs(m.pair_batch, a, b)
+            if not (block.flags.owndata and block.flags.writeable):
+                block = block.copy()  # the caller writes into it
         else:
-            total = channel_sum([np.take(t[k[lo:hi]], k[lo:], axis=1) for t, k in tables])
+            shape, n = (hi - lo, g - lo), (hi - lo) * (g - lo)
+            total = sums[:n].reshape(shape)
+            # the indices are np.unique's inverse, always in range; "clip"
+            # spares the copy that mode="raise" makes of an out= array
+            for i, (t, k) in enumerate(tables):
+                out = gathered[:n].reshape(shape) if i else total
+                np.take(t[k[lo:hi]], k[lo:], axis=1, out=out, mode="clip")
+                if i:  # channel_sum's order, ((t0 + t1) + t2)
+                    total += out
             block = m.split.finish(total)
         yield lo, a, b, block
         lo = hi
@@ -414,53 +438,79 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
     Rows are taken in blocks [lo, hi) against the columns lo: only, i.e. the
     upper triangle plus the diagonal tile, each block sized to stay in cache
     (_sweep_blocks: a measure with a split fills its blocks from per-channel
-    term tables, any other through pair_batch).  This relies on the kernel
-    being exactly symmetric (S3 checks it): a witness at (i, j) with j < i
-    is mirrored by (j, i) in an earlier row, so the first witness and the
-    first argmax in row-major order of the full matrix are the ones found
-    here.
+    term tables into two buffers reused across the sweep, any other through
+    pair_batch, whose read-only output is copied first).  This relies on the
+    kernel being exactly symmetric (S3 checks it): a witness at (i, j) with
+    j < i is mirrored by (j, i) in an earlier row, so the first witness and
+    the first argmax in row-major order of the full matrix are the ones
+    found here.
+
+    Each block takes two full reductions, in place: its minimum with the
+    diagonal masked to +inf, and its argmax with the diagonal and the
+    endpoint pair masked to -inf.  The range comes from these two and the
+    cells they mask, saved first; a block that has a hit gets those cells
+    back before the scan for its witness.  A nan is propagated as numpy's
+    reductions do: it makes every statistic whose cells hold it nan, and
+    the first nan is the sup, as argmax takes it.  The bounds checks are
+    negated comparisons, so a nan fails them.
     """
     ends = np.flatnonzero(_is_endpoint(grid)).tolist()  # on the grid only when step divides 1
-    sup, sup_pair = -np.inf, None
-    vmin, vmax = np.inf, -np.inf
-    min_off = np.inf
+    off_mins, tops, top_at, held = [], [], [], []
     range_witness = positivity_witness = near_one_witness = None
     for lo, a, b, block in _sweep_blocks(m, grid):
         if stop is not None and stop.is_set():
             return None
         hi = lo + len(block)
-        if not (block.flags.owndata and block.flags.writeable):
-            block = block.copy()  # masked in place below; never write into kernel-owned memory
+        diag = np.arange(hi - lo)
+        masked = [(diag, diag)]
+        rows = [e - lo for e in ends if lo <= e < hi]
+        if rows:  # the two endpoint pairs are exempt from the supremum
+            masked.append(np.ix_(rows, [e - lo for e in ends if e >= lo]))
+        saved = [block[cells] for cells in masked]  # copies, taken before any mask
+        kept = np.concatenate([x.ravel() for x in saved])  # the cells outside the argmax
+        held.append(kept)
 
-        def witness(mask: np.ndarray) -> dict | None:  # columns built only for a hit
+        block[diag, diag] = np.inf
+        off_min = block.min()
+        for cells in masked:
+            block[cells] = -np.inf
+        bi, bj = divmod(int(block.argmax()), block.shape[1])  # row-major, as argmax counts
+        top = block[bi, bj]
+        off_mins.append(off_min)
+        tops.append(top)
+        top_at.append((lo + bi, lo + bj))
+
+        out_of_range = range_witness is None and not (
+            off_min >= 0.0 and top <= 1.0 and ((kept >= 0.0) & (kept <= 1.0)).all())
+        not_positive = positivity_witness is None and not off_min > 0.0
+        near_one = near_one_witness is None and not top < 1.0 - tol
+        if not (out_of_range or not_positive or near_one):
+            continue
+        for cells, x in zip(masked, saved):
+            block[cells] = x
+
+        def witness(mask: np.ndarray, skip: list) -> dict | None:
+            for cells in skip:  # cells the check exempts
+                mask[cells] = False
             shape = block.shape + (2,)
             return _witness(mask, {"a": np.broadcast_to(a, shape),
                                    "b": np.broadcast_to(b, shape), "d": block})
 
-        bmin, bmax = float(block.min()), float(block.max())
-        vmin, vmax = min(vmin, bmin), max(vmax, bmax)
-        # negated so that a nan also triggers the exact scan
-        if range_witness is None and not (bmin >= 0.0 and bmax <= 1.0):
-            range_witness = witness((block < 0.0) | (block > 1.0))
-        diag = np.arange(hi - lo)
-        block[diag, diag] = np.inf  # off-diagonal minimum
-        off_min = float(block.min())
-        min_off = min(min_off, off_min)
-        if positivity_witness is None and not off_min > 0.0:
-            positivity_witness = witness(block <= 0.0)
-        block[diag, diag] = -np.inf  # the supremum skips the diagonal
-        rows = [e - lo for e in ends if lo <= e < hi]
-        if rows:  # and the two endpoint pairs are exempt
-            block[np.ix_(rows, [e - lo for e in ends if e >= lo])] = -np.inf
-        bi, bj = np.unravel_index(int(np.argmax(block)), block.shape)
-        top = block[bi, bj]
-        if top > sup:
-            sup, sup_pair = float(top), (lo + int(bi), lo + int(bj))
-        if near_one_witness is None and not top < 1.0 - tol:
-            near_one_witness = witness(block >= 1.0 - tol)
+        if out_of_range:
+            range_witness = witness(~((block >= 0.0) & (block <= 1.0)), [])
+        if not_positive:
+            positivity_witness = witness(block <= 0.0, masked[:1])  # off the diagonal
+        if near_one:
+            near_one_witness = witness(block >= 1.0 - tol, masked)  # and off the endpoint pair
+    k = int(np.argmax(tops))
+    i, j = top_at[k]
+    # each cell is in held or among those off_mins covers, and likewise for tops
+    held = np.concatenate(held)
     return {
-        "min": vmin, "max": vmax, "min_off_diagonal": min_off,
-        "sup": sup, "sup_pair": (grid[sup_pair[0]], grid[sup_pair[1]]),
+        "min": float(np.min(np.append(off_mins, held))),
+        "max": float(np.max(np.append(tops, held))),
+        "min_off_diagonal": float(np.min(off_mins)),
+        "sup": float(tops[k]), "sup_pair": (grid[i], grid[j]),
         "range_witness": range_witness, "positivity_witness": positivity_witness,
         "near_one_witness": near_one_witness,
     }

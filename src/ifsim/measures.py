@@ -107,13 +107,20 @@ def _xlog(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q
 
 
+def _out(x) -> np.ndarray | None:
+    """x as the out= of an elementwise step on x: x itself when it is an
+    array, which must be the caller's own, and None for a numpy scalar,
+    which numpy cannot write into."""
+    return x if isinstance(x, np.ndarray) else None
+
+
 def _clamp_nonneg(x: np.ndarray, what: str) -> np.ndarray:
     """x with rounding residues in [-L_CLAMP, 0) raised to 0; an array x,
     which must be the caller's own, is clamped in place."""
     low = x.min() if x.size else 0.0
     if low < -L_CLAMP:
         raise NumericalConsistencyError(f"{what} = {low!r} below 0 beyond rounding")
-    return np.maximum(x, 0.0, out=x if isinstance(x, np.ndarray) else None)
+    return np.maximum(x, 0.0, out=_out(x))
 
 
 def _channels(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -174,14 +181,17 @@ class KernelSplit(namedtuple("KernelSplit", "channels term finish stacked", defa
     channels(mu, nu) gives one side's channel arrays; term(x_a, x_b) is the
     two-point function of one channel, elementwise on any broadcastable
     arrays; finish(total) maps the channel_sum of the terms, its only
-    argument, to the kernel's value, and may write into total.  Calling the
-    split is the kernel.  A stacked split runs its term once on both sides'
-    stacked channels (_channels), which saves numpy calls for a term of many
-    steps; an unstacked one runs it per channel, which saves the stacks'
-    copies for a term of few steps.  The bits are the same either way
-    (tests/test_kernel_digest.py).  An unstacked term gets each channel as
-    it is, 0-d in a scalar call, so it must accept 0-d arrays and numpy
-    scalars; _l_stacked does not.
+    argument, to the kernel's value, and may write into total, as every
+    built-in finish does when total is an array (a numpy scalar, which a
+    scalar call gives, cannot be written).  The audit's grid sweep passes a
+    buffer that it reuses for the next block, so a finish keeps no
+    reference to its input.  Calling the split is the kernel.  A stacked
+    split runs its term once on both sides' stacked channels (_channels),
+    which saves numpy calls for a term of many steps; an unstacked one runs
+    it per channel, which saves the stacks' copies for a term of few steps.
+    The bits are the same either way (tests/test_kernel_digest.py).  An
+    unstacked term gets each channel as it is, 0-d in a scalar call, so it
+    must accept 0-d arrays and numpy scalars; _l_stacked does not.
 
     A namedtuple, not a frozen dataclass: building that class at import
     takes over 1 ms, which every CLI run would pay.
@@ -201,8 +211,10 @@ def _wu_channels(mu: np.ndarray, nu: np.ndarray) -> tuple:
 
 
 def _sqrt_half(z: np.ndarray) -> np.ndarray:
-    """sqrt(z/2), wu's and xiao's finish: z sums _l_stacked terms, each >= +0.0."""
-    return np.sqrt(z / 2.0)
+    """sqrt(z/2), wu's and xiao's finish, in z when it is an array: z sums
+    _l_stacked terms, each >= +0.0."""
+    out = _out(z)
+    return np.sqrt(np.divide(z, 2.0, out=out), out=out)
 
 
 WU_SPLIT = KernelSplit(_wu_channels, _l_stacked, _sqrt_half)

@@ -22,6 +22,7 @@ move the numbers) with ``PYTHONPATH=src python tests/test_audit_sweep.py``.
 """
 
 import dataclasses
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -87,6 +88,8 @@ def _first(mask: np.ndarray, grid: np.ndarray, d: np.ndarray) -> dict | None:
 
 
 def _reference_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float) -> dict:
+    """The sweep's statistics by numpy's nan rule: a nan makes a reduction
+    over it nan, is the argmax where it comes first, and is out of range."""
     mu, nu = grid[:, 0], grid[:, 1]
     d = np.asarray(m.pair_batch(mu[:, None], nu[:, None], mu[None, :], nu[None, :]), dtype=float)
     off = ~np.eye(len(grid), dtype=bool)
@@ -101,7 +104,7 @@ def _reference_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float) -> dict
         "min": float(d.min()), "max": float(d.max()),
         "min_off_diagonal": float(d[off].min()),
         "sup": float(eligible[i, j]), "sup_pair": (grid[i], grid[j]),
-        "range_witness": _first((d < 0.0) | (d > 1.0), grid, d),
+        "range_witness": _first(~((d >= 0.0) & (d <= 1.0)), grid, d),
         "positivity_witness": _first(off & (d <= 0.0), grid, d),
         "near_one_witness": _first(eligible >= 1.0 - tol, grid, d),
     }
@@ -138,16 +141,23 @@ DEFECTIVE = {
     "one-inside": _symmetric_kernel(
         lambda ma, na, mb, nb: np.where(_both_above_half(ma, mb) & (ma != mb), 1.0,
                                         _l1(ma, na, mb, nb))),
+    "nan-inside": _symmetric_kernel(
+        lambda ma, na, mb, nb: np.where(_both_above_half(ma, mb) & (ma == mb) & (na != nb),
+                                        np.nan, _l1(ma, na, mb, nb))),
 }
+# a split whose finish returns the channel sum as is (values in [0, 2]): each
+# block the sweep masks is then the buffer it reuses for the next block
+CUSTOM = {**DEFECTIVE, "z-score": MeasureDescriptor(
+    "z-score", {}, lambda a, b, w: 0.0, measures.z_score_batch, measures.z_score_batch)}
 
 
 @pytest.mark.parametrize("step", [0.05, 0.3, 0.5])
 @pytest.mark.parametrize("block_cells", [None, 97])
-@pytest.mark.parametrize("name,params", BUILTIN_DISTANCES + [(k, None) for k in DEFECTIVE])
+@pytest.mark.parametrize("name,params", BUILTIN_DISTANCES + [(k, None) for k in CUSTOM])
 def test_sweep_equals_full_matrix_reference(monkeypatch, step, block_cells, name, params):
     if block_cells is not None:  # many small blocks, each with a diagonal tile
         monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
-    m = DEFECTIVE[name] if params is None else get_measure(name, **params)
+    m = CUSTOM[name] if params is None else get_measure(name, **params)
     grid = grid_points(step)
     assert _canonical(audit._grid_matrix_sweep(m, grid, TOL)) == _canonical(
         _reference_sweep(m, grid, TOL))
@@ -156,11 +166,38 @@ def test_sweep_equals_full_matrix_reference(monkeypatch, step, block_cells, name
 @pytest.mark.parametrize("name,key", [
     ("negative", "range_witness"), ("negative", "positivity_witness"),
     ("nu-blind", "positivity_witness"), ("one-inside", "near_one_witness"),
+    ("nan-inside", "range_witness"),
 ])
 def test_defective_kernels_witness_late_rows(name, key):
     grid = grid_points(0.05)
     witness = _reference_sweep(DEFECTIVE[name], grid, TOL)[key]
     assert witness is not None and witness["a"].startswith("<0.5")
+
+
+def _nan_off_grid(ma, na, mb, nb):
+    # nan only where both mu lie in (0.6, 0.9), which the 0.5 grid misses
+    inside = (ma > 0.6) & (ma < 0.9) & (mb > 0.6) & (mb < 0.9)
+    return np.where(inside, np.nan, _l1(ma, na, mb, nb))
+
+
+@pytest.mark.parametrize("step,kernel,sampled", [
+    (0.05, DEFECTIVE["nan-inside"].pair_batch, False),  # the sweep's witness
+    (0.5, _nan_off_grid, True),  # the random pairs' witness
+])
+def test_audit_fails_s1_on_the_first_nan(step, kernel, sampled):
+    m = _symmetric_kernel(kernel)
+    config = dataclasses.replace(COARSE, grid_step=step)
+    s1 = audit_distance(m, config).entry("S1")
+    assert s1.verdict == "fail" and s1.detail == "value outside [0, 1]"
+    assert s1.witness["d"] == "nan"
+    on_grid = _reference_sweep(m, grid_points(step), TOL)["range_witness"]
+    if sampled:
+        pairs = audit._uniform(config, 0, 2, config.random_pairs)
+        d = kernel(pairs[:, 0, 0], pairs[:, 0, 1], pairs[:, 1, 0], pairs[:, 1, 1])
+        first = int(np.flatnonzero(np.isnan(d))[0])
+        assert on_grid is None and s1.witness["a"] == audit._fmt_ifv(*pairs[first, 0])
+    else:
+        assert s1.witness == on_grid
 
 
 def test_sweep_never_writes_into_kernel_output():
@@ -179,6 +216,41 @@ def test_sweep_never_writes_into_kernel_output():
     assert _canonical(audit._grid_matrix_sweep(m, grid, TOL)) == _canonical(
         _reference_sweep(m, grid, TOL))
     assert all(np.array_equal(d, before) for d, before in outputs)
+
+
+def test_sweep_allocates_its_buffers_once(monkeypatch):
+    # measured between one block's arrival and the next's: the finish and
+    # the sweep's reductions work in the two per-sweep buffers, so no block
+    # allocates an array of a block's size, and the peak is those buffers
+    # and the term tables, whatever the number of blocks
+    wu, grid = get_measure("wu"), grid_points(0.01)
+    block_bytes = max(measures._BLOCK_CELLS, len(grid)) * 8
+    table_bytes = sum(np.unique(x).size ** 2 * 8
+                      for x in wu.split.channels(grid[:, 0], grid[:, 1]))
+    blocks, peaks, rises = audit._sweep_blocks, [], []
+
+    def watched(m, grid):
+        base = None
+        for item in blocks(m, grid):
+            current, peak = tracemalloc.get_traced_memory()
+            peaks.append(peak)
+            if base is not None:
+                rises.append(peak - base)
+            tracemalloc.reset_peak()
+            base = current
+            yield item
+
+    monkeypatch.setattr(audit, "_sweep_blocks", watched)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        audit._grid_matrix_sweep(wu, grid, TOL)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert len(rises) > 100
+    assert max(rises) < block_bytes
+    assert max(peaks) - start < 4 * block_bytes + table_bytes
 
 
 @pytest.mark.parametrize("step", [0.05, 0.3])
