@@ -15,35 +15,34 @@ one reads its own stream of the seed.  It reports one verdict per axiom:
 Every check gets its verdict through one rule (`_verdict`): its failure
 conditions are tried in order, and the first one that some sample meets
 decides the verdict, with the first such sample in sample order as the
-witness.  Reports are therefore reproducible byte for byte for a given
-(measure, config).  A check that nothing violates passes; a pass is
-evidence, not proof, and is labeled "pass (sampled)".  Strict inequalities
-are checked with zero slack.  The monotonicity checks S4, S4' and E4 share
-one grader (`_graded`): a margin above config.tolerance fails, and a
-violating margin at or below it is "indeterminate at tolerance",
-separating genuine axiom violations from floating-point noise.
+witness.  Each condition is the negation of what must hold, so a nan
+fails every check that reads it.  Reports are therefore reproducible byte
+for byte for a given (measure, config).  A check that nothing violates
+passes; a pass is evidence, not proof, and is labeled "pass (sampled)".
+Strict inequalities are checked with zero slack.  The monotonicity checks
+S4, S4' and E4 share one grader (`_graded`): a margin above
+config.tolerance fails, and a violating margin at or below it is
+"indeterminate at tolerance", separating genuine axiom violations from
+floating-point noise.
 
 Every sampled value is computed by the measure's elementwise kernel
 (pair_batch), and each built-in evaluator aggregates that same kernel over
 a universe.  Samples are evaluated under the block rule that aggregate
 uses for sets and libraries (_eval_pairs over measures._blocked), and the
 grid sweep covers every unordered grid pair i <= j once, in blocks of the
-same measures._BLOCK_CELLS cells.  When the descriptor has a
-split (measures.KernelSplit, which every built-in measure has), the sweep
-does not call pair_batch: it tabulates the split's term once per channel on
-the channel's distinct grid values, and each block adds the gathered table
-entries in channel order and applies the split's finish.  The kernel is
-that split called on the arrays, so every swept value has the bits that
-pair_batch gives.  The gathers and their sum fill two buffers allocated
-once per sweep, which the finish may write into; a descriptor without a
-split is swept through pair_batch, and only that output, which may be
-read-only or the kernel's own, is copied before the sweep masks it.  Each
-block takes two full reductions, a masked minimum and a masked argmax,
-and the range comes from these and the masked cells.  The sweep relies on
-the kernel being exactly symmetric, which S3 checks; for a symmetric
-kernel the witnesses and the sup pair are those of the full ordered
-matrix in row-major order.  A nan is out of range, and the range and sup
-follow numpy's reductions on it.
+same measures._BLOCK_CELLS cells.  The sweep does not call pair_batch:
+it tabulates the term of the descriptor's split (measures.KernelSplit)
+once per channel on the channel's distinct grid values, and each block
+adds the gathered table entries in channel order and applies the split's
+finish.  The kernel is that split called on the arrays, so every swept
+value has the bits that pair_batch gives.  The gathers and their sum fill
+two buffers allocated once per sweep, which the finish may write into.
+Each block takes two full reductions, a masked minimum and a masked
+argmax, and the range comes from these and the masked cells.  The sweep
+relies on the kernel being exactly symmetric, which S3 checks; for a
+symmetric kernel the witnesses and the sup pair are those of the full
+ordered matrix in row-major order.  A nan is out of range, and the range
+and sup follow numpy's reductions on it.
 
 audit_distance runs the sweep on one helper thread, started after the grid
 is built and joined before S1, S2 and S5 read it, while the calling thread
@@ -277,8 +276,8 @@ def _verdict(axiom: str, rules: list, detail: str, stats: dict | None = None) ->
 def _graded(margin: np.ndarray, tol: float, columns: dict, strict: bool = False) -> list:
     """Rules for a margin that must stay below zero (strict) or at most zero:
     a margin above tol fails, any other violating margin is indeterminate."""
-    viol = margin >= 0.0 if strict else margin > 0.0
-    hard = viol & (margin > tol)
+    viol = ~(margin < 0.0) if strict else ~(margin <= 0.0)
+    hard = ~(margin <= tol)  # within viol, as tol > 0
     return [
         ("fail", _witness(hard, columns),
          f"{np.count_nonzero(hard)} violations with margin > {tol:g}"),
@@ -363,13 +362,13 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
         ], f"observed range [{rng_min:.17g}, {rng_max:.17g}]", {"min": rng_min, "max": rng_max}),
         _verdict("S2", [
             ("fail", _witness(d_self != 0.0, {"a": points, "d(a,a)": d_self}), "d(a,a) != 0"),
-            ("fail", _witness(distinct & (d_ab <= 0.0), pair_cols), "d(a,b) == 0 for a != b"),
+            ("fail", _witness(distinct & ~(d_ab > 0.0), pair_cols), "d(a,b) == 0 for a != b"),
             ("fail", sweep["positivity_witness"], "d(a,b) == 0 for a != b"),
         ], "d(a,a)=0 everywhere; d>0 on all distinct sampled pairs", {"min_off_diagonal": min_off}),
         *chain_checks,
         _maximality_check(m, sweep, grid, tol),
         _verdict("D-triangle", [
-            ("fail", _witness(excess > tol, triple_cols), f"violated beyond tolerance {tol:g}"),
+            ("fail", _witness(~(excess <= tol), triple_cols), f"violated beyond tolerance {tol:g}"),
         ], f"max excess {worst:.3g} <= {tol:g}", {"max_excess": worst}),
     ]
     counts = {
@@ -388,44 +387,34 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
     block their (hi-lo, g-lo) values, which the caller may write into
     until it asks for the next block.
 
-    Without a split, pair_batch computes each block, copied when the
-    kernel's output is read-only or not its own.  With one, each channel's
-    distinct grid values u get a table term(u[:, None], u[None, :]) and
-    each grid point the index of its value, so that table[k_i, k_j] is the
-    term of grid points i and j; a block gathers each channel's entries,
-    adds them in channel order and applies the split's finish to that sum
-    alone, which is how the kernel computes them, bit for bit.  The gathers
-    and the sum fill two buffers allocated once per sweep, and the finish
-    gets the sum's buffer, so a block that a finish writes in place is a
-    view of that buffer, overwritten by the next block.
+    Each channel of the split gets a table term(u[:, None], u[None, :]) on
+    its distinct grid values u, and each grid point the index of its value,
+    so that table[k_i, k_j] is the term of grid points i and j; a block
+    gathers each channel's entries, adds them in channel order and applies
+    the split's finish to that sum alone, which is how the kernel computes
+    them, bit for bit.  The gathers and the sum fill two buffers allocated
+    once per sweep, and the finish gets the sum's buffer, so a block that a
+    finish writes in place is a view of that buffer, overwritten by the
+    next block.
     """
     g = len(grid)
-    if m.split is not None:
-        distinct = (np.unique(x, return_inverse=True)
-                    for x in m.split.channels(grid[:, 0], grid[:, 1]))
-        tables = [(m.split.term(u[:, None], u[None, :]), k) for u, k in distinct]
-        cells = max(measures._BLOCK_CELLS, g)  # the largest block below
-        sums, gathered = np.empty(cells), np.empty(cells)
+    distinct = (np.unique(x, return_inverse=True) for x in m.split.channels(grid[:, 0], grid[:, 1]))
+    tables = [(m.split.term(u[:, None], u[None, :]), k) for u, k in distinct]
+    cells = max(measures._BLOCK_CELLS, g)  # the largest block below
+    sums, gathered = np.empty(cells), np.empty(cells)
     lo = 0
     while lo < g:
         hi = min(lo + max(1, measures._BLOCK_CELLS // (g - lo)), g)
-        a, b = grid[lo:hi, None], grid[None, lo:]
-        if m.split is None:
-            block = _eval_pairs(m.pair_batch, a, b)
-            if not (block.flags.owndata and block.flags.writeable):
-                block = block.copy()  # the caller writes into it
-        else:
-            shape, n = (hi - lo, g - lo), (hi - lo) * (g - lo)
-            total = sums[:n].reshape(shape)
-            # the indices are np.unique's inverse, always in range; "clip"
-            # spares the copy that mode="raise" makes of an out= array
-            for i, (t, k) in enumerate(tables):
-                out = gathered[:n].reshape(shape) if i else total
-                np.take(t[k[lo:hi]], k[lo:], axis=1, out=out, mode="clip")
-                if i:  # channel_sum's order, ((t0 + t1) + t2)
-                    total += out
-            block = m.split.finish(total)
-        yield lo, a, b, block
+        shape, n = (hi - lo, g - lo), (hi - lo) * (g - lo)
+        total = sums[:n].reshape(shape)
+        # the indices are np.unique's inverse, always in range; "clip"
+        # spares the copy that mode="raise" makes of an out= array
+        for i, (t, k) in enumerate(tables):
+            out = gathered[:n].reshape(shape) if i else total
+            np.take(t[k[lo:hi]], k[lo:], axis=1, out=out, mode="clip")
+            if i:  # channel_sum's order, ((t0 + t1) + t2)
+                total += out
+        yield lo, grid[lo:hi, None], grid[None, lo:], m.split.finish(total)
         lo = hi
 
 
@@ -437,9 +426,8 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
 
     Rows are taken in blocks [lo, hi) against the columns lo: only, i.e. the
     upper triangle plus the diagonal tile, each block sized to stay in cache
-    (_sweep_blocks: a measure with a split fills its blocks from per-channel
-    term tables into two buffers reused across the sweep, any other through
-    pair_batch, whose read-only output is copied first).  This relies on the
+    and filled from the split's per-channel term tables into two buffers
+    reused across the sweep (_sweep_blocks).  This relies on the
     kernel being exactly symmetric (S3 checks it): a witness at (i, j) with
     j < i is mirrored by (j, i) in an earlier row, so the first witness and
     the first argmax in row-major order of the full matrix are the ones
@@ -451,8 +439,9 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
     cells they mask, saved first; a block that has a hit gets those cells
     back before the scan for its witness.  A nan is propagated as numpy's
     reductions do: it makes every statistic whose cells hold it nan, and
-    the first nan is the sup, as argmax takes it.  The bounds checks are
-    negated comparisons, so a nan fails them.
+    the first nan is the sup, as argmax takes it.  Every scan for a witness
+    is a negated comparison, so a nan fails the range, positivity and
+    near-one checks.
     """
     ends = np.flatnonzero(_is_endpoint(grid)).tolist()  # on the grid only when step divides 1
     off_mins, tops, top_at, held = [], [], [], []
@@ -499,9 +488,9 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
         if out_of_range:
             range_witness = witness(~((block >= 0.0) & (block <= 1.0)), [])
         if not_positive:
-            positivity_witness = witness(block <= 0.0, masked[:1])  # off the diagonal
+            positivity_witness = witness(~(block > 0.0), masked[:1])  # off the diagonal
         if near_one:
-            near_one_witness = witness(block >= 1.0 - tol, masked)  # and off the endpoint pair
+            near_one_witness = witness(~(block < 1.0 - tol), masked)  # and off the endpoint pair
     k = int(np.argmax(tops))
     i, j = top_at[k]
     # each cell is in held or among those off_mins covers, and likewise for tops
@@ -555,9 +544,9 @@ def _maximality_check(m: MeasureDescriptor, sweep: dict, grid: np.ndarray,
     cols = {"a": a, "b": b, "d": d}
     sup_a, sup_b = sweep["sup_pair"]
     return _verdict("S5", [
-        ("fail", _witness(np.abs(d[:1] - 1.0) > tol, cols), "endpoint pair not at distance 1"),
+        ("fail", _witness(~(np.abs(d[:1] - 1.0) <= tol), cols), "endpoint pair not at distance 1"),
         ("fail", sweep["near_one_witness"], "non-endpoint pair at distance 1"),
-        ("fail", _witness((d >= 1.0 - tol) & ~exempt, cols),
+        ("fail", _witness(~(d < 1.0 - tol) & ~exempt, cols),
          "non-endpoint pair at distance 1 (parametric family)"),
     ], (
         f"endpoints at 1; sup over non-endpoint pairs {sweep['sup']:.17g} "

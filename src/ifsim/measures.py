@@ -185,13 +185,15 @@ class KernelSplit(namedtuple("KernelSplit", "channels term finish stacked", defa
     built-in finish does when total is an array (a numpy scalar, which a
     scalar call gives, cannot be written).  The audit's grid sweep passes a
     buffer that it reuses for the next block, so a finish keeps no
-    reference to its input.  Calling the split is the kernel.  A stacked
-    split runs its term once on both sides' stacked channels (_channels),
-    which saves numpy calls for a term of many steps; an unstacked one runs
-    it per channel, which saves the stacks' copies for a term of few steps.
-    The bits are the same either way (tests/test_kernel_digest.py).  An
-    unstacked term gets each channel as it is, 0-d in a scalar call, so it
-    must accept 0-d arrays and numpy scalars; _l_stacked does not.
+    reference to its input, and masks the block in place, so a finish
+    returns total or a fresh writeable array.  Calling the split is the
+    kernel.  A stacked split runs its term once on both sides' stacked
+    channels (_channels), which saves numpy calls for a term of many steps;
+    an unstacked one runs it per channel, which saves the stacks' copies
+    for a term of few steps.  The bits are the same either way
+    (tests/test_kernel_digest.py).  An unstacked term gets each channel as
+    it is, 0-d in a scalar call, so it must accept 0-d arrays and numpy
+    scalars; _l_stacked does not.
 
     A namedtuple, not a frozen dataclass: building that class at import
     takes over 1 ms, which every CLI run would pay.

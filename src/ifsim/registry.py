@@ -1,19 +1,16 @@
 """Named, parameterized measure descriptors shared by audit / classify / CLI.
 
 A MeasureDescriptor is one elementwise kernel, pair_batch, on mu / nu
-component arrays, plus the IFS-level evaluator that aggregates it over a
-universe (measures.aggregate), plus, optionally, the kernel's split
-(measures.KernelSplit): its channels, its two-point term per channel and
-its finish of the channel sum alone.  Every built-in kernel is its split
-called on the arrays, and the descriptor carries that split.  The
-evaluator's first argument is an IFS (a float back) or a pattern library's
-(2, P, n) degree stack (one value per pattern).  The audit evaluates its
-samples through the kernel, and sweeps the grid's 13.3M value pairs from
-per-channel tables of the split's term, with the split's finish, when the
-descriptor has a split; classification calls the evaluator once per sample
-on the whole library, and the CLI calls it on sets.  The evaluator and the
-kernel are required, so every measure has a kernel to audit; a descriptor
-without a split has its grid swept through the kernel too.
+component arrays, its split (measures.KernelSplit): its channels, its
+two-point term per channel and its finish of the channel sum alone, and
+the IFS-level evaluator that aggregates the kernel over a universe
+(measures.aggregate).  Every built-in kernel is its split called on the
+arrays.  The evaluator's first argument is an IFS (a float back) or a
+pattern library's (2, P, n) degree stack (one value per pattern).  The
+audit evaluates its samples through the kernel, and sweeps the grid's
+13.3M value pairs from per-channel tables of the split's term, with the
+split's finish; classification calls the evaluator once per sample on the
+whole library, and the CLI calls it on sets.  All three are required.
 
 Built-in names: wu, wu-lambda (param lambda), xiao, yc, jgamma (param
 gamma); each param must be finite and > 0.  wu and wu-lambda aggregate as
@@ -51,8 +48,8 @@ class InvalidMeasureParamsError(IfsimError, ValueError):
 class MeasureDescriptor:
     """A named distance usable by audit, classify, and the repro runner.
 
-    audit_distance may call pair_batch and the split's functions from two
-    threads at once, since it sweeps the grid on a helper thread, so they
+    audit_distance calls pair_batch on the calling thread only, while a
+    helper thread sweeps the grid through the split's functions, so both
     must keep no state between calls; every built-in is pure numpy.
     """
 
@@ -60,7 +57,7 @@ class MeasureDescriptor:
     params: Mapping[str, float]
     evaluator: Evaluator
     pair_batch: BatchKernel
-    split: Optional[measures.KernelSplit] = None  # pair_batch's decomposition, if any
+    split: measures.KernelSplit  # pair_batch's decomposition
 
     def label(self) -> str:
         if not self.params:

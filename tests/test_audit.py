@@ -20,7 +20,7 @@ from ifsim import (
     grid_points,
     uniform_weights,
 )
-from ifsim import audit
+from ifsim import audit, measures
 from ifsim.registry import MeasureDescriptor
 
 SMALL = AuditConfig(grid_step=0.05, random_pairs=3000, random_triples=3000,
@@ -224,13 +224,13 @@ class TestAuditEntropy:
 # a symmetric distance that shrinks by exactly `step` once the L1 spread of a
 # pair passes 0.3: a chain a < b < c that straddles the threshold has margin
 # d(a,b) - d(a,c) == step, every other chain a tie (margin 0).  0.5 - step is
-# exact for a step that is a multiple of 2**-53.
+# exact for a step that is a multiple of 2**-53.  A split: channels (mu, nu),
+# term |x - y|, and a finish of the L1 spread, which is 0 only on equal points.
 def _stepped(step: float) -> MeasureDescriptor:
-    def kernel(ma, na, mb, nb):
-        same = (ma == mb) & (na == nb)
-        spread = np.abs(ma - mb) + np.abs(na - nb)
-        return np.where(same, 0.0, np.where(spread > 0.3, 0.5 - step, 0.5))
-    return MeasureDescriptor("stepped", {}, lambda a, b, w: 0.0, kernel)
+    def finish(spread):
+        return np.where(spread == 0.0, 0.0, np.where(spread > 0.3, 0.5 - step, 0.5))
+    split = measures.KernelSplit(lambda mu, nu: (mu, nu), lambda x, y: np.abs(x - y), finish)
+    return MeasureDescriptor("stepped", {}, lambda a, b, w: 0.0, split, split)
 
 
 def _chain_rows(config: AuditConfig, weak: bool) -> np.ndarray:
@@ -317,11 +317,15 @@ def _rigged(kernel_fails_at: int = 0, finish_fails_at: int = 0, hook=None):
 
 class TestSweepThread:
     def test_tiny_plan(self):
-        m, calls = _rigged()
+        threads = {"kernel": set(), "finish": set()}
+        m, calls = _rigged(hook=lambda name: threads[name].add(threading.get_ident()))
         report = audit_distance(m, TINY)
         assert report.passed
         assert calls == {"kernel": 10, "finish": TINY_BLOCKS}
         assert report.checks == audit_distance(get_measure("wu"), TINY).checks
+        # the kernel runs on the calling thread only, the finish on one helper
+        assert threads["kernel"] == {threading.get_ident()}
+        assert len(threads["finish"]) == 1 and threads["finish"] != threads["kernel"]
 
     def test_no_thread_outlives_a_returning_audit(self):
         before = threading.active_count()

@@ -13,9 +13,9 @@ shows up as a byte difference:
   pins E1's crisp-endpoint check and S5's family probe without the endpoint
   exemption.
 
-A built-in measure's sweep blocks come from per-channel term tables, not
-from ``pair_batch``; every such block is compared with ``pair_batch`` bit
-for bit below.
+The sweep's blocks come from the split's per-channel term tables, not
+from ``pair_batch``; every block of a built-in measure is compared with
+``pair_batch`` bit for bit below.
 
 Re-record both sets in one command (only when a kernel change is meant to
 move the numbers) with ``PYTHONPATH=src python tests/test_audit_sweep.py``.
@@ -89,7 +89,8 @@ def _first(mask: np.ndarray, grid: np.ndarray, d: np.ndarray) -> dict | None:
 
 def _reference_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float) -> dict:
     """The sweep's statistics by numpy's nan rule: a nan makes a reduction
-    over it nan, is the argmax where it comes first, and is out of range."""
+    over it nan, is the argmax where it comes first, and fails every
+    witness scan, each the negation of what must hold."""
     mu, nu = grid[:, 0], grid[:, 1]
     d = np.asarray(m.pair_batch(mu[:, None], nu[:, None], mu[None, :], nu[None, :]), dtype=float)
     off = ~np.eye(len(grid), dtype=bool)
@@ -105,8 +106,8 @@ def _reference_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float) -> dict
         "min_off_diagonal": float(d[off].min()),
         "sup": float(eligible[i, j]), "sup_pair": (grid[i], grid[j]),
         "range_witness": _first(~((d >= 0.0) & (d <= 1.0)), grid, d),
-        "positivity_witness": _first(off & (d <= 0.0), grid, d),
-        "near_one_witness": _first(eligible >= 1.0 - tol, grid, d),
+        "positivity_witness": _first(off & ~(d > 0.0), grid, d),
+        "near_one_witness": _first(~(eligible < 1.0 - tol), grid, d),
     }
 
 
@@ -118,8 +119,21 @@ def _canonical(sweep: dict) -> str:
 
 
 def _symmetric_kernel(f):
-    """A deliberately defective but exactly symmetric distance."""
-    return MeasureDescriptor("defective", {}, lambda a, b, w: 0.0, f)
+    """A deliberately defective but exactly symmetric distance, the kernel
+    f(mu_a, nu_a, mu_b, nu_b) as an unstacked split: one channel packs each
+    point into mu + 1j*nu, whose term unpacks both points into f, and a zero
+    channel beside it adds f(<0,0>, <0,0>) = 0; the finish is the identity.
+    The packed channel's table holds g**2 cells for a grid of g points, so
+    it suits steps of 0.05 or more."""
+    def channels(mu, nu):
+        z = mu + 1j * nu
+        return z, np.zeros_like(z)
+
+    def term(x, y):
+        return f(np.real(x), np.imag(x), np.real(y), np.imag(y))
+
+    split = measures.KernelSplit(channels, term, lambda total: total, stacked=False)
+    return MeasureDescriptor("defective", {}, lambda a, b, w: 0.0, split, split)
 
 
 def _l1(ma, na, mb, nb):
@@ -132,19 +146,20 @@ def _both_above_half(ma, mb):
 
 # each defect sits only among points with mu >= 0.5, so its first witness is
 # in a late row, away from the first block
-DEFECTIVE = {
-    "negative": _symmetric_kernel(
-        lambda ma, na, mb, nb: _l1(ma, na, mb, nb) - 0.2 * _both_above_half(ma, mb)),
-    "nu-blind": _symmetric_kernel(
+DEFECTIVE_KERNELS = {
+    "negative":
+        lambda ma, na, mb, nb: _l1(ma, na, mb, nb) - 0.2 * _both_above_half(ma, mb),
+    "nu-blind":
         lambda ma, na, mb, nb: np.where(_both_above_half(ma, mb), 0.5 * np.abs(ma - mb),
-                                        _l1(ma, na, mb, nb))),
-    "one-inside": _symmetric_kernel(
+                                        _l1(ma, na, mb, nb)),
+    "one-inside":
         lambda ma, na, mb, nb: np.where(_both_above_half(ma, mb) & (ma != mb), 1.0,
-                                        _l1(ma, na, mb, nb))),
-    "nan-inside": _symmetric_kernel(
+                                        _l1(ma, na, mb, nb)),
+    "nan-inside":
         lambda ma, na, mb, nb: np.where(_both_above_half(ma, mb) & (ma == mb) & (na != nb),
-                                        np.nan, _l1(ma, na, mb, nb))),
+                                        np.nan, _l1(ma, na, mb, nb)),
 }
+DEFECTIVE = {k: _symmetric_kernel(f) for k, f in DEFECTIVE_KERNELS.items()}
 # a split whose finish returns the channel sum as is (values in [0, 2]): each
 # block the sweep masks is then the buffer it reuses for the next block
 CUSTOM = {**DEFECTIVE, "z-score": MeasureDescriptor(
@@ -181,7 +196,7 @@ def _nan_off_grid(ma, na, mb, nb):
 
 
 @pytest.mark.parametrize("step,kernel,sampled", [
-    (0.05, DEFECTIVE["nan-inside"].pair_batch, False),  # the sweep's witness
+    (0.05, DEFECTIVE_KERNELS["nan-inside"], False),  # the sweep's witness
     (0.5, _nan_off_grid, True),  # the random pairs' witness
 ])
 def test_audit_fails_s1_on_the_first_nan(step, kernel, sampled):
@@ -200,22 +215,20 @@ def test_audit_fails_s1_on_the_first_nan(step, kernel, sampled):
         assert s1.witness == on_grid
 
 
-def test_sweep_never_writes_into_kernel_output():
-    # the sweep masks each block in place, so a kernel that hands out
-    # read-only memory must still work and keep its values
-    outputs = []
+# nan on the 0.05 grid only, and in the 0.5 grid's samples only
+NAN_CASES = {"nan-inside": (0.05, DEFECTIVE["nan-inside"]),
+             "nan-off-grid": (0.5, _symmetric_kernel(_nan_off_grid))}
 
-    def read_only_l1(ma, na, mb, nb):
-        d = _l1(ma, na, mb, nb)
-        d.flags.writeable = False
-        outputs.append((d, d.copy()))
-        return d
 
-    m = _symmetric_kernel(read_only_l1)
-    grid = grid_points(0.05)
-    assert _canonical(audit._grid_matrix_sweep(m, grid, TOL)) == _canonical(
-        _reference_sweep(m, grid, TOL))
-    assert all(np.array_equal(d, before) for d, before in outputs)
+@pytest.mark.parametrize("case,axiom,column", [
+    ("nan-inside", "S2", "d"), ("nan-inside", "S5", "d"),  # the sweep's witnesses
+    ("nan-off-grid", "S4", "margin"), ("nan-off-grid", "S4'", "margin"),
+    ("nan-off-grid", "D-triangle", "excess"),
+])
+def test_audit_fails_every_check_on_a_nan(case, axiom, column):
+    step, m = NAN_CASES[case]
+    entry = audit_distance(m, dataclasses.replace(COARSE, grid_step=step)).entry(axiom)
+    assert entry.verdict == "fail" and entry.witness[column] == "nan"
 
 
 def test_sweep_allocates_its_buffers_once(monkeypatch):
@@ -276,7 +289,6 @@ def test_table_blocks_bitwise_equal_pair_batch(monkeypatch, config, step, block_
         monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
     measure, params = CONFIGS[config]
     m = get_measure(measure, **params)
-    assert m.split is not None
     grid = grid_points(step)
     rows = 0
     for lo, a, b, block in audit._sweep_blocks(m, grid):
@@ -309,17 +321,6 @@ def test_replaced_kernel_and_evaluator_keep_the_split(name):
     assert _untimed(report).encode() == (GOLDEN / f"audit_{name}.txt").read_bytes()
     sweep_cells = sum(b.size for *_, b in audit._sweep_blocks(md, grid_points(0.01)))
     assert 0 < sum(kernel_cells) < sweep_cells  # the grid's cells skip pair_batch
-
-
-def test_descriptor_without_split_is_swept_through_pair_batch():
-    wu = get_measure("wu")
-    cells = []
-    plain = MeasureDescriptor("wu", {}, wu.evaluator, _counting(wu.pair_batch, cells))
-    assert plain.split is None
-    grid = grid_points(0.05)
-    sweep = audit._grid_matrix_sweep(plain, grid, TOL)
-    assert sum(cells) == sum(b.size for *_, b in audit._sweep_blocks(wu, grid))
-    assert _canonical(sweep) == _canonical(audit._grid_matrix_sweep(wu, grid, TOL))
 
 
 if __name__ == "__main__":

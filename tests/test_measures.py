@@ -248,6 +248,14 @@ class TestDistWu:
         assert 0.0 <= d <= 1.0
         assert d == dist_wu(b, a, w)
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "false zero on sets: w_2 * d_2 underflows when w_2 = 5e-324, which "
+        "WeightVector accepts; needs a weight rule (ROADMAP item 13)"))
+    def test_subnormal_weight_keeps_unequal_sets_apart(self):
+        a = IFS.from_pairs([(0.5, 0.5), (0.3, 0.2)], ["x", "y"])
+        b = IFS.from_pairs([(0.5, 0.5), (0.6, 0.2)], ["x", "y"])
+        assert dist_wu(a, b, WeightVector((1.0, 5e-324))) > 0.0
+
 
 class TestAggregateStack:
     """aggregate on a library's (2, P, n) stack gives, for each pattern, the

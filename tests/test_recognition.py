@@ -17,7 +17,7 @@ from ifsim import (
     get_measure,
     uniform_weights,
 )
-from ifsim.measures import _BLOCK_CELLS, aggregate, js_norm_batch
+from ifsim.measures import _BLOCK_CELLS, WU_SPLIT, aggregate, js_norm_batch
 from ifsim.recognition import ClassificationResult
 from ifsim.registry import MeasureDescriptor
 
@@ -219,7 +219,8 @@ class TestClassifyBlocks:
             shapes.append(out.shape)
             return out
 
-        md = MeasureDescriptor("wu-recorded", {}, lambda a, b, w: aggregate(kernel, a, b, w), kernel)
+        md = MeasureDescriptor("wu-recorded", {}, lambda a, b, w: aggregate(kernel, a, b, w), kernel,
+                               WU_SPLIT)
         rng = np.random.default_rng(p)
         rows = _random_degrees(rng, p + 1, n)
         universe = [f"x{j}" for j in range(n)]

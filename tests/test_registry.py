@@ -53,6 +53,8 @@ def test_descriptor_without_kernel_is_rejected():
     md = get_measure("wu")
     with pytest.raises(TypeError):
         MeasureDescriptor("wu-no-kernel", {}, md.evaluator)
+    with pytest.raises(TypeError):  # the split is the kernel the audit sweeps
+        MeasureDescriptor("wu-no-split", {}, md.evaluator, md.pair_batch)
 
 
 def test_unknown_measure_lists_the_known_names():
