@@ -36,9 +36,10 @@ once per channel on the channel's distinct grid values, and each block
 adds the gathered table entries in channel order and applies the split's
 finish.  The kernel is that split called on the arrays, so every swept
 value has the bits that pair_batch gives.  The gathers and their sum fill
-two buffers allocated once per sweep, which the finish may write into.
-Each block takes two full reductions, a masked minimum and a masked
-argmax, and the range comes from these and the masked cells.  The sweep
+two buffers allocated once per sweep, column-major, which the finish may
+write into.  Each block takes two full reductions, a masked minimum and a
+masked maximum, plus an argmax in a block whose maximum sets a new sup,
+and the range comes from the reductions and the masked cells.  The sweep
 relies on the kernel being exactly symmetric, which S3 checks; for a
 symmetric kernel the witnesses and the sup pair are those of the full
 ordered matrix in row-major order.  A nan is out of range, and the range
@@ -175,11 +176,15 @@ def grid_points(step: float) -> np.ndarray:
 
 
 def _random_simplex(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n uniform points of the triangle {mu, nu >= 0, mu + nu <= 1}."""
+    """n uniform points of the triangle {mu, nu >= 0, mu + nu <= 1}, as a
+    C-contiguous (n, 2) array: a draw (x, y) of the unit square above the
+    diagonal is folded to (1 - x, 1 - y) in place, as |over - xy|, which
+    gives the bits of a masked 1 - xy, since |0 - x| = x and |1 - x| =
+    fl(1 - x) for x in [0, 1), without a masked loop."""
     xy = rng.random((n, 2))
     over = xy[:, 0] + xy[:, 1] > 1.0
-    np.subtract(1.0, xy, out=xy, where=over[:, None])  # folded in place, no copy
-    return xy
+    np.subtract(over.astype(float)[:, None], xy, out=xy)
+    return np.abs(xy, out=xy)
 
 
 def _uniform(config: AuditConfig, stream: int, k: int, n: int) -> np.ndarray:
@@ -393,9 +398,12 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
     gathers each channel's entries, adds them in channel order and applies
     the split's finish to that sum alone, which is how the kernel computes
     them, bit for bit.  The gathers and the sum fill two buffers allocated
-    once per sweep, and the finish gets the sum's buffer, so a block that a
-    finish writes in place is a view of that buffer, overwritten by the
-    next block.
+    once per sweep, shaped (g-lo, hi-lo): each column j takes the run
+    table[k_lo:hi, k_j] from a C-contiguous copy of the block's table rows
+    transposed, so a gather copies runs of hi-lo values, not single ones.
+    The finish gets the sum's buffer and block is the transpose of what it
+    returns, so a block that a finish writes in place is a view of that
+    buffer, overwritten by the next block, and in column-major order.
     """
     g = len(grid)
     distinct = (np.unique(x, return_inverse=True) for x in m.split.channels(grid[:, 0], grid[:, 1]))
@@ -405,16 +413,17 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
     lo = 0
     while lo < g:
         hi = min(lo + max(1, measures._BLOCK_CELLS // (g - lo)), g)
-        shape, n = (hi - lo, g - lo), (hi - lo) * (g - lo)
+        shape, n = (g - lo, hi - lo), (g - lo) * (hi - lo)  # column-major
         total = sums[:n].reshape(shape)
         # the indices are np.unique's inverse, always in range; "clip"
         # spares the copy that mode="raise" makes of an out= array
         for i, (t, k) in enumerate(tables):
             out = gathered[:n].reshape(shape) if i else total
-            np.take(t[k[lo:hi]], k[lo:], axis=1, out=out, mode="clip")
+            # out[y, x] = t[k[lo + x], k[lo + y]]: one run of hi - lo values per y
+            np.take(np.ascontiguousarray(t[k[lo:hi]].T), k[lo:], axis=0, out=out, mode="clip")
             if i:  # channel_sum's order, ((t0 + t1) + t2)
                 total += out
-        yield lo, grid[lo:hi, None], grid[None, lo:], m.split.finish(total)
+        yield lo, grid[lo:hi, None], grid[None, lo:], m.split.finish(total).T
         lo = hi
 
 
@@ -434,17 +443,21 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
     found here.
 
     Each block takes two full reductions, in place: its minimum with the
-    diagonal masked to +inf, and its argmax with the diagonal and the
+    diagonal masked to +inf, and its maximum with the diagonal and the
     endpoint pair masked to -inf.  The range comes from these two and the
     cells they mask, saved first; a block that has a hit gets those cells
-    back before the scan for its witness.  A nan is propagated as numpy's
-    reductions do: it makes every statistic whose cells hold it nan, and
-    the first nan is the sup, as argmax takes it.  Every scan for a witness
-    is a negated comparison, so a nan fails the range, positivity and
-    near-one checks.
+    back before the scan for its witness.  An argmax, which copies the
+    column-major block to row-major order first, runs only in a block whose
+    maximum beats every earlier block's, or is the first nan.  So the sup
+    is the row-major first cell of the largest value, or the first nan,
+    and a zero sup has that cell's sign, whatever sign max() gives.  A nan is propagated as numpy's reductions do: it makes every
+    statistic whose cells hold it nan, and the first nan is the sup, as
+    argmax takes it.  Every scan for a witness is a negated comparison, so
+    a nan fails the range, positivity and near-one checks.
     """
     ends = np.flatnonzero(_is_endpoint(grid)).tolist()  # on the grid only when step divides 1
-    off_mins, tops, top_at, held = [], [], [], []
+    off_mins, tops, held = [], [], []
+    sup = sup_at = None
     range_witness = positivity_witness = near_one_witness = None
     for lo, a, b, block in _sweep_blocks(m, grid):
         if stop is not None and stop.is_set():
@@ -463,11 +476,14 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
         off_min = block.min()
         for cells in masked:
             block[cells] = -np.inf
-        bi, bj = divmod(int(block.argmax()), block.shape[1])  # row-major, as argmax counts
-        top = block[bi, bj]
+        top = block.max()
         off_mins.append(off_min)
         tops.append(top)
-        top_at.append((lo + bi, lo + bj))
+        # the first block with the largest top, or the first nan, as
+        # argmax over the tops takes it; the cell keeps a zero's sign
+        if sup is None or (not np.isnan(sup) and not top <= sup):
+            bi, bj = divmod(int(block.argmax()), block.shape[1])  # row-major, as argmax counts
+            sup, sup_at = block[bi, bj], (lo + bi, lo + bj)
 
         out_of_range = range_witness is None and not (
             off_min >= 0.0 and top <= 1.0 and ((kept >= 0.0) & (kept <= 1.0)).all())
@@ -491,15 +507,14 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
             positivity_witness = witness(~(block > 0.0), masked[:1])  # off the diagonal
         if near_one:
             near_one_witness = witness(~(block < 1.0 - tol), masked)  # and off the endpoint pair
-    k = int(np.argmax(tops))
-    i, j = top_at[k]
+    i, j = sup_at
     # each cell is in held or among those off_mins covers, and likewise for tops
     held = np.concatenate(held)
     return {
         "min": float(np.min(np.append(off_mins, held))),
         "max": float(np.max(np.append(tops, held))),
         "min_off_diagonal": float(np.min(off_mins)),
-        "sup": float(tops[k]), "sup_pair": (grid[i], grid[j]),
+        "sup": float(sup), "sup_pair": (grid[i], grid[j]),
         "range_witness": range_witness, "positivity_witness": positivity_witness,
         "near_one_witness": near_one_witness,
     }

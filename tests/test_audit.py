@@ -109,6 +109,16 @@ class TestSampling:
             for mu, nu in sample.reshape(-1, 2):
                 IFV(mu, nu)  # construction enforces mu + nu <= 1
 
+    @pytest.mark.parametrize("seed", [7, 20220714])
+    @pytest.mark.parametrize("n", [1, 7, 1000, 300_000])
+    def test_simplex_fold_bits(self, n, seed):
+        # the fold |over - x| against the masked subtract it replaces
+        want = np.random.default_rng(seed).random((n, 2))
+        np.subtract(1.0, want, out=want, where=(want[:, 0] + want[:, 1] > 1.0)[:, None])
+        got = audit._random_simplex(np.random.default_rng(seed), n)
+        assert got.dtype == np.float64 and got.shape == (n, 2) and got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     def test_chains_strictly_nested(self):
         c = AuditConfig(grid_step=0.5, random_pairs=1, random_triples=1,
                         chain_samples=300, seed=5)

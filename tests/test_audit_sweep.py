@@ -161,9 +161,14 @@ DEFECTIVE_KERNELS = {
 }
 DEFECTIVE = {k: _symmetric_kernel(f) for k, f in DEFECTIVE_KERNELS.items()}
 # a split whose finish returns the channel sum as is (values in [0, 2]): each
-# block the sweep masks is then the buffer it reuses for the next block
+# block the sweep masks is then the buffer it reuses for the next block; a
+# kernel whose sup 0.3 is reached in many blocks and cells, so the first
+# block and its first cell must win; and one whose sup is a zero, -0.0 in the
+# first cell, whose sign the sup keeps whatever sign a block's max() gives
 CUSTOM = {**DEFECTIVE, "z-score": MeasureDescriptor(
-    "z-score", {}, lambda a, b, w: 0.0, measures.z_score_batch, measures.z_score_batch)}
+    "z-score", {}, lambda a, b, w: 0.0, measures.z_score_batch, measures.z_score_batch),
+    "plateau": _symmetric_kernel(lambda ma, na, mb, nb: np.minimum(_l1(ma, na, mb, nb), 0.3)),
+    "signed-zero": _symmetric_kernel(lambda ma, na, mb, nb: np.where(ma + mb > 0.5, 0.0, -0.0))}
 
 
 @pytest.mark.parametrize("step", [0.05, 0.3, 0.5])
@@ -176,6 +181,16 @@ def test_sweep_equals_full_matrix_reference(monkeypatch, step, block_cells, name
     grid = grid_points(step)
     assert _canonical(audit._grid_matrix_sweep(m, grid, TOL)) == _canonical(
         _reference_sweep(m, grid, TOL))
+
+
+@pytest.mark.parametrize("block_cells", [None, 97])
+def test_plateau_sup_is_reached_in_many_blocks(monkeypatch, block_cells):
+    if block_cells is not None:
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
+    grid = grid_points(0.05)
+    at_sup = [lo for lo, _, _, block in audit._sweep_blocks(CUSTOM["plateau"], grid)
+              if block.max() == 0.3]
+    assert len(at_sup) > 1
 
 
 @pytest.mark.parametrize("name,key", [
@@ -298,6 +313,24 @@ def test_table_blocks_bitwise_equal_pair_batch(monkeypatch, config, step, block_
         assert lo == rows
         rows += len(block)
     assert rows == len(grid)
+
+
+@pytest.mark.parametrize("block_cells", [None, 97])
+@pytest.mark.parametrize("step", [0.05, 0.3])
+def test_table_blocks_keep_the_term_orientation(monkeypatch, step, block_cells):
+    # an asymmetric term: a block gathered from t[:, k] in place of t[k, :]
+    # would hold term(b, a) where the kernel gives term(a, b)
+    if block_cells is not None:
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
+    split = measures.KernelSplit(lambda mu, nu: (mu, nu), lambda x, y: x - 0.5 * y,
+                                 lambda total: total, stacked=False)
+    m = MeasureDescriptor("asymmetric", {}, lambda a, b, w: 0.0, split, split)
+    grid = grid_points(step)
+    d = audit._eval_pairs(split, grid[:, None], grid[None, :])
+    assert not np.array_equal(d, d.T)
+    for lo, a, b, block in audit._sweep_blocks(m, grid):
+        want = audit._eval_pairs(split, a, b)
+        assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
 
 
 def _counting(f, counts: list):
