@@ -13,6 +13,8 @@ Three published measures with known axiomatic defects:
   times Xiao's channel sum, so J_1 = ln2 * d**2 for the per-element Xiao
   distance d (the commonly quoted sqrt(J_1) = ln2 * d does not hold).
 
+Each is one measures.KernelSplit over the (mu, nu, pi) channels, whose call
+is the elementwise kernel: XIAO_SPLIT, YC_SPLIT and j_gamma_split(gamma).
 These are kept faithful to their published forms: dist_xiao takes no weight
 vector, j_gamma is exposed per IFV with averaging left to callers, and
 j_gamma values are reported raw (in [0, ln 2] at gamma == 1), never rescaled
@@ -51,17 +53,17 @@ def _triple(mu: np.ndarray, nu: np.ndarray) -> tuple:
     return mu, nu, np.maximum(0.0, 1.0 - (mu + nu))
 
 
+# per-element Xiao distance: sqrt(0.5 * (L(mu)+L(nu)+L(pi)))
 XIAO_SPLIT = KernelSplit(_triple, _l_stacked, _sqrt_half)
 
 
-def xiao_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
-    """Per-element Xiao distance: sqrt(0.5 * (L(mu)+L(nu)+L(pi)))."""
+def xiao_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:  # pinned: see registry
     return XIAO_SPLIT(mu_a, nu_a, mu_b, nu_b)
 
 
 def dist_xiao(a: IFS, b: IFS) -> float:
     """Xiao's JS distance with fixed 1/n weighting, exactly as published."""
-    return aggregate(xiao_elem_batch, a, b)
+    return aggregate(XIAO_SPLIT, a, b)
 
 
 def sim_xiao(a: IFS, b: IFS) -> float:
@@ -91,21 +93,19 @@ def _yc_finish(arg: np.ndarray) -> np.ndarray:
     return np.multiply(2.0 / math.pi, np.arccos(arg, out=out), out=out)
 
 
+# per-element spherical distance (2/pi) * arccos(Bhattacharyya sum).  Equal
+# values map to 0 exactly, their argument rounding to 1 (_yc_finish): arccos
+# is infinitely steep at 1, so one ulp below gives d(a, a) ~ 1e-8.
 YC_SPLIT = KernelSplit(_triple, _bhattacharyya, _yc_finish, stacked=False)
 
 
-def yc_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
-    """Per-element spherical distance (2/pi) * arccos(Bhattacharyya sum).
-
-    Equal values map to 0 exactly, their argument rounding to 1 (_yc_finish):
-    arccos is infinitely steep at 1, so one ulp below gives d(a, a) ~ 1e-8.
-    """
+def yc_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:  # pinned: see registry
     return YC_SPLIT(mu_a, nu_a, mu_b, nu_b)
 
 
 def dist_yc(a: IFS, b: IFS) -> float:
     """Yang-Chiclana spherical distance, averaged over the universe."""
-    return aggregate(yc_elem_batch, a, b)
+    return aggregate(YC_SPLIT, a, b)
 
 
 def _power_branch(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
@@ -141,10 +141,10 @@ def j_gamma_split(gamma: float) -> KernelSplit:
                        lambda t: _j_finish(t, gamma - 1.0))
 
 
-def j_gamma_batch(mu_a, nu_a, mu_b, nu_b, gamma: float) -> np.ndarray:
+def j_gamma_batch(mu_a, nu_a, mu_b, nu_b, gamma: float) -> np.ndarray:  # pinned: see registry
     return j_gamma_split(gamma)(mu_a, nu_a, mu_b, nu_b)
 
 
 def j_gamma(a: IFV, b: IFV, gamma: float) -> float:
     """Hung-Yang divergence between two IFVs over (mu, nu, pi)."""
-    return float(j_gamma_batch(a.mu, a.nu, b.mu, b.nu, gamma))
+    return float(j_gamma_split(gamma)(a.mu, a.nu, b.mu, b.nu))

@@ -18,8 +18,8 @@ by the distance from a value to its complement.  The scalar building
 blocks l_divergence, zeta (= L(x, 1-x)) and z_score run the same kernel as
 js_norm, so each formula has one implementation.
 
-All functions are pure.  Every measure is one elementwise *_batch kernel on
-equal-shaped float arrays of mu / nu components, built from one KernelSplit:
+All functions are pure.  Every measure is one KernelSplit, whose call is
+the elementwise kernel on equal-shaped float arrays of mu / nu components:
 channels(mu, nu) gives each side's channel arrays ((1-mu, nu) here,
 (mu, nu, pi) for the rivals), a two-point term is applied per channel, the
 channel terms are added in channel order (channel_sum), and a finish maps
@@ -238,7 +238,7 @@ def wu_lambda_split(lam: float) -> KernelSplit:
 z_score_batch = KernelSplit(_wu_channels, _l_stacked, lambda z: z)
 
 
-def js_norm_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
+def js_norm_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:  # pinned: see registry
     return WU_SPLIT(mu_a, nu_a, mu_b, nu_b)
 
 
@@ -277,7 +277,7 @@ def js_norm(a: IFV, b: IFV) -> float:
     """Normalized JS divergence sqrt(z_score/2), i.e. the square root of
     the natural-log JS divergence over ln 2; the strict distance on IFVs,
     with values in [0, 1]."""
-    return float(js_norm_batch(a.mu, a.nu, b.mu, b.nu))
+    return float(WU_SPLIT(a.mu, a.nu, b.mu, b.nu))
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +337,7 @@ def aggregate(kernel: Callable[..., np.ndarray], a, b: IFS, w: WeightVector | No
 
 def dist_wu(a: IFS, b: IFS, w: WeightVector) -> float:
     """Weighted elementwise js_norm; the strict distance on IFSs, in [0, 1]."""
-    return aggregate(js_norm_batch, a, b, w)
+    return aggregate(WU_SPLIT, a, b, w)
 
 
 def sim_wu(a: IFS, b: IFS, w: WeightVector) -> float:

@@ -107,8 +107,8 @@ def get_measure(name: str, **params: float) -> MeasureDescriptor:
     # Pinned by perfbench/layers.py, which traces by rebinding module
     # attributes and dataclasses.replace(md, evaluator=, pair_batch=), and
     # whose test wants every layer metric > 0 and ifsim.audit.js_norm_batch:
-    # evaluators look dist_* up at call time, and the wu, xiao, yc and
-    # jgamma kernels go through the module-level *_batch names.
+    # evaluators look dist_* up at call time, and the wu, xiao, yc and jgamma
+    # kernels are the *_batch forwarders, called only here and from audit.
     if name == "wu":
         kernel, split = measures.js_norm_batch, measures.WU_SPLIT
         ev = lambda a, b, w: measures.dist_wu(a, b, _weights_or_uniform(a, w))

@@ -126,19 +126,19 @@ def _lam_grid(step: float = 0.01, lo: float = 0.0, hi: float = 1.0) -> np.ndarra
 def _anchor_curves(measure: str, anchor: tuple[float, float],
                    lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distances from the anchor value to <lam,0> and to <lam,1-lam>."""
-    kernel = get_measure(measure).pair_batch
+    kernel = get_measure(measure).split
     return kernel(*anchor, lams, np.zeros_like(lams)), kernel(*anchor, lams, 1.0 - lams)
 
 
 def _crossing_curves(lams):
     """xiao distances from <0.33,0.36> to <1/3,lam> (near) and <0.334,lam> (far)."""
-    near = baselines.xiao_elem_batch(0.33, 0.36, 1.0 / 3.0, lams)
-    return near, baselines.xiao_elem_batch(0.33, 0.36, 0.334, lams)
+    near = baselines.XIAO_SPLIT(0.33, 0.36, 1.0 / 3.0, lams)
+    return near, baselines.XIAO_SPLIT(0.33, 0.36, 0.334, lams)
 
 
 def _decreasing_family(lams: np.ndarray) -> np.ndarray:
     """xiao distance from <1/3,1/3> to <lam,1e-5>; nu=1e-5 keeps <lam,nu> on the simplex."""
-    return baselines.xiao_elem_batch(1.0 / 3.0, 1.0 / 3.0, lams, np.full_like(lams, 1e-5))
+    return baselines.XIAO_SPLIT(1.0 / 3.0, 1.0 / 3.0, lams, np.full_like(lams, 1e-5))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +208,7 @@ def _ex2_xiao_monotone():
 
 def _xiao_to_full_closed(lams: np.ndarray) -> np.ndarray:
     """Closed form for the xiao distance from <1,0> to <lam, nu> (nu-free)."""
-    lam_term = measures._xlog(lams, 2.0 * lams / (1.0 + lams))
+    lam_term = lams * np.log2(2.0 * lams / (1.0 + lams), out=np.zeros_like(lams), where=lams > 0.0)
     return np.sqrt(0.5 * (np.log2(2.0 / (1.0 + lams)) + lam_term + (1.0 - lams)))
 
 
@@ -244,7 +244,7 @@ def _ex4_yc_s4():
 def _ex5_yc_degeneracy():
     lams = _lam_grid(0.01)
     d_nu0, d_pi0 = _anchor_curves("yc", (1.0, 0.0), lams)
-    d_mirror = get_measure("yc").pair_batch(1.0, 0.0, np.zeros_like(lams), lams)
+    d_mirror = get_measure("yc").split(1.0, 0.0, np.zeros_like(lams), lams)
     checks = (
         _identity("degeneracy: curves against <lam,0> and <lam,1-lam> coincide", d_nu0, d_pi0),
         _identity("both curves match (2/pi)*arccos(sqrt(lam))",
@@ -314,7 +314,7 @@ def _fixed_degree_rows(step: float):
 
 
 def _ex9_fixed_mu_nu_surfaces():
-    xiao, yc, wu = (get_measure(m).pair_batch for m in ("xiao", "yc", "wu"))
+    xiao, yc, wu = (get_measure(m).split for m in ("xiao", "yc", "wu"))
     rows = list(_fixed_degree_rows(0.05))  # (mus, nus), mu fixed per row
     mirrored = [(mus, nus) for nus, mus in rows]  # nu fixed per row
 
@@ -450,7 +450,7 @@ def _fam_fig1(family: str, steps: int):
 
 def _fam_fig4(family: str, steps: int):
     mu, nu = _simplex_axis_grid(steps)
-    wu = measures.js_norm_batch(mu, nu, nu, mu)
+    wu = measures.WU_SPLIT(mu, nu, nu, mu)
     return (("mu", "nu", "wu"), np.column_stack([mu, nu, wu]),
             "weighted-JS distance between <mu,nu> and its complement")
 
@@ -497,7 +497,7 @@ _ENDPOINTS = (("top", (1.0, 0.0)), ("bottom", (0.0, 1.0)))
 def _fam_fig10(family: str, steps: int):
     mu, nu = _simplex_axis_grid(steps)
     names = ("wu", "xiao", "yc")
-    curves = [get_measure(m).pair_batch(mu, nu, *end) for m in names for _, end in _ENDPOINTS]
+    curves = [get_measure(m).split(mu, nu, *end) for m in names for _, end in _ENDPOINTS]
     columns = ("mu", "nu") + tuple(f"{m}_{side}" for m in names for side, _ in _ENDPOINTS)
     return (columns, np.column_stack([mu, nu, *curves]),
             "distances from <1,0> (top) and <0,1> (bottom) to <mu,nu> for all three measures")
@@ -505,7 +505,7 @@ def _fam_fig10(family: str, steps: int):
 
 def _fam_entropy_surface(family: str, steps: int):
     mu, nu = _simplex_axis_grid(steps)
-    ent = 1.0 - measures.js_norm_batch(mu, nu, nu, mu)
+    ent = 1.0 - measures.WU_SPLIT(mu, nu, nu, mu)
     return (("mu", "nu", "entropy"), np.column_stack([mu, nu, ent]),
             "induced entropy over the value simplex; 1 exactly on mu == nu")
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ifsim import IFS, InvalidMeasureParamsError, UniverseMismatchError, builtin_dataset, get_measure
+from ifsim import (IFS, IFV, InvalidMeasureParamsError, UniverseMismatchError, baselines,
+                   builtin_dataset, get_measure, measures, scenarios)
 from ifsim.registry import MEASURE_NAMES, MeasureDescriptor, UnknownMeasureError
 
 BUILTINS = [
@@ -76,3 +77,42 @@ def test_parameter_too_large_for_a_float(name, params):
     with pytest.raises(InvalidMeasureParamsError,
                        match=f"^measure '{name}': a parameter is too large for a float$"):
         get_measure(name, **params)
+
+
+FORWARDERS = [(measures, "js_norm_batch"), (baselines, "xiao_elem_batch"),
+              (baselines, "yc_elem_batch"), (baselines, "j_gamma_batch")]
+
+
+def _library_values() -> list[bytes]:
+    """The bits of every set, value and scenario function on fixed inputs."""
+    sets, w = builtin_dataset("tableI_case1")
+    a, b = sets["A"], sets["B"]
+    u, v = IFV(0.3, 0.2), IFV(0.1, 0.6)
+    values = [
+        measures.dist_wu(a, b, w), measures.sim_wu(a, b, w),
+        measures.dist_wu_lambda(a, b, w, 0.5), measures.dist_wu_lambda(a, b, w, 1.0),
+        baselines.dist_xiao(a, b), baselines.sim_xiao(a, b), baselines.dist_yc(a, b),
+        measures.js_norm(u, v), measures.entropy_ifv(u), measures.entropy_ifs(a, w),
+        *(baselines.j_gamma(u, v, gamma) for gamma in (0.5, 1.0, 2.0)),
+    ]
+    bits = [np.float64(x).tobytes() for x in values]
+    bits.append(repr([(r.scenario, r.checks, r.notes) for r in scenarios.run_all_scenarios()]).encode())
+    for family in scenarios.FAMILY_IDS:
+        table = scenarios.sweep_curve(family)
+        bits.append(repr(table.columns).encode() + table.rows.tobytes())
+    return bits
+
+
+def test_library_calls_the_splits_not_the_forwarders(monkeypatch):
+    """The set, value and scenario functions reach each kernel through its
+    split; the module-level *_batch forwarders are kept only for the
+    registry's descriptors and the audit.  ROADMAP item 14 deletes this test
+    together with the forwarders."""
+    want = _library_values()
+
+    def stub(*args, **kwargs):
+        raise AssertionError("a *_batch forwarder was called")
+
+    for module, name in FORWARDERS:
+        monkeypatch.setattr(module, name, stub)
+    assert _library_values() == want

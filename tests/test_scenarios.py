@@ -12,13 +12,16 @@ from conftest import LONG_INT, LONG_INT_SHOWN
 from ifsim import (
     SCENARIO_IDS,
     builtin_dataset,
+    NumericalConsistencyError,
     OutOfRangeError,
     UnknownFamilyError,
     UnknownScenarioError,
     run_all_scenarios,
     run_scenario,
+    scenarios,
     sweep_curve,
 )
+from ifsim.cli import main
 from ifsim.scenarios import _TAB2_NOTE
 
 EXPECTED_IDS = (
@@ -106,6 +109,15 @@ class TestCurves:
         window = (lam > 1 / 3) & (lam < 0.5)
         assert window.sum() >= 2
         assert np.all(np.diff(d[window]) < 0.0)
+
+    def test_fig6_guard_refuses_a_rising_family(self, monkeypatch, capsys):
+        monkeypatch.setattr(scenarios, "_decreasing_family", lambda lams: lams.copy())
+        with pytest.raises(NumericalConsistencyError, match="strictly decreasing"):
+            sweep_curve("fig6")
+        assert main(["curve", "--family", "fig6"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: fig6 family") and err.count("\n") == 1
 
     def test_entropy_surface(self):
         table = sweep_curve("entropy-surface", 51)
