@@ -33,17 +33,18 @@ grid sweep covers every unordered grid pair i <= j once, in blocks of the
 same measures._BLOCK_CELLS cells.  The sweep does not call pair_batch:
 it tabulates the term of the descriptor's split (measures.KernelSplit)
 once per channel on the channel's distinct grid values, and each block
-adds the gathered table entries in channel order and applies the split's
-finish.  The kernel is that split called on the arrays, so every swept
-value has the bits that pair_batch gives.  The gathers and their sum fill
-two buffers allocated once per sweep, column-major, which the finish may
-write into.  Each block takes two full reductions, a masked minimum and a
-masked maximum, plus an argmax in a block whose maximum sets a new sup,
-and the range comes from the reductions and the masked cells.  The sweep
-relies on the kernel being exactly symmetric, which S3 checks; for a
-symmetric kernel the witnesses and the sup pair are those of the full
-ordered matrix in row-major order.  A nan is out of range, and the range
-and sup follow numpy's reductions on it.
+adds the gathered table entries by the kernel's own measures.channel_sum
+and applies the split's finish.  The kernel is that split called on the
+arrays, so every swept value has the bits that pair_batch gives.  The
+gathers and their sum fill two buffers allocated once per sweep,
+column-major, which the finish may write into.  Each block takes two
+full reductions, a masked minimum and a masked maximum, plus an argmax in
+a block whose maximum sets a new sup, and the range comes from the
+reductions and the masked cells.  The sweep relies on the kernel being
+exactly symmetric, which S3 checks; for a symmetric kernel the witnesses
+and the sup pair are those of the full ordered matrix in row-major order.
+A nan is out of range, and the range and sup follow numpy's reductions on
+it.
 
 audit_distance runs the sweep on one helper thread, started after the grid
 is built and joined before S1, S2 and S5 read it, while the calling thread
@@ -395,15 +396,17 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
     Each channel of the split gets a table term(u[:, None], u[None, :]) on
     its distinct grid values u, and each grid point the index of its value,
     so that table[k_i, k_j] is the term of grid points i and j; a block
-    gathers each channel's entries, adds them in channel order and applies
-    the split's finish to that sum alone, which is how the kernel computes
-    them, bit for bit.  The gathers and the sum fill two buffers allocated
-    once per sweep, shaped (g-lo, hi-lo): each column j takes the run
-    table[k_lo:hi, k_j] from a C-contiguous copy of the block's table rows
-    transposed, so a gather copies runs of hi-lo values, not single ones.
-    The finish gets the sum's buffer and block is the transpose of what it
-    returns, so a block that a finish writes in place is a view of that
-    buffer, overwritten by the next block, and in column-major order.
+    gathers each channel's entries, adds them by measures.channel_sum and
+    applies the split's finish to that sum alone, which is how the kernel
+    computes them, bit for bit.  The gathers and the sum fill two buffers
+    allocated once per sweep, shaped (g-lo, hi-lo): each column j takes
+    the run table[k_lo:hi, k_j] from a C-contiguous copy of the block's
+    table rows transposed, so a gather copies runs of hi-lo values, not
+    single ones.  Channel 0 is gathered into the sum's buffer, which
+    channel_sum gets as its out=.  The finish gets that buffer and block is
+    the transpose of what it returns, so a block that a finish writes in
+    place is a view of that buffer, overwritten by the next block, and in
+    column-major order.
     """
     g = len(grid)
     distinct = (np.unique(x, return_inverse=True) for x in m.split.channels(grid[:, 0], grid[:, 1]))
@@ -416,13 +419,12 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
         shape, n = (g - lo, hi - lo), (g - lo) * (hi - lo)  # column-major
         total = sums[:n].reshape(shape)
         # the indices are np.unique's inverse, always in range; "clip"
-        # spares the copy that mode="raise" makes of an out= array
-        for i, (t, k) in enumerate(tables):
-            out = gathered[:n].reshape(shape) if i else total
-            # out[y, x] = t[k[lo + x], k[lo + y]]: one run of hi - lo values per y
-            np.take(np.ascontiguousarray(t[k[lo:hi]].T), k[lo:], axis=0, out=out, mode="clip")
-            if i:  # channel_sum's order, ((t0 + t1) + t2)
-                total += out
+        # spares the copy that mode="raise" makes of an out= array.
+        # out[y, x] = t[k[lo + x], k[lo + y]]: one run of hi - lo values per y
+        terms = (np.take(np.ascontiguousarray(t[k[lo:hi]].T), k[lo:], axis=0, mode="clip",
+                         out=gathered[:n].reshape(shape) if i else total)
+                 for i, (t, k) in enumerate(tables))
+        measures.channel_sum(terms, out=total)
         yield lo, grid[lo:hi, None], grid[None, lo:], m.split.finish(total).T
         lo = hi
 

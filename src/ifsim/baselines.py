@@ -33,7 +33,6 @@ from .measures import (
     NumericalConsistencyError,
     _clamp_nonneg,
     _l_stacked,
-    _out,
     _sqrt_half,
     aggregate,
 )
@@ -85,12 +84,11 @@ def _yc_finish(arg: np.ndarray) -> np.ndarray:
     high = arg.max() if arg.size else 0.0
     if high > 1.0 + ARCCOS_CLAMP:
         raise NumericalConsistencyError(f"arccos argument {high!r} above 1 beyond rounding")
-    # each step writes into arg when it is an array; arg >= 0 as a sum of
-    # square roots, so only its upper end needs the clip, and only above 1
-    out = _out(arg)
+    # each step writes into arg; arg >= 0 as a sum of square roots, so only
+    # its upper end needs the clip, and only above 1
     if high > 1.0:
-        arg = np.minimum(arg, 1.0, out=out)
-    return np.multiply(2.0 / math.pi, np.arccos(arg, out=out), out=out)
+        np.minimum(arg, 1.0, out=arg)
+    return np.multiply(2.0 / math.pi, np.arccos(arg, out=arg), out=arg)
 
 
 # per-element spherical distance (2/pi) * arccos(Bhattacharyya sum).  Equal
@@ -123,10 +121,9 @@ def _power_branch(x: np.ndarray, y: np.ndarray, gamma: float) -> np.ndarray:
 def _j_finish(total: np.ndarray, scale: float) -> np.ndarray:
     # 0.0 + total turns a -0.0 channel sum into +0.0 and keeps every other
     # bit; tests/golden_kernel_digest.json pins the resulting signs of zero.
-    # Each step writes into total when it is an array.
-    out = _out(total)
-    lifted = np.negative(np.add(0.0, total, out=out), out=out)
-    return _clamp_nonneg(np.divide(lifted, scale, out=out), "J_gamma")
+    # Each step writes into total.
+    np.negative(np.add(0.0, total, out=total), out=total)
+    return _clamp_nonneg(np.divide(total, scale, out=total), "J_gamma")
 
 
 def j_gamma_split(gamma: float) -> KernelSplit:
@@ -136,7 +133,7 @@ def j_gamma_split(gamma: float) -> KernelSplit:
     gamma = _positive_float(gamma, InvalidGammaError, "gamma")
     if abs(gamma - 1.0) < GAMMA_BRANCH_TOL:
         return XIAO_SPLIT._replace(
-            finish=lambda t: np.multiply(t, math.log(2.0) / 2.0, out=_out(t)))
+            finish=lambda t: np.multiply(t, math.log(2.0) / 2.0, out=t))
     return KernelSplit(_triple, lambda x, y: _power_branch(x, y, gamma),
                        lambda t: _j_finish(t, gamma - 1.0))
 

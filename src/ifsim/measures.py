@@ -19,14 +19,16 @@ blocks l_divergence, zeta (= L(x, 1-x)) and z_score run the same kernel as
 js_norm, so each formula has one implementation.
 
 All functions are pure.  Every measure is one KernelSplit, whose call is
-the elementwise kernel on equal-shaped float arrays of mu / nu components:
+the elementwise kernel on broadcastable float arrays of mu / nu components:
 channels(mu, nu) gives each side's channel arrays ((1-mu, nu) here,
 (mu, nu, pi) for the rivals), a two-point term is applied per channel, the
 channel terms are added in channel order (channel_sum), and a finish maps
-that sum alone to the value (sqrt(z/2) here).  The kernel runs the term on
-both sides' channels, stacked along a leading axis or one at a time; the
-audit's grid sweep applies the same term to a table per channel and the
-same finish to the sums, so each term and finish is written once.
+that sum alone to the value (sqrt(z/2) here).  The finish gets an array,
+0-d in a scalar call.  The kernel runs the term on both sides' channels,
+stacked along a leading axis or one at a time; the audit's grid sweep
+applies the same term to a table per channel, calls the same channel_sum
+on the gathered entries and applies the same finish to the sums, so each
+term, sum and finish is written once.
 Its IFV function evaluates the kernel on one pair, and its IFS value is
 aggregate() of the kernel over the sets' stored degree rows: a weighted
 sum over the universe, or the plain 1/n mean.  One block rule (_blocked)
@@ -107,20 +109,13 @@ def _xlog(x: np.ndarray, q: np.ndarray) -> np.ndarray:
     return q
 
 
-def _out(x) -> np.ndarray | None:
-    """x as the out= of an elementwise step on x: x itself when it is an
-    array, which must be the caller's own, and None for a numpy scalar,
-    which numpy cannot write into."""
-    return x if isinstance(x, np.ndarray) else None
-
-
 def _clamp_nonneg(x: np.ndarray, what: str) -> np.ndarray:
-    """x with rounding residues in [-L_CLAMP, 0) raised to 0; an array x,
-    which must be the caller's own, is clamped in place."""
+    """x with rounding residues in [-L_CLAMP, 0) raised to 0, in place; x
+    must be the caller's own array."""
     low = x.min() if x.size else 0.0
     if low < -L_CLAMP:
         raise NumericalConsistencyError(f"{what} = {low!r} below 0 beyond rounding")
-    return np.maximum(x, 0.0, out=_out(x))
+    return np.maximum(x, 0.0, out=x)
 
 
 def _channels(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
@@ -166,11 +161,14 @@ def _l_stacked(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _clamp_nonneg(total, "L(p, q)")
 
 
-def channel_sum(terms) -> np.ndarray:
+def channel_sum(terms, out=None) -> np.ndarray:
     """The channel terms added in channel order, ((t0 + t1) + t2) + ...;
-    terms is a sequence (or stack) of two or more arrays, none written."""
-    total = terms[0] + terms[1]
-    for t in terms[2:]:
+    terms is an iterable of two or more arrays, taken one at a time, and
+    the first add writes into out when one is given.  No term is written
+    unless it is out."""
+    terms = iter(terms)
+    total = np.add(next(terms), next(terms), out=out)
+    for t in terms:
         total += t
     return total
 
@@ -182,18 +180,18 @@ class KernelSplit(namedtuple("KernelSplit", "channels term finish stacked", defa
     two-point function of one channel, elementwise on any broadcastable
     arrays; finish(total) maps the channel_sum of the terms, its only
     argument, to the kernel's value, and may write into total, as every
-    built-in finish does when total is an array (a numpy scalar, which a
-    scalar call gives, cannot be written).  The audit's grid sweep passes a
-    buffer that it reuses for the next block, so a finish keeps no
-    reference to its input, and masks the block in place, so a finish
-    returns total or a fresh writeable array.  Calling the split is the
-    kernel.  A stacked split runs its term once on both sides' stacked
-    channels (_channels), which saves numpy calls for a term of many steps;
-    an unstacked one runs it per channel, which saves the stacks' copies
-    for a term of few steps.  The bits are the same either way
-    (tests/test_kernel_digest.py).  An unstacked term gets each channel as
-    it is, 0-d in a scalar call, so it must accept 0-d arrays and numpy
-    scalars; _l_stacked does not.
+    built-in finish does.  total is always an array, 0-d in a scalar call,
+    whose value the call returns as a numpy scalar.  The audit's grid sweep
+    also calls channel_sum, with out= a buffer that it reuses for the next
+    block, so a finish keeps no reference to its input, and masks the block
+    in place, so a finish returns total or a fresh writeable array.
+    Calling the split is the kernel.  A stacked split runs its term once on
+    both sides' stacked channels (_channels), which saves numpy calls for a
+    term of many steps; an unstacked one runs it per channel, which saves
+    the stacks' copies for a term of few steps.  The bits are the same
+    either way (tests/test_kernel_digest.py).  An unstacked term gets each
+    channel as it is, 0-d in a scalar call, so it must accept 0-d arrays
+    and numpy scalars; _l_stacked does not.
 
     A namedtuple, not a frozen dataclass: building that class at import
     takes over 1 ms, which every CLI run would pay.
@@ -205,7 +203,7 @@ class KernelSplit(namedtuple("KernelSplit", "channels term finish stacked", defa
         a = self.channels(np.asarray(mu_a, dtype=float), np.asarray(nu_a, dtype=float))
         b = self.channels(np.asarray(mu_b, dtype=float), np.asarray(nu_b, dtype=float))
         terms = self.term(*_channels(a, b)) if self.stacked else tuple(map(self.term, a, b))
-        return self.finish(channel_sum(terms))
+        return self.finish(np.asarray(channel_sum(terms)))[()]
 
 
 def _wu_channels(mu: np.ndarray, nu: np.ndarray) -> tuple:
@@ -213,10 +211,9 @@ def _wu_channels(mu: np.ndarray, nu: np.ndarray) -> tuple:
 
 
 def _sqrt_half(z: np.ndarray) -> np.ndarray:
-    """sqrt(z/2), wu's and xiao's finish, in z when it is an array: z sums
-    _l_stacked terms, each >= +0.0."""
-    out = _out(z)
-    return np.sqrt(np.divide(z, 2.0, out=out), out=out)
+    """sqrt(z/2), wu's and xiao's finish, in z: z sums _l_stacked terms,
+    each >= +0.0."""
+    return np.sqrt(np.divide(z, 2.0, out=z), out=z)
 
 
 WU_SPLIT = KernelSplit(_wu_channels, _l_stacked, _sqrt_half)

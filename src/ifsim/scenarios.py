@@ -171,12 +171,14 @@ def _ex1_crossing():
     lam_star = math.nan
     if found:
         lo, hi = float(lams[sign_change[0]]), float(lams[sign_change[0] + 1])
+        f_lo = float(diff(lo))
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if float(diff(lo)) * float(diff(mid)) <= 0.0:
+            f_mid = float(diff(mid))
+            if f_lo * f_mid <= 0.0:
                 hi = mid
             else:
-                lo = mid
+                lo, f_lo = mid, f_mid
         lam_star = 0.5 * (lo + hi)
     checks = (
         _fact("the two distance curves cross inside the interval", found,

@@ -333,6 +333,22 @@ def test_table_blocks_keep_the_term_orientation(monkeypatch, step, block_cells):
         assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("name", ["wu", "xiao"])  # two channels and three
+def test_sweep_adds_each_block_by_channel_sum(monkeypatch, name):
+    monkeypatch.setattr(measures, "_BLOCK_CELLS", 97)
+    m, grid = get_measure(name), grid_points(0.05)
+    blocks = sum(1 for _ in audit._sweep_blocks(m, grid))
+    calls, channel_sum = [], measures.channel_sum
+
+    def counted(terms, out=None):
+        calls.append(out is not None)  # the sum's buffer, reused
+        return channel_sum(terms, out)
+
+    monkeypatch.setattr(measures, "channel_sum", counted)
+    assert audit._grid_matrix_sweep(m, grid, TOL) is not None
+    assert blocks > 1 and calls == [True] * blocks
+
+
 def _counting(f, counts: list):
     def wrapper(*args):
         out = f(*args)

@@ -177,6 +177,25 @@ def test_stacked_and_unstacked_split_agree(name):
         assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
 
 
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_finish_gets_an_array(name):
+    # 0-d in an all-scalar call, whose value is still a numpy float64
+    measure, params = CONFIGS[name]
+    split = get_measure(measure, **params).split
+    got = []
+
+    def finish(total):
+        got.append(type(total))
+        return split.finish(total)
+
+    wrapped, lams = split._replace(finish=finish), np.linspace(0.0, 1.0, 11)
+    value = wrapped(0.3, 0.2, 0.4, 0.1)
+    wrapped(1.0, 0.0, lams, 1.0 - lams)
+    wrapped(lams, 1.0 - lams, lams[::-1], lams)
+    assert got == [np.ndarray] * 3
+    assert type(value) is np.float64
+
+
 if __name__ == "__main__":
     digests = {name: kernel_digest(name) for name in CONFIGS}
     GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
