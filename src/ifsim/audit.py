@@ -31,8 +31,8 @@ a universe.  Samples are evaluated under the block rule that aggregate
 uses for sets and libraries (_eval_pairs over measures._blocked), and the
 grid sweep covers every unordered grid pair i <= j once, in blocks of the
 same measures._BLOCK_CELLS cells.  The sweep does not call pair_batch:
-it tabulates the term of the descriptor's split (measures.KernelSplit)
-once per channel on the channel's distinct grid values, and each block
+it tabulates each channel's own term of the descriptor's split
+(measures.KernelSplit) on the channel's distinct grid values, and each block
 adds the gathered table entries by the kernel's own measures.channel_sum
 and applies the split's finish.  The kernel is that split called on the
 arrays, so every swept value has the bits that pair_batch gives.  The
@@ -393,9 +393,9 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
     block their (hi-lo, g-lo) values, which the caller may write into
     until it asks for the next block.
 
-    Each channel of the split gets a table term(u[:, None], u[None, :]) on
-    its distinct grid values u, and each grid point the index of its value,
-    so that table[k_i, k_j] is the term of grid points i and j; a block
+    Each channel gets a table term(u[:, None], u[None, :]) of its own term
+    on its distinct grid values u (KernelSplit._terms), and each grid point
+    the index of its value, so table[k_i, k_j] is the term of i and j; a block
     gathers each channel's entries, adds them by measures.channel_sum and
     applies the split's finish to that sum alone, which is how the kernel
     computes them, bit for bit.  The gathers and the sum fill two buffers
@@ -409,8 +409,8 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
     column-major order.
     """
     g = len(grid)
-    distinct = (np.unique(x, return_inverse=True) for x in m.split.channels(grid[:, 0], grid[:, 1]))
-    tables = [(m.split.term(u[:, None], u[None, :]), k) for u, k in distinct]
+    us, ks = zip(*(np.unique(x, return_inverse=True) for x in m.split.channels(grid[:, 0], grid[:, 1])))
+    tables = list(zip(m.split._terms([u[:, None] for u in us], [u[None, :] for u in us]), ks))
     cells = max(measures._BLOCK_CELLS, g)  # the largest block below
     sums, gathered = np.empty(cells), np.empty(cells)
     lo = 0

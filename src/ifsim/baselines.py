@@ -94,7 +94,7 @@ def _yc_finish(arg: np.ndarray) -> np.ndarray:
 # per-element spherical distance (2/pi) * arccos(Bhattacharyya sum).  Equal
 # values map to 0 exactly, their argument rounding to 1 (_yc_finish): arccos
 # is infinitely steep at 1, so one ulp below gives d(a, a) ~ 1e-8.
-YC_SPLIT = KernelSplit(_triple, _bhattacharyya, _yc_finish, stacked=False)
+YC_SPLIT = KernelSplit(_triple, (_bhattacharyya,) * 3, _yc_finish)
 
 
 def yc_elem_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:  # pinned: see registry

@@ -20,15 +20,16 @@ js_norm, so each formula has one implementation.
 
 All functions are pure.  Every measure is one KernelSplit, whose call is
 the elementwise kernel on broadcastable float arrays of mu / nu components:
-channels(mu, nu) gives each side's channel arrays ((1-mu, nu) here,
-(mu, nu, pi) for the rivals), a two-point term is applied per channel, the
-channel terms are added in channel order (channel_sum), and a finish maps
-that sum alone to the value (sqrt(z/2) here).  The finish gets an array,
-0-d in a scalar call.  The kernel runs the term on both sides' channels,
-stacked along a leading axis or one at a time; the audit's grid sweep
-applies the same term to a table per channel, calls the same channel_sum
-on the gathered entries and applies the same finish to the sums, so each
-term, sum and finish is written once.
+channels(mu, nu) gives each side's channel arrays ((mu, nu) here, (mu, nu,
+pi) for the rivals), each channel's two-point term is applied to it (here
+L(1-x, 1-y) on mu, L(x, y) on nu), the channel terms are added in channel
+order (channel_sum), and a finish maps that sum alone to the value
+(sqrt(z/2) here).  The finish gets an array, 0-d in a scalar call.  The
+kernel runs a term shared by every channel once on both sides' stacked
+channels, and a tuple of terms one channel at a time; the audit's grid
+sweep applies each channel's term to a table per channel, calls the same
+channel_sum on the gathered entries and applies the same finish to the
+sums, so each term, sum and finish is written once.
 Its IFV function evaluates the kernel on one pair, and its IFS value is
 aggregate() of the kernel over the sets' stored degree rows: a weighted
 sum over the universe, or the plain 1/n mean.  One block rule (_blocked)
@@ -148,16 +149,17 @@ def _pad(x: np.ndarray, ndim: int) -> np.ndarray:
 
 def _l_stacked(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """L(p, q) = p*log2(2p/s) + q*log2(2q/s), s = p + q, elementwise on
-    broadcastable arrays of at least one dimension: channel stacks
-    (_channels) or the two axes of a channel's table.
+    broadcastable arrays: channel stacks (_channels), one channel of each
+    side, 0-d in a scalar call, or the two axes of a channel's table.
 
     The ratio form makes p == q an exact 0.  s is floored at the smallest
-    subnormal, so that p == q == 0 gives 0/s, never 0/0.
+    subnormal, so that p == q == 0 gives 0/s, never 0/0.  [...] turns the
+    numpy scalar of a 0-d step into the 0-d array that out= needs.
     """
-    s = p + q
+    s = (p + q)[...]
     np.maximum(s, _SMALLEST_SUBNORMAL, out=s)
-    total = _xlog(p, 2.0 * p / s)
-    total += _xlog(q, 2.0 * q / s)
+    total = _xlog(p, (2.0 * p / s)[...])
+    total += _xlog(q, (2.0 * q / s)[...])
     return _clamp_nonneg(total, "L(p, q)")
 
 
@@ -173,25 +175,27 @@ def channel_sum(terms, out=None) -> np.ndarray:
     return total
 
 
-class KernelSplit(namedtuple("KernelSplit", "channels term finish stacked", defaults=(True,))):
-    """An elementwise kernel as channels, a two-point term and a finish.
+class KernelSplit(namedtuple("KernelSplit", "channels term finish")):
+    """An elementwise kernel as channels, two-point terms and a finish.
 
-    channels(mu, nu) gives one side's channel arrays; term(x_a, x_b) is the
-    two-point function of one channel, elementwise on any broadcastable
-    arrays; finish(total) maps the channel_sum of the terms, its only
-    argument, to the kernel's value, and may write into total, as every
-    built-in finish does.  total is always an array, 0-d in a scalar call,
-    whose value the call returns as a numpy scalar.  The audit's grid sweep
-    also calls channel_sum, with out= a buffer that it reuses for the next
-    block, so a finish keeps no reference to its input, and masks the block
-    in place, so a finish returns total or a fresh writeable array.
-    Calling the split is the kernel.  A stacked split runs its term once on
-    both sides' stacked channels (_channels), which saves numpy calls for a
-    term of many steps; an unstacked one runs it per channel, which saves
-    the stacks' copies for a term of few steps.  The bits are the same
-    either way (tests/test_kernel_digest.py).  An unstacked term gets each
-    channel as it is, 0-d in a scalar call, so it must accept 0-d arrays
-    and numpy scalars; _l_stacked does not.
+    channels(mu, nu) gives one side's channel arrays; term is one two-point
+    function term(x_a, x_b), shared by every channel, or a tuple of one per
+    channel, each elementwise on any broadcastable arrays; finish(total)
+    maps the channel_sum of the terms, its only argument, to the kernel's
+    value, and may write into total, as every built-in finish does.  total
+    is always an array, 0-d in a scalar call, whose value the call returns
+    as a numpy scalar.  The audit's grid sweep also calls channel_sum, with
+    out= a buffer that it reuses for the next block, so a finish keeps no
+    reference to its input, and masks the block in place, so a finish
+    returns total or a fresh writeable array.
+    Calling the split is the kernel.  A shared term runs once on both
+    sides' stacked channels (_channels), which saves numpy calls for a term
+    of many steps; a tuple runs each channel's term on that channel
+    (_terms), which saves the stacks' copies for a term of few steps and
+    lets channels differ in their term.  The bits are the same either way
+    (tests/test_kernel_digest.py).  A term run per channel gets the channel
+    as it is, 0-d in a scalar call, so it must accept 0-d arrays and numpy
+    scalars, as _l_stacked does.
 
     A namedtuple, not a frozen dataclass: building that class at import
     takes over 1 ms, which every CLI run would pay.
@@ -202,12 +206,14 @@ class KernelSplit(namedtuple("KernelSplit", "channels term finish stacked", defa
     def __call__(self, mu_a, nu_a, mu_b, nu_b) -> np.ndarray:
         a = self.channels(np.asarray(mu_a, dtype=float), np.asarray(nu_a, dtype=float))
         b = self.channels(np.asarray(mu_b, dtype=float), np.asarray(nu_b, dtype=float))
-        terms = self.term(*_channels(a, b)) if self.stacked else tuple(map(self.term, a, b))
+        terms = self._terms(a, b) if type(self.term) is tuple else self.term(*_channels(a, b))
         return self.finish(np.asarray(channel_sum(terms)))[()]
 
-
-def _wu_channels(mu: np.ndarray, nu: np.ndarray) -> tuple:
-    return 1.0 - mu, nu
+    def _terms(self, a, b):
+        """term(a[c], b[c]) by each channel c's own term, in channel order,
+        one at a time: the kernel's per-channel path and the sweep's tables."""
+        terms = self.term if type(self.term) is tuple else (self.term,) * len(a)
+        return (t(x, y) for t, x, y in zip(terms, a, b))
 
 
 def _sqrt_half(z: np.ndarray) -> np.ndarray:
@@ -216,7 +222,9 @@ def _sqrt_half(z: np.ndarray) -> np.ndarray:
     return np.sqrt(np.divide(z, 2.0, out=z), out=z)
 
 
-WU_SPLIT = KernelSplit(_wu_channels, _l_stacked, _sqrt_half)
+# the degrees as channels: mu's term reads it as the upper end 1-mu of [nu, 1-mu]
+WU_SPLIT = KernelSplit(lambda mu, nu: (mu, nu),
+                       (lambda x, y: _l_stacked(1.0 - x, 1.0 - y), _l_stacked), _sqrt_half)
 
 
 def wu_lambda_split(lam: float) -> KernelSplit:
@@ -227,12 +235,12 @@ def wu_lambda_split(lam: float) -> KernelSplit:
     the exact value is sqrt(1e-400 / 2) ~ 7.07e-201.
     """
     lam = _positive_float(lam, InvalidLambdaError, "lambda")
-    return KernelSplit(lambda mu, nu: _wu_channels(mu ** lam, nu ** lam), _l_stacked, _sqrt_half)
+    return WU_SPLIT._replace(channels=lambda mu, nu: (mu ** lam, nu ** lam))
 
 
 # L(1-mu_a, 1-mu_b) + L(nu_a, nu_b) on component arrays: WU_SPLIT before
 # its finish
-z_score_batch = KernelSplit(_wu_channels, _l_stacked, lambda z: z)
+z_score_batch = WU_SPLIT._replace(finish=lambda z: z)
 
 
 def js_norm_batch(mu_a, nu_a, mu_b, nu_b) -> np.ndarray:  # pinned: see registry
@@ -253,7 +261,7 @@ def l_divergence(p: float, q: float) -> float:
         raise NegativeInputError(f"L requires non-negative arguments, got ({p!r}, {q!r})")
     if not math.isfinite(2.0 * (p + q)):  # false for nan, inf and overflow
         raise OutOfRangeError(f"L requires finite p, q and 2(p + q), got ({p!r}, {q!r})")
-    return float(_l_stacked(np.array([p]), np.array([q]))[0])
+    return float(_l_stacked(np.array(p), np.array(q)))
 
 
 def zeta(x: float) -> float:

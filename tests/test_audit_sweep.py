@@ -120,9 +120,10 @@ def _canonical(sweep: dict) -> str:
 
 def _symmetric_kernel(f):
     """A deliberately defective but exactly symmetric distance, the kernel
-    f(mu_a, nu_a, mu_b, nu_b) as an unstacked split: one channel packs each
-    point into mu + 1j*nu, whose term unpacks both points into f, and a zero
-    channel beside it adds f(<0,0>, <0,0>) = 0; the finish is the identity.
+    f(mu_a, nu_a, mu_b, nu_b) as a split with a term per channel: one
+    channel packs each point into mu + 1j*nu, whose term unpacks both points
+    into f, and a zero channel beside it adds f(<0,0>, <0,0>) = 0 by the
+    same term; the finish is the identity.
     The packed channel's table holds g**2 cells for a grid of g points, so
     it suits steps of 0.05 or more."""
     def channels(mu, nu):
@@ -132,7 +133,7 @@ def _symmetric_kernel(f):
     def term(x, y):
         return f(np.real(x), np.imag(x), np.real(y), np.imag(y))
 
-    split = measures.KernelSplit(channels, term, lambda total: total, stacked=False)
+    split = measures.KernelSplit(channels, (term, term), lambda total: total)
     return MeasureDescriptor("defective", {}, lambda a, b, w: 0.0, split, split)
 
 
@@ -318,19 +319,21 @@ def test_table_blocks_bitwise_equal_pair_batch(monkeypatch, config, step, block_
 @pytest.mark.parametrize("block_cells", [None, 97])
 @pytest.mark.parametrize("step", [0.05, 0.3])
 def test_table_blocks_keep_the_term_orientation(monkeypatch, step, block_cells):
-    # an asymmetric term: a block gathered from t[:, k] in place of t[k, :]
-    # would hold term(b, a) where the kernel gives term(a, b)
+    # asymmetric terms: a block gathered from t[:, k] in place of t[k, :]
+    # would hold term(b, a) where the kernel gives term(a, b); and with a
+    # different term per channel, a sweep that tabulated every channel with
+    # the first term would not give the kernel's values
     if block_cells is not None:
         monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
-    split = measures.KernelSplit(lambda mu, nu: (mu, nu), lambda x, y: x - 0.5 * y,
-                                 lambda total: total, stacked=False)
-    m = MeasureDescriptor("asymmetric", {}, lambda a, b, w: 0.0, split, split)
     grid = grid_points(step)
-    d = audit._eval_pairs(split, grid[:, None], grid[None, :])
-    assert not np.array_equal(d, d.T)
-    for lo, a, b, block in audit._sweep_blocks(m, grid):
-        want = audit._eval_pairs(split, a, b)
-        assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
+    for terms in [(lambda x, y: x - 0.5 * y,) * 2, (lambda x, y: x - 0.5 * y, lambda x, y: y - 0.25 * x)]:
+        split = measures.KernelSplit(lambda mu, nu: (mu, nu), terms, lambda total: total)
+        m = MeasureDescriptor("asymmetric", {}, lambda a, b, w: 0.0, split, split)
+        d = audit._eval_pairs(split, grid[:, None], grid[None, :])
+        assert not np.array_equal(d, d.T)
+        for lo, a, b, block in audit._sweep_blocks(m, grid):
+            want = audit._eval_pairs(split, a, b)
+            assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("name", ["wu", "xiao"])  # two channels and three

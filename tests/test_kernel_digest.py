@@ -162,19 +162,38 @@ def test_exact_reference(name):
     assert abs_err <= 1e-12
 
 
-@pytest.mark.parametrize("name", list(CONFIGS))
+# the configurations whose channels share one term; wu's two channels
+# differ in theirs
+@pytest.mark.parametrize("name", ["xiao", "yc", "jgamma(1)", "jgamma(2)", "jgamma(0.5)"])
 def test_stacked_and_unstacked_split_agree(name):
-    # every channel at least 1-D: an unstacked _l_stacked term rejects a
-    # channel that is 0-d on both sides
+    # a term shared by the channels runs once on the stacked channels, and
+    # the same term given once per channel runs on each channel as it is,
+    # 0-d in the all-scalar calls
     measure, params = CONFIGS[name]
     split = get_measure(measure, **params).split
-    flipped = split._replace(stacked=not split.stacked)
+    if isinstance(split.term, tuple):
+        assert len(set(split.term)) == 1
+        flipped = split._replace(term=split.term[0])
+    else:
+        flipped = split._replace(term=(split.term,) * 3)
     calls = [(a[:, 0], a[:, 1], b[:, 0], b[:, 1]) for a, b in (_uniform_pairs(), edge_pairs())]
-    calls += [tuple(np.atleast_1d(np.asarray(x, dtype=float)) for x in args)
-              for args in _scenario_calls()]
-    for args in calls:
+    for args in calls + _scenario_calls():
         x, y = split(*args), flipped(*args)
         assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_channels_carry_the_degrees(name):
+    # wu's mu channel is mu itself (1 - 1e-20 would round to 1.0), and a
+    # split with a tuple of terms has one term per channel
+    measure, params = CONFIGS[name]
+    split = get_measure(measure, **params).split
+    mu, nu = np.array([1e-20]), np.array([0.0])
+    channels = split.channels(mu, nu)
+    if measure.startswith("wu"):
+        assert channels[0].tolist() == (mu ** params.get("lambda", 1.0)).tolist()
+    if isinstance(split.term, tuple):
+        assert len(split.term) == len(channels)
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))

@@ -178,18 +178,23 @@ class TestJsNorm:
         d = js_norm(a, b)
         assert 0.0 <= d <= 1.0
         assert d == js_norm(b, a)  # bitwise
-        # positivity holds down to the resolution of double precision;
-        # components closer than ~1e-14 make log2(2p/s) round to 0
+        # the paper claims d > 0 on every unequal pair; this asserts it
+        # beyond a gap of 1e-12, where it can still fail: the two log2
+        # terms of the 1-mu channel cancel below their rounding error at
+        # gaps up to about 2e-8 from mu = 0 (test_tiny_degrees_positive),
+        # and hypothesis may draw such a pair
         if max(abs(a.mu - b.mu), abs(a.nu - b.nu)) > 1e-12:
             assert d > 0.0
 
     @pytest.mark.xfail(strict=True, reason=(
         "false zero: the two log2 terms of L(1-mu_a, 1-mu_b) cancel to "
-        "~delta**2 = 1e-18, below their rounding error; fixed by the "
-        "cancellation-free kernel of ROADMAP item 1"))
-    def test_tiny_degrees_positive(self):
-        # the falsifying example hypothesis found for the test above
-        assert js_norm(IFV(1e-9, 1e-9), IFV(2.22e-16, 1e-9)) > 0.0
+        "~delta**2 (1e-18, 2e-19 and 4e-17 here), below their rounding error; fixed "
+        "by the cancellation-free kernel of ROADMAP item 1"))
+    @pytest.mark.parametrize("a,b", [  # falsifying examples hypothesis found for the test above
+        (IFV(1e-9, 1e-9), IFV(2.22e-16, 1e-9)), (IFV(0.0, 0.0), IFV(4.302092628624096e-10, 0.0)),
+        (IFV(0.0, 0.0), IFV(6.517527914942302e-09, 0.0))])
+    def test_tiny_degrees_positive(self, a, b):
+        assert js_norm(a, b) > 0.0
 
     @given(ifvs(), ifvs())
     @settings(max_examples=300)
@@ -423,10 +428,11 @@ def _inversions(table: np.ndarray) -> int:
 
 
 class TestMultiScaleCertificate:
-    # Each channel of wu and wu-lambda reads one degree, so weak S4 on every
-    # chain of the axis's product grid follows if no channel's term table,
-    # indexed by the degrees, has an inversion.  Indexing by the channel's
-    # distinct values would hide the 1-mu channel's collapse of small mu.
+    # Each channel of wu and wu-lambda is one degree (or its power), so weak
+    # S4 on every chain of the axis's product grid follows if no channel's
+    # table of its own term, indexed by the degrees, has an inversion.  The
+    # mu channel's term forms 1-mu itself, so its table shows how that
+    # rounding collapses small mu.
     def test_axis_has_365_values(self):
         assert len(_multi_scale_axis()) == 365
 
@@ -441,7 +447,7 @@ class TestMultiScaleCertificate:
     def test_term_tables_have_no_inversion(self, name, params):
         axis = _multi_scale_axis()
         split = get_measure(name, **params).split
-        tables = [split.term(c[:, None], c[None, :]) for c in split.channels(axis, axis)]
+        tables = [t(c[:, None], c[None, :]) for t, c in zip(split.term, split.channels(axis, axis))]
         assert [_inversions(t) for t in tables] == [0, 0]
 
 
