@@ -33,18 +33,21 @@ grid sweep covers every unordered grid pair i <= j once, in blocks of the
 same measures._BLOCK_CELLS cells.  The sweep does not call pair_batch:
 it tabulates each channel's own term of the descriptor's split
 (measures.KernelSplit) on the channel's distinct grid values, and each block
-adds the gathered table entries by the kernel's own measures.channel_sum
-and applies the split's finish.  The kernel is that split called on the
-arrays, so every swept value has the bits that pair_batch gives.  The
-gathers and their sum fill two buffers allocated once per sweep,
-column-major, which the finish may write into.  Each block takes two
-full reductions, a masked minimum and a masked maximum, plus an argmax in
-a block whose maximum sets a new sup, and the range comes from the
-reductions and the masked cells.  The sweep relies on the kernel being
-exactly symmetric, which S3 checks; for a symmetric kernel the witnesses
-and the sup pair are those of the full ordered matrix in row-major order.
-A nan is out of range, and the range and sup follow numpy's reductions on
-it.
+adds the gathered table entries by the kernel's own measures.channel_sum,
+which gives the kernel's sums bit for bit, the kernel being that split
+called on the arrays.  The gathers and their sum fill two buffers
+allocated once per sweep, column-major, which the finish may write into.
+Each block takes two full reductions, a masked minimum and a masked
+maximum, plus an argmax in a block whose maximum sets a new sup, and the
+range comes from the reductions and the masked cells.  The split's finish
+runs on every cell before the reductions, or, when it is declared
+non-decreasing (measures._non_decreasing), after them on the statistics
+and on the few blocks that a check or the sup reads cell by cell.  Either
+way the statistics are those of the finished values.  The sweep relies on
+the kernel being exactly symmetric, which S3 checks; for a symmetric
+kernel the statistics, the witnesses and the sup pair are those of the
+full ordered matrix of pair_batch values in row-major order.  A nan is
+out of range, and the range and sup follow numpy's reductions on it.
 
 audit_distance runs the sweep on one helper thread, started after the grid
 is built and joined before S1, S2 and S5 read it, while the calling thread
@@ -390,23 +393,21 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
     """(lo, a, b, block) for the row blocks [lo, hi) of the grid against
     its columns lo:, each of at most measures._BLOCK_CELLS cells (one row
     at the least); a and b are the (hi-lo, 1, 2) and (1, g-lo, 2) points,
-    block their (hi-lo, g-lo) values, which the caller may write into
-    until it asks for the next block.
+    block their (hi-lo, g-lo) channel sums, before the split's finish,
+    which the caller may write into until it asks for the next block.
 
     Each channel gets a table term(u[:, None], u[None, :]) of its own term
     on its distinct grid values u (KernelSplit._terms), and each grid point
     the index of its value, so table[k_i, k_j] is the term of i and j; a block
-    gathers each channel's entries, adds them by measures.channel_sum and
-    applies the split's finish to that sum alone, which is how the kernel
-    computes them, bit for bit.  The gathers and the sum fill two buffers
-    allocated once per sweep, shaped (g-lo, hi-lo): each column j takes
-    the run table[k_lo:hi, k_j] from a C-contiguous copy of the block's
-    table rows transposed, so a gather copies runs of hi-lo values, not
-    single ones.  Channel 0 is gathered into the sum's buffer, which
-    channel_sum gets as its out=.  The finish gets that buffer and block is
-    the transpose of what it returns, so a block that a finish writes in
-    place is a view of that buffer, overwritten by the next block, and in
-    column-major order.
+    gathers each channel's entries and adds them by measures.channel_sum,
+    which is how the kernel computes them, bit for bit.  The gathers and
+    the sum fill two buffers allocated once per sweep, shaped (g-lo,
+    hi-lo): each column j takes the run table[k_lo:hi, k_j] from a
+    C-contiguous copy of the block's table rows transposed, so a gather
+    copies runs of hi-lo values, not single ones.  Channel 0 is gathered
+    into the sum's buffer, which channel_sum gets as its out=; block is
+    that buffer's transpose, a column-major view overwritten by the next
+    block.
     """
     g = len(grid)
     us, ks = zip(*(np.unique(x, return_inverse=True) for x in m.split.channels(grid[:, 0], grid[:, 1])))
@@ -425,7 +426,7 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
                          out=gathered[:n].reshape(shape) if i else total)
                  for i, (t, k) in enumerate(tables))
         measures.channel_sum(terms, out=total)
-        yield lo, grid[lo:hi, None], grid[None, lo:], m.split.finish(total).T
+        yield lo, grid[lo:hi, None], grid[None, lo:], total.T
         lo = hi
 
 
@@ -437,85 +438,123 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
 
     Rows are taken in blocks [lo, hi) against the columns lo: only, i.e. the
     upper triangle plus the diagonal tile, each block sized to stay in cache
-    and filled from the split's per-channel term tables into two buffers
-    reused across the sweep (_sweep_blocks).  This relies on the
-    kernel being exactly symmetric (S3 checks it): a witness at (i, j) with
-    j < i is mirrored by (j, i) in an earlier row, so the first witness and
-    the first argmax in row-major order of the full matrix are the ones
-    found here.
+    and filled with channel sums from the split's per-channel term tables
+    (_sweep_blocks).  This relies on the kernel being exactly symmetric (S3
+    checks it): a witness at (i, j) with j < i is mirrored by (j, i) in an
+    earlier row, so the first witness and the first argmax in row-major
+    order of the full matrix are the ones found here.
 
     Each block takes two full reductions, in place: its minimum with the
     diagonal masked to +inf, and its maximum with the diagonal and the
     endpoint pair masked to -inf.  The range comes from these two and the
-    cells they mask, saved first; a block that has a hit gets those cells
-    back before the scan for its witness.  An argmax, which copies the
-    column-major block to row-major order first, runs only in a block whose
-    maximum beats every earlier block's, or is the first nan.  So the sup
-    is the row-major first cell of the largest value, or the first nan,
-    and a zero sup has that cell's sign, whatever sign max() gives.  A nan is propagated as numpy's reductions do: it makes every
+    cells they mask, saved first.  The checks and the sup can change only
+    in a block whose minimum, maximum or saved cells leave the span of the
+    earlier blocks', so only such a block is checked.
+
+    The split's finish runs on every cell before the reductions, unless it
+    is declared non-decreasing (measures._non_decreasing, as wu's, xiao's
+    and J_1's are).  Then it runs after them, since such a finish of the
+    extreme sum is the extreme of the finished values: on the statistics
+    of a checked block, and on a whole block only where it must, in a
+    block that sets a new sup, decided on finished maxima so that a tie
+    keeps the first block, or that holds a witness.  The -inf maximum of a
+    block whose cells are all masked (a 1x1 tile) is no sum and is never
+    finished.  The saved cells are finished once, at the end.
+
+    A block that holds a witness gets its masked cells back before the
+    scan for it, and an argmax, which copies the column-major block to
+    row-major order first, runs only in a block whose maximum beats every
+    earlier block's, or is the first nan.  So the sup is the row-major
+    first cell of the largest value, or the first nan, and a zero sup has
+    that cell's sign, whatever sign max() gives.  A nan is propagated as
+    numpy's reductions do: it makes every
     statistic whose cells hold it nan, and the first nan is the sup, as
     argmax takes it.  Every scan for a witness is a negated comparison, so
     a nan fails the range, positivity and near-one checks.
     """
+    finish = m.split.finish
+    late = getattr(finish, "non_decreasing", False)  # finish after the reductions
+
+    def finished(total: np.ndarray) -> None:
+        """Finish every cell of a block's buffer, in place."""
+        out = finish(total)
+        if out is not total:
+            total[...] = out
+
+    def settle(x):
+        """A statistic of sums as the finish gives it, when it runs late;
+        -inf, the top of a block whose cells are all masked, is no sum."""
+        return finish(np.array(x))[()] if late and x != -np.inf else x
+
     ends = np.flatnonzero(_is_endpoint(grid)).tolist()  # on the grid only when step divides 1
     off_mins, tops, held = [], [], []
+    seen = (np.inf, -np.inf, np.inf, -np.inf)  # the earlier blocks' off_min, top and kept span
     sup = sup_at = None
     range_witness = positivity_witness = near_one_witness = None
     for lo, a, b, block in _sweep_blocks(m, grid):
         if stop is not None and stop.is_set():
             return None
-        hi = lo + len(block)
-        diag = np.arange(hi - lo)
-        masked = [(diag, diag)]
-        rows = [e - lo for e in ends if lo <= e < hi]
+        total, w = block.T, len(block)  # the C-contiguous buffer, and the rows
+        if not late:
+            finished(total)
+        flat = total.reshape(-1)  # block[r, c] is flat[c * w + r]
+        diag = cells = slice(0, w * (w + 1), w + 1)  # the masked cells, as flat indices
+        rows = [e - lo for e in ends if lo <= e < lo + w]
         if rows:  # the two endpoint pairs are exempt from the supremum
-            masked.append(np.ix_(rows, [e - lo for e in ends if e >= lo]))
-        saved = [block[cells] for cells in masked]  # copies, taken before any mask
-        kept = np.concatenate([x.ravel() for x in saved])  # the cells outside the argmax
-        held.append(kept)
-
-        block[diag, diag] = np.inf
-        off_min = block.min()
-        for cells in masked:
-            block[cells] = -np.inf
-        top = block.max()
+            cols = [e - lo for e in ends if e >= lo]
+            cells = np.r_[diag, [c * w + r for r in rows for c in cols]]
+        kept = flat[cells].copy()  # saved before any mask
+        flat[diag] = np.inf
+        off_min = total.min()
+        flat[cells] = -np.inf
+        top = total.max()
+        k_lo, k_hi = kept.min(), kept.max()
         off_mins.append(off_min)
         tops.append(top)
+        held.append(kept)
+        if off_min >= seen[0] and top <= seen[1] and k_lo >= seen[2] and k_hi <= seen[3]:
+            continue  # a nan is never inside the span
+        seen = (min(seen[0], off_min), max(seen[1], top), min(seen[2], k_lo), max(seen[3], k_hi))
+        off_min, top, k_lo, k_hi = (settle(x) for x in (off_min, top, k_lo, k_hi))
         # the first block with the largest top, or the first nan, as
         # argmax over the tops takes it; the cell keeps a zero's sign
-        if sup is None or (not np.isnan(sup) and not top <= sup):
-            bi, bj = divmod(int(block.argmax()), block.shape[1])  # row-major, as argmax counts
-            sup, sup_at = block[bi, bj], (lo + bi, lo + bj)
-
+        new_sup = sup is None or (sup == sup and not top <= sup)
         out_of_range = range_witness is None and not (
-            off_min >= 0.0 and top <= 1.0 and ((kept >= 0.0) & (kept <= 1.0)).all())
+            off_min >= 0.0 and top <= 1.0 and k_lo >= 0.0 and k_hi <= 1.0)
         not_positive = positivity_witness is None and not off_min > 0.0
         near_one = near_one_witness is None and not top < 1.0 - tol
-        if not (out_of_range or not_positive or near_one):
+        if not (new_sup or out_of_range or not_positive or near_one):
             continue
-        for cells, x in zip(masked, saved):
-            block[cells] = x
+        if late:  # the sums are read cell by cell: finish them, masks apart
+            flat[cells] = kept
+            finished(total)
+            kept = flat[cells].copy()
+            flat[cells] = -np.inf
+        if new_sup:
+            bi, bj = divmod(int(block.argmax()), block.shape[1])  # row-major, as argmax counts
+            sup, sup_at = block[bi, bj], (lo + bi, lo + bj)
+        flat[cells] = kept
 
-        def witness(mask: np.ndarray, skip: list) -> dict | None:
-            for cells in skip:  # cells the check exempts
-                mask[cells] = False
+        def witness(mask: np.ndarray, exempt) -> dict | None:
+            """The first cell of mask, laid out as total, outside the exempt cells."""
+            mask.reshape(-1)[exempt] = False
             shape = block.shape + (2,)
-            return _witness(mask, {"a": np.broadcast_to(a, shape),
-                                   "b": np.broadcast_to(b, shape), "d": block})
+            return _witness(mask.T, {"a": np.broadcast_to(a, shape),
+                                     "b": np.broadcast_to(b, shape), "d": block})
 
         if out_of_range:
-            range_witness = witness(~((block >= 0.0) & (block <= 1.0)), [])
+            range_witness = witness(~((total >= 0.0) & (total <= 1.0)), [])
         if not_positive:
-            positivity_witness = witness(~(block > 0.0), masked[:1])  # off the diagonal
+            positivity_witness = witness(~(total > 0.0), diag)  # off the diagonal
         if near_one:
-            near_one_witness = witness(~(block < 1.0 - tol), masked)  # and off the endpoint pair
+            near_one_witness = witness(~(total < 1.0 - tol), cells)  # and off the endpoint pair
     i, j = sup_at
     # each cell is in held or among those off_mins covers, and likewise for tops
     held = np.concatenate(held)
     return {
-        "min": float(np.min(np.append(off_mins, held))),
-        "max": float(np.max(np.append(tops, held))),
-        "min_off_diagonal": float(np.min(off_mins)),
+        "min": float(settle(np.min(np.append(off_mins, held)))),
+        "max": float(settle(np.max(np.append(tops, held)))),
+        "min_off_diagonal": float(settle(np.min(off_mins))),
         "sup": float(sup), "sup_pair": (grid[i], grid[j]),
         "range_witness": range_witness, "positivity_witness": positivity_witness,
         "near_one_witness": near_one_witness,

@@ -33,6 +33,7 @@ from .measures import (
     NumericalConsistencyError,
     _clamp_nonneg,
     _l_stacked,
+    _non_decreasing,
     _sqrt_half,
     aggregate,
 )
@@ -126,14 +127,20 @@ def _j_finish(total: np.ndarray, scale: float) -> np.ndarray:
     return _clamp_nonneg(np.divide(total, scale, out=total), "J_gamma")
 
 
+@_non_decreasing
+def _j1_finish(total: np.ndarray) -> np.ndarray:
+    """J_1 = total * (ln 2 / 2), in total; a correctly rounded product with
+    a constant c > 0 is non-decreasing."""
+    return np.multiply(total, math.log(2.0) / 2.0, out=total)
+
+
 def j_gamma_split(gamma: float) -> KernelSplit:
     """The (mu, nu, pi) split of J_gamma: within GAMMA_BRANCH_TOL of gamma == 1,
     XIAO_SPLIT finished by total * (ln 2 / 2), J_1 being ln 2 / 2 times Xiao's
     channel sum; elsewhere the power branch and -total/(gamma-1)."""
     gamma = _positive_float(gamma, InvalidGammaError, "gamma")
     if abs(gamma - 1.0) < GAMMA_BRANCH_TOL:
-        return XIAO_SPLIT._replace(
-            finish=lambda t: np.multiply(t, math.log(2.0) / 2.0, out=t))
+        return XIAO_SPLIT._replace(finish=_j1_finish)
     return KernelSplit(_triple, lambda x, y: _power_branch(x, y, gamma),
                        lambda t: _j_finish(t, gamma - 1.0))
 

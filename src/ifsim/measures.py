@@ -29,7 +29,9 @@ kernel runs a term shared by every channel once on both sides' stacked
 channels, and a tuple of terms one channel at a time; the audit's grid
 sweep applies each channel's term to a table per channel, calls the same
 channel_sum on the gathered entries and applies the same finish to the
-sums, so each term, sum and finish is written once.
+sums (only to those its checks read, when the finish is declared
+non-decreasing, as sqrt(z/2) is), so each term, sum and finish is
+written once.
 Its IFV function evaluates the kernel on one pair, and its IFS value is
 aggregate() of the kernel over the sets' stored degree rows: a weighted
 sum over the universe, or the plain 1/n mean.  One block rule (_blocked)
@@ -186,8 +188,11 @@ class KernelSplit(namedtuple("KernelSplit", "channels term finish")):
     is always an array, 0-d in a scalar call, whose value the call returns
     as a numpy scalar.  The audit's grid sweep also calls channel_sum, with
     out= a buffer that it reuses for the next block, so a finish keeps no
-    reference to its input, and masks the block in place, so a finish
-    returns total or a fresh writeable array.
+    reference to its input; it returns total or a fresh array of its
+    shape, which the sweep copies back into that buffer.  A finish
+    declared non-decreasing (_non_decreasing) is applied by the sweep
+    only to the cells its checks read, after its reductions; any other
+    runs on every cell first.
     Calling the split is the kernel.  A shared term runs once on both
     sides' stacked channels (_channels), which saves numpy calls for a term
     of many steps; a tuple runs each channel's term on that channel
@@ -216,9 +221,23 @@ class KernelSplit(namedtuple("KernelSplit", "channels term finish")):
         return (t(x, y) for t, x, y in zip(terms, a, b))
 
 
+def _non_decreasing(finish: Callable) -> Callable:
+    """finish, declared non-decreasing in binary64: x <= y gives finish(x)
+    <= finish(y) on every sum its split's terms give, and nan gives nan,
+    elementwise with the same bits at any shape.  The audit's grid sweep
+    then reduces the channel sums first and finishes only the cells its
+    checks read (audit._grid_matrix_sweep).  The declaration is an
+    attribute of the function, so a split given another finish by
+    _replace(finish=...) is not declared."""
+    finish.non_decreasing = True
+    return finish
+
+
+@_non_decreasing
 def _sqrt_half(z: np.ndarray) -> np.ndarray:
     """sqrt(z/2), wu's and xiao's finish, in z: z sums _l_stacked terms,
-    each >= +0.0."""
+    each >= +0.0.  Non-decreasing there, as IEEE divide and sqrt are
+    correctly rounded, hence monotone, and so is their composition."""
     return np.sqrt(np.divide(z, 2.0, out=z), out=z)
 
 

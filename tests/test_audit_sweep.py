@@ -13,9 +13,11 @@ shows up as a byte difference:
   pins E1's crisp-endpoint check and S5's family probe without the endpoint
   exemption.
 
-The sweep's blocks come from the split's per-channel term tables, not
-from ``pair_batch``; every block of a built-in measure is compared with
-``pair_batch`` bit for bit below.
+The sweep's blocks are channel sums from the split's per-channel term
+tables, not ``pair_batch`` values; every block of a built-in measure,
+finished, is compared with ``pair_batch`` bit for bit below.  Each custom
+kernel is swept twice against the full matrix, its finish declared
+non-decreasing (finished after the reductions) and not (finished first).
 
 Re-record both sets in one command (only when a kernel change is meant to
 move the numbers) with ``PYTHONPATH=src python tests/test_audit_sweep.py``.
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_kernel_digest import CONFIGS
+from test_kernel_digest import CONFIGS, DECLARED
 
 from ifsim import AuditConfig, audit_distance, audit_entropy, get_measure, grid_points
 from ifsim import audit, measures
@@ -118,12 +120,12 @@ def _canonical(sweep: dict) -> str:
     return repr(out)
 
 
-def _symmetric_kernel(f):
+def _symmetric_kernel(f, finish=lambda total: total):
     """A deliberately defective but exactly symmetric distance, the kernel
-    f(mu_a, nu_a, mu_b, nu_b) as a split with a term per channel: one
-    channel packs each point into mu + 1j*nu, whose term unpacks both points
-    into f, and a zero channel beside it adds f(<0,0>, <0,0>) = 0 by the
-    same term; the finish is the identity.
+    finish(f(mu_a, nu_a, mu_b, nu_b)) as a split with a term per channel:
+    one channel packs each point into mu + 1j*nu, whose term unpacks both
+    points into f, and a zero channel beside it adds f(<0,0>, <0,0>) = 0 by
+    the same term; the finish is the identity unless given.
     The packed channel's table holds g**2 cells for a grid of g points, so
     it suits steps of 0.05 or more."""
     def channels(mu, nu):
@@ -133,8 +135,24 @@ def _symmetric_kernel(f):
     def term(x, y):
         return f(np.real(x), np.imag(x), np.real(y), np.imag(y))
 
-    split = measures.KernelSplit(channels, (term, term), lambda total: total)
+    split = measures.KernelSplit(channels, (term, term), finish)
     return MeasureDescriptor("defective", {}, lambda a, b, w: 0.0, split, split)
+
+
+def _declared(m: MeasureDescriptor, declared: bool, sizes: list | None = None) -> MeasureDescriptor:
+    """m with its finish in a new function, declared non-decreasing
+    (measures._non_decreasing) or not, so the sweep finishes every cell
+    first, or reduces the sums and finishes only what its checks read; the
+    size of each array finished is appended to sizes, when given."""
+    finish = m.split.finish
+
+    def wrapped(total):
+        if sizes is not None:
+            sizes.append(total.size)
+        return finish(total)
+
+    split = m.split._replace(finish=measures._non_decreasing(wrapped) if declared else wrapped)
+    return dataclasses.replace(m, pair_batch=split, split=split)
 
 
 def _l1(ma, na, mb, nb):
@@ -164,12 +182,23 @@ DEFECTIVE = {k: _symmetric_kernel(f) for k, f in DEFECTIVE_KERNELS.items()}
 # a split whose finish returns the channel sum as is (values in [0, 2]): each
 # block the sweep masks is then the buffer it reuses for the next block; a
 # kernel whose sup 0.3 is reached in many blocks and cells, so the first
-# block and its first cell must win; and one whose sup is a zero, -0.0 in the
-# first cell, whose sign the sup keeps whatever sign a block's max() gives
+# block and its first cell must win; one whose sup is a zero, -0.0 in the
+# first cell, whose sign the sup keeps whatever sign a block's max() gives;
+# one whose sums rise block by block while its non-decreasing finish
+# floors them all to 0.3 (and returns a new array), so the sup must be
+# decided on finished values, where the first block ties every later one;
+# and one finished by sqrt whose diagonal rises to the grid's last point, so
+# that a grid of 97-cell blocks ends in a 1x1 tile that the sweep checks,
+# whose maximum is the -inf of its masked cell, which sqrt must never get
 CUSTOM = {**DEFECTIVE, "z-score": MeasureDescriptor(
     "z-score", {}, lambda a, b, w: 0.0, measures.z_score_batch, measures.z_score_batch),
     "plateau": _symmetric_kernel(lambda ma, na, mb, nb: np.minimum(_l1(ma, na, mb, nb), 0.3)),
-    "signed-zero": _symmetric_kernel(lambda ma, na, mb, nb: np.where(ma + mb > 0.5, 0.0, -0.0))}
+    "signed-zero": _symmetric_kernel(lambda ma, na, mb, nb: np.where(ma + mb > 0.5, 0.0, -0.0)),
+    "floor-tie": _symmetric_kernel(
+        lambda ma, na, mb, nb: np.where(ma + mb > 0.0, 0.3 + 0.09 * np.minimum(ma, mb), 0.0),
+        lambda total: np.floor(10.0 * total) / 10.0),
+    "rising-diagonal": _symmetric_kernel(
+        lambda ma, na, mb, nb: _l1(ma, na, mb, nb) + 0.1 * ma * mb, np.sqrt)}
 
 
 @pytest.mark.parametrize("step", [0.05, 0.3, 0.5])
@@ -178,10 +207,42 @@ CUSTOM = {**DEFECTIVE, "z-score": MeasureDescriptor(
 def test_sweep_equals_full_matrix_reference(monkeypatch, step, block_cells, name, params):
     if block_cells is not None:  # many small blocks, each with a diagonal tile
         monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
-    m = CUSTOM[name] if params is None else get_measure(name, **params)
     grid = grid_points(step)
-    assert _canonical(audit._grid_matrix_sweep(m, grid, TOL)) == _canonical(
-        _reference_sweep(m, grid, TOL))
+    if params is None:  # every custom finish is non-decreasing: sweep both ways
+        sweeps = [_declared(CUSTOM[name], declared) for declared in (False, True)]
+    else:
+        sweeps = [get_measure(name, **params)]
+    want = _canonical(_reference_sweep(sweeps[0], grid, TOL))
+    for m in sweeps:
+        assert _canonical(audit._grid_matrix_sweep(m, grid, TOL)) == want
+
+
+def test_floor_tie_sums_rise_across_blocks():
+    # what makes "floor-tie" a test of the tie rule: a later block's largest
+    # sum beats the first block's, and the finish maps both to one value
+    m, grid = CUSTOM["floor-tie"], grid_points(0.05)
+    tops = []
+    for _, _, _, sums in audit._sweep_blocks(m, grid):
+        np.fill_diagonal(sums, -np.inf)
+        tops.append(sums.max())
+    assert max(tops) > tops[0] and m.split.finish(np.array(tops)).tolist() == [0.3] * len(tops)
+
+
+@pytest.mark.parametrize("config", DECLARED)
+def test_sweep_reads_the_declaration(config):
+    # a declared finish runs on a few whole blocks (a new sup or a witness)
+    # and on 0-d statistics; the same finish undeclared runs on every block
+    # and on nothing else; the two sweeps agree
+    measure, params = CONFIGS[config]
+    m, grid = get_measure(measure, **params), grid_points(0.01)
+    blocks = sum(1 for _ in audit._sweep_blocks(m, grid))
+    sizes = {False: [], True: []}
+    sweeps = [_canonical(audit._grid_matrix_sweep(_declared(m, d, sizes[d]), grid, TOL))
+              for d in (False, True)]
+    assert sweeps[0] == sweeps[1]
+    assert len(sizes[False]) == blocks and min(sizes[False]) > 1
+    whole = [n for n in sizes[True] if n > 1]
+    assert 0 < len(whole) < blocks / 10
 
 
 @pytest.mark.parametrize("block_cells", [None, 97])
@@ -307,7 +368,8 @@ def test_table_blocks_bitwise_equal_pair_batch(monkeypatch, config, step, block_
     m = get_measure(measure, **params)
     grid = grid_points(step)
     rows = 0
-    for lo, a, b, block in audit._sweep_blocks(m, grid):
+    for lo, a, b, sums in audit._sweep_blocks(m, grid):
+        block = m.split.finish(sums.T).T  # blocks are channel sums
         want = audit._eval_pairs(m.pair_batch, a, b)
         assert block.dtype == want.dtype and block.shape == want.shape == (len(block), len(grid) - lo)
         assert np.array_equal(block.view(np.uint64), want.view(np.uint64))

@@ -34,6 +34,8 @@ import pytest
 
 import exact
 from ifsim import get_measure, grid_points
+from ifsim.baselines import YC_SPLIT, j_gamma_split
+from ifsim.measures import WU_SPLIT, z_score_batch
 
 GOLDEN = Path(__file__).parent / "golden_kernel_digest.json"
 CONFIGS = {
@@ -213,6 +215,62 @@ def test_finish_gets_an_array(name):
     wrapped(lams, 1.0 - lams, lams[::-1], lams)
     assert got == [np.ndarray] * 3
     assert type(value) is np.float64
+
+
+# the configurations whose finish is declared non-decreasing
+# (measures._non_decreasing), which the audit's grid sweep then applies only
+# to the cells its checks read: sqrt(z/2) and J_1's z * (ln 2 / 2)
+DECLARED = ["wu", "wu-lambda(0.5)", "wu-lambda(2)", "xiao", "jgamma(1)"]
+
+
+def _is_declared(finish) -> bool:
+    return getattr(finish, "non_decreasing", False)
+
+
+def test_declared_finishes():
+    assert [n for n, (m, p) in CONFIGS.items()
+            if _is_declared(get_measure(m, **p).split.finish)] == DECLARED
+    # numpy's arccos and the power branch's finish carry no such proof
+    assert not _is_declared(YC_SPLIT.finish)
+    assert not _is_declared(j_gamma_split(2.0).finish)
+    # the declaration is the finish's own: a split given another drops it
+    assert not _is_declared(WU_SPLIT._replace(finish=lambda z: np.sqrt(z / 2.0)).finish)
+    assert not _is_declared(z_score_batch.finish)
+
+
+def _finish_ladder() -> np.ndarray:
+    """Non-negative sums with their ulp neighbours: +-0, the smallest
+    subnormal and normal, 1, 2, large finite values, inf, and seeded sums
+    of the range the built-in channel sums take (at most 2)."""
+    tiny, top = float(np.finfo(float).tiny), float(np.finfo(float).max)
+    seeded = np.random.default_rng(UNIFORM_SEED).random(500) * 2.0
+    x = np.concatenate([[-0.0, 0.0, _TINY, tiny, 1.0, 2.0, 1e300, top, math.inf], seeded])
+    with np.errstate(over="ignore"):  # the largest finite value's neighbour is inf
+        ladder = np.concatenate([np.nextafter(x, -math.inf), x, np.nextafter(x, math.inf)])
+    return ladder[~(ladder < 0.0)]
+
+
+@pytest.mark.parametrize("name", DECLARED)
+def test_declared_finish_is_non_decreasing(name):
+    measure, params = CONFIGS[name]
+    finish = get_measure(measure, **params).split.finish
+
+    def f(x):  # on a copy: the finish writes into its argument
+        return finish(np.array(x, dtype=float))
+
+    ladder = _finish_ladder()
+    with np.errstate(over="ignore"):
+        up = np.nextafter(ladder, math.inf)
+    assert (f(ladder) <= f(up)).all()
+    ordered = f(np.sort(ladder))
+    assert (ordered[:-1] <= ordered[1:]).all()
+    assert math.isnan(f(math.nan))
+    # the same bits on 0-d, 2-element and block-sized arrays
+    one = np.array([f(x)[()] for x in ladder])
+    pairs = np.concatenate([f(ladder[i:i + 2]) for i in range(0, len(ladder), 2)])
+    side = math.isqrt(SWEEP_BLOCK_CELLS)
+    assert pairs.tobytes() == one.tobytes() == f(ladder).tobytes()
+    assert f(np.resize(ladder, (side, side))).tobytes() == np.resize(one, (side, side)).tobytes()
 
 
 if __name__ == "__main__":
