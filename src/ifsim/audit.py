@@ -29,9 +29,11 @@ Every sampled value is computed by the measure's elementwise kernel
 (pair_batch), and each built-in evaluator aggregates that same kernel over
 a universe.  Samples are evaluated under the block rule that aggregate
 uses for sets and libraries (_eval_pairs over measures._blocked), and the
-grid sweep covers every unordered grid pair i <= j once, in blocks of the
-same measures._BLOCK_CELLS cells.  The sweep does not call pair_batch:
-it tabulates each channel's own term of the descriptor's split
+grid sweep covers every unordered grid pair i <= j, in blocks of the same
+measures._BLOCK_CELLS cells.  Where the channel sums keep their bits when
+mu and nu swap in both points (_mirror), it covers one of each such
+mirrored pair of pairs, about half the cells.  The sweep does not call
+pair_batch: it tabulates each channel's own term of the descriptor's split
 (measures.KernelSplit) on the channel's distinct grid values, and each block
 adds the gathered table entries by the kernel's own measures.channel_sum,
 which gives the kernel's sums bit for bit, the kernel being that split
@@ -389,19 +391,49 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
     return AxiomReport(m.label(), tuple(checks), counts, time.perf_counter() - t0)
 
 
+def _mirror(grid: np.ndarray, tables: list) -> np.ndarray | None:
+    """sigma, the index of each grid point's mirror <nu, mu>, when every
+    channel sum is unchanged by sigma applied to both points; else None.
+
+    Each part of the test is exact: the grid is closed under sigma (grid[sigma]
+    has the bytes of grid[:, ::-1]); the tables of channels 0 and 1 have the
+    same bytes, so +-0 and nan payloads are told apart; k0[sigma] == k1; and
+    k[sigma] == k for every later channel.  The sum at (sigma i, sigma j) then
+    adds the entries of (i, j) in channels 0 and 1 in the other order, and
+    fl(+) commutes, so the two sums have the same bits, whatever the terms,
+    but for a nan's payload.
+    """
+    (t0, k0), (t1, k1), *rest = tables
+    sigma = np.empty(len(grid), dtype=np.intp)
+    sigma[np.lexsort((grid[:, 0], grid[:, 1]))] = np.lexsort((grid[:, 1], grid[:, 0]))
+    if (grid[sigma].tobytes() == grid[:, ::-1].tobytes()
+            and (t0.dtype, t0.shape, t0.tobytes()) == (t1.dtype, t1.shape, t1.tobytes())
+            and np.array_equal(k0[sigma], k1)
+            and all(np.array_equal(k[sigma], k) for _, k in rest)):
+        return sigma
+    return None
+
+
 def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
-    """(lo, a, b, block) for the row blocks [lo, hi) of the grid against
-    its columns lo:, each of at most measures._BLOCK_CELLS cells (one row
-    at the least); a and b are the (hi-lo, 1, 2) and (1, g-lo, 2) points,
-    block their (hi-lo, g-lo) channel sums, before the split's finish,
-    which the caller may write into until it asks for the next block.
+    """(lo, cols, block) for the row blocks [lo, hi) of the grid against
+    the columns cols, each of at most measures._BLOCK_CELLS cells (one row
+    at the least); block holds their (hi-lo, len(cols)) channel sums, before
+    the split's finish, which the caller may write into until it asks for
+    the next block.
+
+    Where the channel sums are unchanged by the mirror sigma: <mu, nu> ->
+    <nu, mu> applied to both points (_mirror), the rows are those i with
+    i <= sigma i, in runs of consecutive rows, and a block's columns are the
+    j >= lo with sigma j >= lo, an index array that starts with lo..hi-1.
+    Elsewhere every row is swept, as one run, against the columns lo:, a
+    slice.  _grid_matrix_sweep tells why these cells are enough.
 
     Each channel gets a table term(u[:, None], u[None, :]) of its own term
     on its distinct grid values u (KernelSplit._terms), and each grid point
     the index of its value, so table[k_i, k_j] is the term of i and j; a block
     gathers each channel's entries and adds them by measures.channel_sum,
     which is how the kernel computes them, bit for bit.  The gathers and
-    the sum fill two buffers allocated once per sweep, shaped (g-lo,
+    the sum fill two buffers allocated once per sweep, shaped (len(cols),
     hi-lo): each column j takes the run table[k_lo:hi, k_j] from a
     C-contiguous copy of the block's table rows transposed, so a gather
     copies runs of hi-lo values, not single ones.  Channel 0 is gathered
@@ -412,37 +444,71 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
     g = len(grid)
     us, ks = zip(*(np.unique(x, return_inverse=True) for x in m.split.channels(grid[:, 0], grid[:, 1])))
     tables = list(zip(m.split._terms([u[:, None] for u in us], [u[None, :] for u in us]), ks))
+    sigma = _mirror(grid, tables)
+    if sigma is None:
+        runs, low = [(0, g)], None
+    else:  # the runs [start, stop) of rows i <= sigma i
+        edges = np.flatnonzero(np.diff(np.arange(g) <= sigma, prepend=False, append=False)).tolist()
+        runs = zip(edges[::2], edges[1::2])
+        # j is a column of block lo when low[j] >= lo; in sigma's array
+        low = np.minimum(np.arange(g), sigma, out=sigma)
     cells = max(measures._BLOCK_CELLS, g)  # the largest block below
     sums, gathered = np.empty(cells), np.empty(cells)
-    lo = 0
-    while lo < g:
-        hi = min(lo + max(1, measures._BLOCK_CELLS // (g - lo)), g)
-        shape, n = (g - lo, hi - lo), (g - lo) * (hi - lo)  # column-major
-        total = sums[:n].reshape(shape)
-        # the indices are np.unique's inverse, always in range; "clip"
-        # spares the copy that mode="raise" makes of an out= array.
-        # out[y, x] = t[k[lo + x], k[lo + y]]: one run of hi - lo values per y
-        terms = (np.take(np.ascontiguousarray(t[k[lo:hi]].T), k[lo:], axis=0, mode="clip",
-                         out=gathered[:n].reshape(shape) if i else total)
-                 for i, (t, k) in enumerate(tables))
-        measures.channel_sum(terms, out=total)
-        yield lo, grid[lo:hi, None], grid[None, lo:], total.T
-        lo = hi
+    for lo, stop in runs:
+        while lo < stop:
+            cols = slice(lo, None) if low is None else lo + np.flatnonzero(low[lo:] >= lo)
+            width = g - lo if low is None else len(cols)
+            hi = min(lo + max(1, measures._BLOCK_CELLS // width), stop)
+            shape, n = (width, hi - lo), width * (hi - lo)  # column-major
+            total = sums[:n].reshape(shape)
+            # the indices are np.unique's inverse, always in range; "clip"
+            # spares the copy that mode="raise" makes of an out= array.
+            # out[y, x] = t[k[lo + x], k[cols[y]]]: one run of hi - lo values per y
+            terms = (np.take(np.ascontiguousarray(t[k[lo:hi]].T), k[cols], axis=0, mode="clip",
+                             out=gathered[:n].reshape(shape) if i else total)
+                     for i, (t, k) in enumerate(tables))
+            measures.channel_sum(terms, out=total)
+            yield lo, cols, total.T
+            lo = hi
+
+
+def _positions(cols, indices: list) -> list:
+    """The positions in cols, a slice start: or a sorted index array, of
+    those grid indices it holds, in the order of indices."""
+    if type(cols) is slice:
+        return [i - cols.start for i in indices if i >= cols.start]
+    at = np.searchsorted(cols, indices).tolist()
+    return [p for p, i in zip(at, indices) if p < len(cols) and cols[p] == i]
 
 
 def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
                        stop: threading.Event | None = None) -> dict | None:
-    """Grid x grid pass over the unordered pairs i <= j, tracking range,
-    off-diagonal minimum, and the supremum over non-endpoint pairs; None
-    when `stop` is set, which is checked once per block.
+    """Grid x grid pass over the pairs that stand for every ordered pair,
+    tracking range, off-diagonal minimum, and the supremum over
+    non-endpoint pairs; None when `stop` is set, which is checked once per
+    block.
 
-    Rows are taken in blocks [lo, hi) against the columns lo: only, i.e. the
-    upper triangle plus the diagonal tile, each block sized to stay in cache
-    and filled with channel sums from the split's per-channel term tables
-    (_sweep_blocks).  This relies on the kernel being exactly symmetric (S3
-    checks it): a witness at (i, j) with j < i is mirrored by (j, i) in an
-    earlier row, so the first witness and the first argmax in row-major
-    order of the full matrix are the ones found here.
+    Rows are taken in blocks [lo, hi), each sized to stay in cache and
+    filled with channel sums from the split's per-channel term tables
+    (_sweep_blocks), in row-major order of the full matrix.  In general a
+    block's columns are lo:, the upper triangle plus the diagonal tile.
+    This relies on the kernel being exactly symmetric (S3 checks it): a
+    witness at (i, j) with j < i is mirrored by (j, i) in an earlier row,
+    so the first witness and the first argmax in row-major order of the
+    full matrix are the ones found here.
+
+    Where the channel sums are also unchanged by the mirror sigma: <mu, nu>
+    -> <nu, mu> applied to both points (_mirror: xiao, yc and J_gamma, but
+    not wu, whose mu term reads 1 - x), the rows are only those i with
+    i <= sigma i, against the columns j >= lo with sigma j >= lo, about half
+    the cells.  Each orbit {(i, j), (j, i), (sigma i, sigma j), (sigma j,
+    sigma i)} then holds one value: the transpose by the kernel's symmetry,
+    sigma by the tables.  The orbit's row-major first cell (r, c) has
+    r <= c, r <= sigma r and r <= sigma c, so it is swept.  The diagonal and
+    the endpoint pair are both closed under sigma.  So the first witness,
+    the sup's first argmax and every minimum and maximum are those of the
+    full matrix.  Mirrored cells can differ only in a nan payload (x86
+    keeps the first operand's), which no report prints.
 
     Each block takes two full reductions, in place: its minimum with the
     diagonal masked to +inf, and its maximum with the diagonal and the
@@ -467,10 +533,10 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
     earlier block's, or is the first nan.  So the sup is the row-major
     first cell of the largest value, or the first nan, and a zero sup has
     that cell's sign, whatever sign max() gives.  A nan is propagated as
-    numpy's reductions do: it makes every
-    statistic whose cells hold it nan, and the first nan is the sup, as
-    argmax takes it.  Every scan for a witness is a negated comparison, so
-    a nan fails the range, positivity and near-one checks.
+    numpy's reductions do: it makes every statistic whose cells hold it
+    nan, and the first nan is the sup, as argmax takes it.  Every scan for
+    a witness is a negated comparison, so a nan fails the range, positivity
+    and near-one checks.
     """
     finish = m.split.finish
     late = getattr(finish, "non_decreasing", False)  # finish after the reductions
@@ -491,7 +557,7 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
     seen = (np.inf, -np.inf, np.inf, -np.inf)  # the earlier blocks' off_min, top and kept span
     sup = sup_at = None
     range_witness = positivity_witness = near_one_witness = None
-    for lo, a, b, block in _sweep_blocks(m, grid):
+    for lo, cols, block in _sweep_blocks(m, grid):
         if stop is not None and stop.is_set():
             return None
         total, w = block.T, len(block)  # the C-contiguous buffer, and the rows
@@ -501,8 +567,7 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
         diag = cells = slice(0, w * (w + 1), w + 1)  # the masked cells, as flat indices
         rows = [e - lo for e in ends if lo <= e < lo + w]
         if rows:  # the two endpoint pairs are exempt from the supremum
-            cols = [e - lo for e in ends if e >= lo]
-            cells = np.r_[diag, [c * w + r for r in rows for c in cols]]
+            cells = np.r_[diag, [c * w + r for r in rows for c in _positions(cols, ends)]]
         kept = flat[cells].copy()  # saved before any mask
         flat[diag] = np.inf
         off_min = total.min()
@@ -532,15 +597,16 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
             flat[cells] = -np.inf
         if new_sup:
             bi, bj = divmod(int(block.argmax()), block.shape[1])  # row-major, as argmax counts
-            sup, sup_at = block[bi, bj], (lo + bi, lo + bj)
+            j = lo + bj if type(cols) is slice else int(cols[bj])
+            sup, sup_at = block[bi, bj], (lo + bi, j)
         flat[cells] = kept
 
         def witness(mask: np.ndarray, exempt) -> dict | None:
             """The first cell of mask, laid out as total, outside the exempt cells."""
             mask.reshape(-1)[exempt] = False
             shape = block.shape + (2,)
-            return _witness(mask.T, {"a": np.broadcast_to(a, shape),
-                                     "b": np.broadcast_to(b, shape), "d": block})
+            return _witness(mask.T, {"a": np.broadcast_to(grid[lo:lo + w, None], shape),
+                                     "b": np.broadcast_to(grid[None, cols], shape), "d": block})
 
         if out_of_range:
             range_witness = witness(~((total >= 0.0) & (total <= 1.0)), [])

@@ -8,9 +8,11 @@ the IFS-level evaluator that aggregates the kernel over a universe
 arrays.  The evaluator's first argument is an IFS (a float back) or a
 pattern library's (2, P, n) degree stack (one value per pattern).  The
 audit evaluates its samples through the kernel, and sweeps the grid's
-13.3M value pairs from per-channel tables of the split's term, with the
-split's finish; classification calls the evaluator once per sample on the
-whole library, and the CLI calls it on sets.  All three are required.
+value pairs (13.3M at the default step, about half that for a split whose
+channel sums keep their bits when mu and nu swap) from per-channel tables
+of the split's term, with the split's finish; classification calls the
+evaluator once per sample on the whole library, and the CLI calls it on
+sets.  All three are required.
 
 Built-in names: wu, wu-lambda (param lambda), xiao, yc, jgamma (param
 gamma); each param must be finite and > 0.  wu and wu-lambda aggregate as

@@ -1,9 +1,11 @@
 """The grid x grid sweep: golden reports and a brute-force reference.
 
 The sweep evaluates only the unordered pairs i <= j and relies on every
-batch kernel being bitwise symmetric.  Two golden sets hold reports minus
-their final timing line, so any witness, sup pair or statistic that moves
-shows up as a byte difference:
+batch kernel being bitwise symmetric; where a split's tables show its sums
+keep their bits when mu and nu swap in both points, it also sweeps only
+the rows mu <= nu, against the columns their mirrors need.  Two golden
+sets hold reports minus their final timing line, so any witness, sup pair
+or statistic that moves shows up as a byte difference:
 
 * ``golden/audit_<name>.txt``: the default audits of wu, xiao, yc, jgamma
   (gamma 1) and the entropy, recorded from the implementation that evaluated
@@ -15,9 +17,11 @@ shows up as a byte difference:
 
 The sweep's blocks are channel sums from the split's per-channel term
 tables, not ``pair_batch`` values; every block of a built-in measure,
-finished, is compared with ``pair_batch`` bit for bit below.  Each custom
-kernel is swept twice against the full matrix, its finish declared
-non-decreasing (finished after the reductions) and not (finished first).
+finished, is compared with ``pair_batch`` bit for bit below, and each
+block's rows and columns with the layout its split should take.  Each
+custom kernel, mirrored or not, is swept twice against the full matrix,
+its finish declared non-decreasing (finished after the reductions) and
+not (finished first).
 
 Re-record both sets in one command (only when a kernel change is meant to
 move the numbers) with ``PYTHONPATH=src python tests/test_audit_sweep.py``.
@@ -29,10 +33,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from test_kernel_digest import CONFIGS, DECLARED
+from test_kernel_digest import CONFIGS, DECLARED, MIRRORED
 
 from ifsim import AuditConfig, audit_distance, audit_entropy, get_measure, grid_points
-from ifsim import audit, measures
+from ifsim import audit, baselines, measures
 from ifsim.registry import MeasureDescriptor
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -201,6 +205,59 @@ CUSTOM = {**DEFECTIVE, "z-score": MeasureDescriptor(
         lambda ma, na, mb, nb: _l1(ma, na, mb, nb) + 0.1 * ma * mb, np.sqrt)}
 
 
+def _mirrored_kernel(term, channels=baselines._triple, finish=lambda total: total):
+    """A deliberately defective split that the sweep mirrors: channels
+    (mu, nu, ...) whose first two share one term, symmetric in its two
+    arguments, and whose later ones are symmetric in mu and nu, as pi is;
+    swapping mu and nu in both points then swaps the first two channel
+    terms and keeps the sum.  The finish is the identity unless given."""
+    split = measures.KernelSplit(channels, term, finish)
+    return MeasureDescriptor("mirrored", {}, lambda a, b, w: 0.0, split, split)
+
+
+def _degrees(mu, nu):
+    return mu, nu
+
+
+def _degrees_and_min(mu, nu):
+    return mu, nu, np.minimum(mu, nu)
+
+
+def _gap(x, y):
+    return 0.5 * np.abs(x - y)
+
+
+def _zero(x, y):
+    return 0.0 * (x + y)
+
+
+# the defects of DEFECTIVE and the ties and signed zero of CUSTOM, each
+# carried by a term that the mu and nu channels share, so what the mu
+# channel gives in the late rows, the nu channel gives in the early ones.
+# The floor tie reads min(mu, nu), which rises with the rows the mirrored
+# sweep takes, those with mu <= nu
+MIRRORED_DEFECTIVE = {
+    "mirrored-nan-inside": _mirrored_kernel(
+        lambda x, y: np.where(_both_above_half(x, y) & (x != y), np.nan, _gap(x, y)), _degrees),
+    "mirrored-negative": _mirrored_kernel(
+        lambda x, y: _gap(x, y) - 0.1 * _both_above_half(x, y), _degrees),
+    "mirrored-one-inside": _mirrored_kernel(
+        lambda x, y: np.where(_both_above_half(x, y) & (x != y), 1.0, _gap(x, y)), _degrees),
+    "mirrored-plateau": _mirrored_kernel(lambda x, y: np.minimum(_gap(x, y), 0.1)),
+    "mirrored-signed-zero": _mirrored_kernel(
+        lambda x, y: np.where(x + y > 0.5, 0.0, -0.0), _degrees),
+    "mirrored-floor-tie": _mirrored_kernel(
+        (_zero, _zero,
+         lambda x, y: np.where(x + y > 0.0, 0.3 + 0.09 * np.minimum(x, y), 0.0)),
+        _degrees_and_min, lambda total: np.floor(10.0 * total) / 10.0),
+}
+CUSTOM.update(MIRRORED_DEFECTIVE)
+# two channels whose tables differ only in the sign of the zeros on their
+# diagonal: equal under ==, so only a check of the bytes sweeps every row
+CUSTOM["zero-sign-tables"] = _mirrored_kernel(
+    (_gap, lambda x, y: np.where(x == y, -0.0, _gap(x, y))), _degrees)
+
+
 @pytest.mark.parametrize("step", [0.05, 0.3, 0.5])
 @pytest.mark.parametrize("block_cells", [None, 97])
 @pytest.mark.parametrize("name,params", BUILTIN_DISTANCES + [(k, None) for k in CUSTOM])
@@ -218,41 +275,45 @@ def test_sweep_equals_full_matrix_reference(monkeypatch, step, block_cells, name
 
 
 def test_floor_tie_sums_rise_across_blocks():
-    # what makes "floor-tie" a test of the tie rule: a later block's largest
-    # sum beats the first block's, and the finish maps both to one value
-    m, grid = CUSTOM["floor-tie"], grid_points(0.05)
-    tops = []
-    for _, _, _, sums in audit._sweep_blocks(m, grid):
-        np.fill_diagonal(sums, -np.inf)
-        tops.append(sums.max())
-    assert max(tops) > tops[0] and m.split.finish(np.array(tops)).tolist() == [0.3] * len(tops)
+    # what makes a floor tie a test of the tie rule: a later block's largest
+    # sum beats the first block's, and the finish maps both to one value; a
+    # 1x1 block holds only a masked diagonal cell, so it has no top
+    for name in "floor-tie", "mirrored-floor-tie":
+        m, grid = CUSTOM[name], grid_points(0.05)
+        tops = []
+        for _, _, sums in audit._sweep_blocks(m, grid):
+            np.fill_diagonal(sums, -np.inf)
+            tops.append(sums.max())
+        tops = [t for t in tops if t > -np.inf]
+        assert max(tops) > tops[0]
+        assert m.split.finish(np.array(tops)).tolist() == [0.3] * len(tops)
 
 
 @pytest.mark.parametrize("config", DECLARED)
 def test_sweep_reads_the_declaration(config):
     # a declared finish runs on a few whole blocks (a new sup or a witness)
-    # and on 0-d statistics; the same finish undeclared runs on every block
-    # and on nothing else; the two sweeps agree
+    # and on 0-d statistics; the same finish undeclared runs on every block,
+    # a mirrored sweep's 1x1 block of <0.5, 0.5> included, and on nothing
+    # else; the two sweeps agree
     measure, params = CONFIGS[config]
     m, grid = get_measure(measure, **params), grid_points(0.01)
-    blocks = sum(1 for _ in audit._sweep_blocks(m, grid))
+    blocks = [block.size for *_, block in audit._sweep_blocks(m, grid)]
     sizes = {False: [], True: []}
     sweeps = [_canonical(audit._grid_matrix_sweep(_declared(m, d, sizes[d]), grid, TOL))
               for d in (False, True)]
     assert sweeps[0] == sweeps[1]
-    assert len(sizes[False]) == blocks and min(sizes[False]) > 1
+    assert sizes[False] == blocks
     whole = [n for n in sizes[True] if n > 1]
-    assert 0 < len(whole) < blocks / 10
+    assert 0 < len(whole) < len(blocks) / 10
 
 
 @pytest.mark.parametrize("block_cells", [None, 97])
 def test_plateau_sup_is_reached_in_many_blocks(monkeypatch, block_cells):
     if block_cells is not None:
         monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
-    grid = grid_points(0.05)
-    at_sup = [lo for lo, _, _, block in audit._sweep_blocks(CUSTOM["plateau"], grid)
-              if block.max() == 0.3]
-    assert len(at_sup) > 1
+    for name in "plateau", "mirrored-plateau":
+        tops = [block.max() for *_, block in audit._sweep_blocks(CUSTOM[name], grid_points(0.05))]
+        assert tops.count(max(tops)) > 1
 
 
 @pytest.mark.parametrize("name,key", [
@@ -312,35 +373,37 @@ def test_sweep_allocates_its_buffers_once(monkeypatch):
     # measured between one block's arrival and the next's: the finish and
     # the sweep's reductions work in the two per-sweep buffers, so no block
     # allocates an array of a block's size, and the peak is those buffers
-    # and the term tables, whatever the number of blocks
-    wu, grid = get_measure("wu"), grid_points(0.01)
+    # and the term tables, whatever the number of blocks; for wu, whose
+    # blocks take the columns lo:, and for xiao, whose sweep is mirrored
+    blocks, grid = audit._sweep_blocks, grid_points(0.01)
     block_bytes = max(measures._BLOCK_CELLS, len(grid)) * 8
-    table_bytes = sum(np.unique(x).size ** 2 * 8
-                      for x in wu.split.channels(grid[:, 0], grid[:, 1]))
-    blocks, peaks, rises = audit._sweep_blocks, [], []
+    for m in get_measure("wu"), get_measure("xiao"):
+        table_bytes = sum(np.unique(x).size ** 2 * 8
+                          for x in m.split.channels(grid[:, 0], grid[:, 1]))
+        peaks, rises = [], []
 
-    def watched(m, grid):
-        base = None
-        for item in blocks(m, grid):
-            current, peak = tracemalloc.get_traced_memory()
-            peaks.append(peak)
-            if base is not None:
-                rises.append(peak - base)
-            tracemalloc.reset_peak()
-            base = current
-            yield item
+        def watched(m, grid):
+            base = None
+            for item in blocks(m, grid):
+                current, peak = tracemalloc.get_traced_memory()
+                peaks.append(peak)
+                if base is not None:
+                    rises.append(peak - base)
+                tracemalloc.reset_peak()
+                base = current
+                yield item
 
-    monkeypatch.setattr(audit, "_sweep_blocks", watched)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        audit._grid_matrix_sweep(wu, grid, TOL)
-        peaks.append(tracemalloc.get_traced_memory()[1])
-    finally:
-        tracemalloc.stop()
-    assert len(rises) > 100
-    assert max(rises) < block_bytes
-    assert max(peaks) - start < 4 * block_bytes + table_bytes
+        monkeypatch.setattr(audit, "_sweep_blocks", watched)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            audit._grid_matrix_sweep(m, grid, TOL)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(rises) > 100
+        assert max(rises) < block_bytes
+        assert max(peaks) - start < 4 * block_bytes + table_bytes
 
 
 @pytest.mark.parametrize("step", [0.05, 0.3])
@@ -356,6 +419,29 @@ def test_builtin_kernels_bitwise_symmetric_on_grid(step, name, params):
 # the table-built sweep against the kernel
 # ---------------------------------------------------------------------------
 
+def _mirror_index(grid: np.ndarray) -> np.ndarray:
+    """Each grid point's index of its mirror <nu, mu>, found by value."""
+    where = {p: i for i, p in enumerate(map(tuple, grid.tolist()))}
+    return np.array([where[nu, mu] for mu, nu in grid.tolist()])
+
+
+def _checked_blocks(m: MeasureDescriptor, grid: np.ndarray, mirrored: bool):
+    """The sweep's (lo, cols, block), each checked against its layout as it
+    comes: mirrored, the rows i with i <= sigma i, each block against the
+    columns j >= lo with sigma j >= lo, for sigma the mirror; otherwise every
+    row against the columns lo:.  The rows are checked once all are swept."""
+    g, sigma = len(grid), _mirror_index(grid)
+    rows = []
+    for lo, cols, block in audit._sweep_blocks(m, grid):
+        if mirrored:
+            assert np.array_equal(cols, np.flatnonzero((np.arange(g) >= lo) & (sigma >= lo)))
+        else:
+            assert cols == slice(lo, None)
+        rows.extend(range(lo, lo + len(block)))
+        yield lo, cols, block
+    assert rows == (np.flatnonzero(np.arange(g) <= sigma) if mirrored else np.arange(g)).tolist()
+
+
 # at 0.05 and 0.07 the pi channel holds more distinct floats than the grid
 # has axis values, since 1 - (mu + nu) rounds apart for equal exact sums
 @pytest.mark.parametrize("block_cells", [None, 97])
@@ -367,15 +453,18 @@ def test_table_blocks_bitwise_equal_pair_batch(monkeypatch, config, step, block_
     measure, params = CONFIGS[config]
     m = get_measure(measure, **params)
     grid = grid_points(step)
-    rows = 0
-    for lo, a, b, sums in audit._sweep_blocks(m, grid):
+    for lo, cols, sums in _checked_blocks(m, grid, config in MIRRORED):
         block = m.split.finish(sums.T).T  # blocks are channel sums
-        want = audit._eval_pairs(m.pair_batch, a, b)
-        assert block.dtype == want.dtype and block.shape == want.shape == (len(block), len(grid) - lo)
+        want = audit._eval_pairs(m.pair_batch, grid[lo:lo + len(block), None], grid[None, cols])
+        assert block.dtype == want.dtype and block.shape == want.shape
         assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
-        assert lo == rows
-        rows += len(block)
-    assert rows == len(grid)
+
+
+@pytest.mark.parametrize("step", [0.05, 0.3, 0.5])
+@pytest.mark.parametrize("name", [*MIRRORED_DEFECTIVE, "zero-sign-tables"])
+def test_mirror_symmetric_splits_are_mirrored(step, name):
+    for _ in _checked_blocks(CUSTOM[name], grid_points(step), name in MIRRORED_DEFECTIVE):
+        pass
 
 
 @pytest.mark.parametrize("block_cells", [None, 97])
@@ -384,17 +473,19 @@ def test_table_blocks_keep_the_term_orientation(monkeypatch, step, block_cells):
     # asymmetric terms: a block gathered from t[:, k] in place of t[k, :]
     # would hold term(b, a) where the kernel gives term(a, b); and with a
     # different term per channel, a sweep that tabulated every channel with
-    # the first term would not give the kernel's values
+    # the first term would not give the kernel's values.  One term shared
+    # by (mu, nu) is mirror-symmetric, though not symmetric
     if block_cells is not None:
         monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
     grid = grid_points(step)
-    for terms in [(lambda x, y: x - 0.5 * y,) * 2, (lambda x, y: x - 0.5 * y, lambda x, y: y - 0.25 * x)]:
+    for terms, mirrored in [((lambda x, y: x - 0.5 * y,) * 2, True),
+                            ((lambda x, y: x - 0.5 * y, lambda x, y: y - 0.25 * x), False)]:
         split = measures.KernelSplit(lambda mu, nu: (mu, nu), terms, lambda total: total)
         m = MeasureDescriptor("asymmetric", {}, lambda a, b, w: 0.0, split, split)
         d = audit._eval_pairs(split, grid[:, None], grid[None, :])
         assert not np.array_equal(d, d.T)
-        for lo, a, b, block in audit._sweep_blocks(m, grid):
-            want = audit._eval_pairs(split, a, b)
+        for lo, cols, block in _checked_blocks(m, grid, mirrored):
+            want = audit._eval_pairs(split, grid[lo:lo + len(block), None], grid[None, cols])
             assert np.array_equal(block.view(np.uint64), want.view(np.uint64))
 
 

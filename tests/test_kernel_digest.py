@@ -33,7 +33,7 @@ import numpy as np
 import pytest
 
 import exact
-from ifsim import get_measure, grid_points
+from ifsim import audit, get_measure, grid_points
 from ifsim.baselines import YC_SPLIT, j_gamma_split
 from ifsim.measures import WU_SPLIT, z_score_batch
 
@@ -215,6 +215,42 @@ def test_finish_gets_an_array(name):
     wrapped(lams, 1.0 - lams, lams[::-1], lams)
     assert got == [np.ndarray] * 3
     assert type(value) is np.float64
+
+
+# the configurations whose kernel keeps its bits when mu and nu swap in both
+# points, which the audit's grid sweep then mirrors (audit._mirror): the
+# (mu, nu, pi) rivals, whose first two channels share one term; wu's mu
+# term reads 1 - x
+MIRRORED = ["xiao", "yc", "jgamma(1)", "jgamma(2)", "jgamma(0.5)"]
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_mirror_identity(name):
+    # kernel(nu_a, mu_a, nu_b, mu_b) has the bits of kernel(mu_a, nu_a,
+    # mu_b, nu_b) on the uniform pairs and the edge corpus, or, for wu and
+    # wu-lambda, differs somewhere
+    measure, params = CONFIGS[name]
+    kernel = get_measure(measure, **params).pair_batch
+    same = []
+    for a, b in (_uniform_pairs(), edge_pairs()):
+        d = kernel(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+        swapped = kernel(a[:, 1], a[:, 0], b[:, 1], b[:, 0])
+        same.append(d.tobytes() == swapped.tobytes())
+    assert all(same) if name in MIRRORED else not all(same)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_sweep_mirrors_the_mirror_symmetric_kernels(name):
+    # at 0.01: the rows mu <= nu, each block against the mirror's columns
+    # (an index array), or every row against the columns lo: (a slice)
+    measure, params = CONFIGS[name]
+    layout = [(type(cols) is slice, block.size)
+              for _, cols, block in audit._sweep_blocks(get_measure(measure, **params),
+                                                        grid_points(0.01))]
+    full = name not in MIRRORED
+    assert {f for f, _ in layout} == {full}
+    assert (sum(n for _, n in layout), len(layout)) == (
+        (13_328_808, 431) if full else (6_715_738, 248))
 
 
 # the configurations whose finish is declared non-decreasing
