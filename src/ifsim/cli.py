@@ -14,6 +14,8 @@ Subcommands::
 tableI_case5, tableIII).  --weights accepts "uniform" or a path to a JSON
 list of numbers, held to the rule of a dataset's weights field; when
 omitted, the dataset's own weights are used if present, else uniform.
+Only wu and wu-lambda read weights: dist, sim and classify exit 2 on
+--weights with xiao, yc or jgamma (a fixed 1/n mean), and ignore a dataset's.
 Every command takes --out (a path, or 'stdout'); classify and curve also
 take --format text|csv.  Numeric output is printed with 17
 significant digits; CSV output is byte-stable for fixed inputs (fixed
@@ -41,7 +43,7 @@ from typing import TYPE_CHECKING
 from .core import IFS, IfsimError, WeightVector, uniform_weights
 from .datasets import BUILTIN_DATASET_NAMES, _parse_weights, resolve_dataset
 from .measures import entropy_ifs
-from .registry import MEASURE_NAMES, get_measure
+from .registry import MEASURE_NAMES, WEIGHTED_MEASURES, get_measure
 
 if TYPE_CHECKING:
     from .scenarios import CurveTable
@@ -145,7 +147,10 @@ def _load_weights(arg: str | None, from_data: WeightVector | None, n: int) -> We
 
 def _measure_params(args: argparse.Namespace) -> dict:
     """The --lambda and --gamma flags given, as measure parameters;
-    get_measure rejects a missing one and one the measure does not take."""
+    get_measure rejects a missing one and one the measure does not take,
+    and --weights (dist, sim, classify) is refused where the measure ignores it."""
+    if getattr(args, "weights", None) is not None and args.measure not in WEIGHTED_MEASURES:
+        raise IfsimError(f"measure {args.measure!r} averages with a fixed 1/n and takes no --weights")
     return {name: getattr(args, name) for name in ("lambda", "gamma")
             if getattr(args, name) is not None}
 
@@ -157,11 +162,10 @@ def _get_set(sets: dict[str, IFS], name: str) -> IFS:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
+    md = get_measure(args.measure, **_measure_params(args))  # before any file is read
     sets, data_w = resolve_dataset(args.data)
     left, right = _get_set(sets, args.left), _get_set(sets, args.right)
-    w = _load_weights(args.weights, data_w, len(left))
-    md = get_measure(args.measure, **_measure_params(args))
-    value = md.evaluator(left, right, w)
+    value = md.evaluator(left, right, _load_weights(args.weights, data_w, len(left)))
     if args.command == "sim":
         value = 1.0 - value
     _emit(_fmt(value) + "\n", args.out)
@@ -201,14 +205,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     from .recognition import PatternLibrary, classify
 
+    md = get_measure(args.measure, **_measure_params(args))  # before any file is read
     sets, data_w = resolve_dataset(args.data)
     sample = _get_set(sets, args.sample)
     patterns = tuple((name, ifs) for name, ifs in sets.items() if name != args.sample)
     if not patterns:
         raise IfsimError("dataset holds no patterns besides the sample")
-    w = _load_weights(args.weights, data_w, len(sample))
-    lib = PatternLibrary(patterns, w)
-    md = get_measure(args.measure, **_measure_params(args))
+    lib = PatternLibrary(patterns, _load_weights(args.weights, data_w, len(sample)))
     result = classify(lib, sample, md, tie_tol=args.tie_tol)
     lines = [f"{name},{_fmt(score)}" for name, score in result.scores]
     if args.format == "csv":

@@ -359,8 +359,8 @@ def aggregate(kernel: Callable[..., np.ndarray], a, b: IFS, w: WeightVector | No
     return float(values[0]) if a.degrees.ndim == 2 else values
 
 
-def dist_wu(a: IFS, b: IFS, w: WeightVector) -> float:
-    """Weighted elementwise js_norm; the strict distance on IFSs, in [0, 1]."""
+def dist_wu(a: IFS, b: IFS, w: WeightVector | None) -> float:
+    """Weighted (w None: 1/n) elementwise js_norm; the strict IFS distance, in [0, 1]."""
     return aggregate(WU_SPLIT, a, b, w)
 
 
@@ -369,7 +369,7 @@ def sim_wu(a: IFS, b: IFS, w: WeightVector) -> float:
     return 1.0 - dist_wu(a, b, w)
 
 
-def dist_wu_lambda(a: IFS, b: IFS, w: WeightVector, lam: float) -> float:
+def dist_wu_lambda(a: IFS, b: IFS, w: WeightVector | None, lam: float) -> float:
     """Parametric family: dist_wu with mu -> mu**lam and nu -> nu**lam.
 
     At lam == 1 the exponentiation is exact, so this reduces bit-for-bit to

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import IFS, OutOfRangeError, UniverseMismatchError, WeightVector, _show, check_weights
+from .core import (IFS, OutOfRangeError, UniverseMismatchError, WeightVector, _require_same_universe,
+                   _show, check_weights)
 from .registry import MeasureDescriptor
 
 
@@ -81,8 +82,7 @@ def classify(
     """Assign the sample to the pattern with the greatest similarity."""
     if not tie_tol >= 0.0:  # false for nan too
         raise OutOfRangeError(f"tie_tol must be >= 0, got {_show(tie_tol)}")
-    if sample.universe != lib.universe:
-        raise UniverseMismatchError("sample universe differs from the library universe")
+    _require_same_universe(lib, sample)
     scores = 1.0 - measure.evaluator(lib, sample, lib.weights)
     # stable, and the stack is in name order: ties keep name order
     order = np.argsort(-scores, kind="stable")

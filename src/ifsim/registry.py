@@ -15,11 +15,11 @@ evaluator once per sample on the whole library, and the CLI calls it on
 sets.  All three are required.
 
 Built-in names: wu, wu-lambda (param lambda), xiao, yc, jgamma (param
-gamma); each param must be finite and > 0.  wu and wu-lambda aggregate as
-a weighted sum (uniform weights when none are given).  xiao, yc and jgamma
-ignore the weight vector: xiao and yc average with fixed 1/n as published,
-and jgamma is a per-value divergence exposed through its unweighted
-elementwise mean.  Every measure is a distance d, scored as 1 - d.
+gamma); each param must be finite and > 0.  The WEIGHTED_MEASURES, wu and
+wu-lambda, aggregate as a weighted sum, the plain 1/n mean when w is None.
+The rest ignore w (the CLI refuses --weights for them): xiao and yc average
+with fixed 1/n as published, and jgamma is a per-value divergence exposed
+through its unweighted elementwise mean.  Each is a distance d, scored 1 - d.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Any, Callable, Mapping, Optional, Union
 import numpy as np
 
 from . import baselines, measures
-from .core import IFS, IfsimError, WeightVector, _floats, uniform_weights
+from .core import IFS, IfsimError, WeightVector, _floats
 
 # (a, b, w) -> value; a is an IFS (a float back) or a PatternLibrary, whose
 # (2, P, n) degree stack gives an array of P values, one per pattern
@@ -68,10 +68,6 @@ class MeasureDescriptor:
         return f"{self.name}({inner})"
 
 
-def _weights_or_uniform(a, w: WeightVector | None) -> WeightVector:
-    return w if w is not None else uniform_weights(len(a.universe))
-
-
 _PARAM_NAMES = {
     "wu": (),
     "wu-lambda": ("lambda",),
@@ -81,6 +77,7 @@ _PARAM_NAMES = {
 }
 
 MEASURE_NAMES = tuple(_PARAM_NAMES)
+WEIGHTED_MEASURES = ("wu", "wu-lambda")  # the rest average with a fixed 1/n
 
 
 def get_measure(name: str, **params: float) -> MeasureDescriptor:
@@ -113,11 +110,11 @@ def get_measure(name: str, **params: float) -> MeasureDescriptor:
     # kernels are the *_batch forwarders, called only here and from audit.
     if name == "wu":
         kernel, split = measures.js_norm_batch, measures.WU_SPLIT
-        ev = lambda a, b, w: measures.dist_wu(a, b, _weights_or_uniform(a, w))
+        ev = lambda a, b, w: measures.dist_wu(a, b, w)
     elif name == "wu-lambda":
         lam = params["lambda"]
         kernel = split = measures.wu_lambda_split(lam)
-        ev = lambda a, b, w: measures.dist_wu_lambda(a, b, _weights_or_uniform(a, w), lam)
+        ev = lambda a, b, w: measures.dist_wu_lambda(a, b, w, lam)
     elif name == "xiao":
         kernel, split = baselines.xiao_elem_batch, baselines.XIAO_SPLIT
         ev = lambda a, b, w: baselines.dist_xiao(a, b)
@@ -128,5 +125,5 @@ def get_measure(name: str, **params: float) -> MeasureDescriptor:
         gamma = params["gamma"]
         split = baselines.j_gamma_split(gamma)
         kernel = lambda *c: baselines.j_gamma_batch(*c, gamma)
-        ev = lambda a, b, w: measures.aggregate(kernel, a, b)
+        ev = lambda a, b, w: measures.aggregate(split, a, b)
     return MeasureDescriptor(name, params, ev, kernel, split)

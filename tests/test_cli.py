@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 import ifsim
-from ifsim import (IFS, builtin_dataset, dist_wu, dist_xiao, entropy_ifs, sim_wu_lambda,
-                   uniform_weights)
+from ifsim import (IFS, PatternLibrary, WeightVector, builtin_dataset, classify, dist_wu, dist_xiao,
+                   entropy_ifs, get_measure, sim_wu_lambda, uniform_weights)
 from ifsim.cli import _curve_text, _fmt, main
 from ifsim.scenarios import FAMILY_IDS, SCENARIO_IDS, sweep_curve
 
@@ -183,6 +183,76 @@ class TestMalformedFiles:
         err = self.run_error(capsys, "--data", "tableI_case1", "--weights", str(wfile))
         assert err == (f"error: weights file {str(wfile)!r}: "
                        "weights (2 entries): a weight is too large for a float\n")
+
+
+TABLE_III = {
+    "dist": ["dist", "--data", "tableIII", "--left", "P1", "--right", "S1"],
+    "sim": ["sim", "--data", "tableIII", "--left", "P1", "--right", "S1"],
+    "classify": ["classify", "--data", "tableIII", "--sample", "S1"],
+}
+SKEWED = (0.5, 0.3, 0.2)
+
+
+class TestWeightsFlag:
+    """--weights is taken only by the measures that read weights."""
+
+    @pytest.fixture
+    def weights(self, tmp_path):
+        wfile = tmp_path / "w.json"
+        wfile.write_text(json.dumps(SKEWED), encoding="utf-8")
+        return {"uniform": ("uniform", uniform_weights(3)), "file": (str(wfile), WeightVector(SKEWED))}
+
+    @pytest.mark.parametrize("source", ["uniform", "file"])
+    @pytest.mark.parametrize("measure", [["xiao"], ["yc"], ["jgamma", "--gamma", "1"]], ids=lambda m: m[0])
+    @pytest.mark.parametrize("command", TABLE_III)
+    def test_refused_where_the_measure_ignores_weights(self, capsys, weights, command, measure, source):
+        code, out, err = run(capsys, *TABLE_III[command], "--measure", *measure,
+                             "--weights", weights[source][0])
+        assert (code, out) == (2, "")
+        assert err == f"error: measure {measure[0]!r} averages with a fixed 1/n and takes no --weights\n"
+
+    def test_refused_before_any_file_is_read(self, capsys, tmp_path):
+        code, out, err = run(capsys, "dist", "--measure", "yc", "--data", str(tmp_path / "no.json"),
+                             "--left", "A", "--right", "B", "--weights", str(tmp_path / "no-w.json"))
+        assert (code, out) == (2, "")
+        assert err == "error: measure 'yc' averages with a fixed 1/n and takes no --weights\n"
+
+    @pytest.mark.parametrize("source", ["uniform", "file"])
+    @pytest.mark.parametrize("measure", [["wu"], ["wu-lambda", "--lambda", "0.5"]], ids=lambda m: m[0])
+    @pytest.mark.parametrize("command", TABLE_III)
+    def test_read_by_a_weighted_measure(self, capsys, weights, command, measure, source):
+        arg, w = weights[source]
+        code, out, _ = run(capsys, *TABLE_III[command], "--measure", *measure, "--weights", arg)
+        assert code == 0
+        md = get_measure(measure[0], **({"lam": 0.5} if len(measure) > 1 else {}))
+        sets, _ = builtin_dataset("tableIII")
+        if command == "classify":
+            lib = PatternLibrary(tuple((n, sets[n]) for n in ("P1", "P2", "P3")), w)
+            scores = classify(lib, sets["S1"], md).scores
+            assert out.splitlines()[:3] == [f"{n}: {_fmt(x)}" for n, x in scores]
+        else:
+            d = md.evaluator(sets["P1"], sets["S1"], w)
+            assert float(out) == (1.0 - d if command == "sim" else d)
+
+    def test_a_datasets_weights_stay_silent_for_a_mean_measure(self, capsys, tmp_path):
+        sets, _ = builtin_dataset("tableIII")
+        doc = {"universe": list(sets["S1"].universe),
+               "sets": {n: x.degrees.T.tolist() for n, x in sets.items()}}
+        outs = []
+        for extra in ({}, {"weights": list(SKEWED)}):
+            data = tmp_path / f"d{len(extra)}.json"
+            data.write_text(json.dumps({**doc, **extra}), encoding="utf-8")
+            code, out, _ = run(capsys, "classify", "--measure", "yc", "--data", str(data),
+                               "--sample", "S1")
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+
+    def test_entropy_takes_weights(self, capsys, weights):
+        arg, w = weights["file"]
+        code, out, _ = run(capsys, "entropy", "--data", "tableIII", "--set", "P1", "--weights", arg)
+        assert code == 0
+        assert float(out) == entropy_ifs(builtin_dataset("tableIII")[0]["P1"], w)
 
 
 class TestEntropyCommand:

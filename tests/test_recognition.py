@@ -90,6 +90,17 @@ class TestClassifyValidation:
         with pytest.raises(UniverseMismatchError):
             classify(lib, other, get_measure("wu"))
 
+    @pytest.mark.parametrize("pairs,labels,message", [
+        ([(0.1, 0.2), (0.3, 0.4)], ["x1", "x2"], "3 vs 2 labels, first at position 2: 'x3' vs (end)"),
+        ([(0.1, 0.2), (0.3, 0.4), (0.5, 0.1)], ["x1", "y2", "x3"],
+         "3 vs 3 labels, first at position 1: 'x2' vs 'y2'"),
+    ], ids=["shorter", "relabelled"])
+    def test_universe_mismatch_is_named_by_the_shared_rule(self, pairs, labels, message):
+        lib, _ = _tableiii_library()
+        with pytest.raises(UniverseMismatchError) as info:
+            classify(lib, IFS.from_pairs(pairs, labels), get_measure("wu"))
+        assert str(info.value) == f"universes differ: {message}"
+
     def test_negative_tie_tol(self):
         lib, sample = _tableiii_library()
         with pytest.raises(OutOfRangeError):

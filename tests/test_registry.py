@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from ifsim import (IFS, IFV, InvalidMeasureParamsError, UniverseMismatchError, baselines,
-                   builtin_dataset, get_measure, measures, scenarios)
-from ifsim.registry import MEASURE_NAMES, MeasureDescriptor, UnknownMeasureError
+from ifsim import (IFS, IFV, InvalidMeasureParamsError, UniverseMismatchError, WeightVector,
+                   baselines, builtin_dataset, get_measure, measures, scenarios)
+from ifsim.registry import MEASURE_NAMES, WEIGHTED_MEASURES, MeasureDescriptor, UnknownMeasureError
 
 BUILTINS = [
     ("wu", {}), ("wu-lambda", {"lambda": 0.5}), ("xiao", {}), ("yc", {}),
     ("jgamma", {"gamma": 1.0}), ("jgamma", {"gamma": 2.0}),
 ]
-WEIGHTED = {"wu", "wu-lambda"}
 
 
 @pytest.mark.parametrize("name,params", BUILTINS)
@@ -33,8 +32,39 @@ def test_evaluator_aggregates_the_kernel(name, params):
     md = get_measure(name, **params)
     per_element = md.pair_batch(np.array(a.mu_array()), np.array(a.nu_array()),
                                 np.array(b.mu_array()), np.array(b.nu_array()))
-    want = np.dot(w.weights, per_element) if name in WEIGHTED else np.mean(per_element)
+    want = np.dot(w.weights, per_element) if name in WEIGHTED_MEASURES else np.mean(per_element)
     assert md.evaluator(a, b, w) == float(want)
+
+
+def _unweighted(name, params):
+    """The measure's own set function, without weights."""
+    if name == "wu":
+        return lambda a, b: measures.dist_wu(a, b, None)
+    if name == "wu-lambda":
+        return lambda a, b: measures.dist_wu_lambda(a, b, None, params["lambda"])
+    if name == "jgamma":  # the unweighted mean of its per-value divergence
+        return lambda a, b: measures.aggregate(baselines.j_gamma_split(params["gamma"]), a, b)
+    return {"xiao": baselines.dist_xiao, "yc": baselines.dist_yc}[name]
+
+
+@pytest.mark.parametrize("name,params", BUILTINS + [
+    ("wu-lambda", {"lambda": 1 / 3}), ("wu-lambda", {"lambda": 2.0})])
+def test_evaluator_without_weights_is_the_set_function(name, params):
+    """None means the plain 1/n mean, not a uniform-weight dot: on these
+    tableIII pairs the two differ in the last bit for wu and wu-lambda."""
+    sets, _ = builtin_dataset("tableIII")
+    for x, y in (("P1", "S1"), ("P2", "S1"), ("P3", "S1"), ("P1", "P3")):
+        a, b = sets[x], sets[y]
+        assert get_measure(name, **params).evaluator(a, b, None) == _unweighted(name, params)(a, b)
+
+
+@pytest.mark.parametrize("name,params", BUILTINS)
+def test_weighted_measures_are_the_ones_that_read_weights(name, params):
+    sets, w = builtin_dataset("tableIII")
+    a, b = sets["P1"], sets["S1"]
+    md = get_measure(name, **params)
+    skewed = md.evaluator(a, b, WeightVector((0.5, 0.3, 0.2)))
+    assert (skewed != md.evaluator(a, b, w)) == (name in WEIGHTED_MEASURES)
 
 
 def test_both_lambda_spellings_are_rejected():
@@ -94,6 +124,7 @@ def _library_values() -> list[bytes]:
         baselines.dist_xiao(a, b), baselines.sim_xiao(a, b), baselines.dist_yc(a, b),
         measures.js_norm(u, v), measures.entropy_ifv(u), measures.entropy_ifs(a, w),
         *(baselines.j_gamma(u, v, gamma) for gamma in (0.5, 1.0, 2.0)),
+        *(get_measure("jgamma", gamma=gamma).evaluator(a, b, None) for gamma in (1.0, 2.0)),
     ]
     bits = [np.float64(x).tobytes() for x in values]
     bits.append(repr([(r.scenario, r.checks, r.notes) for r in scenarios.run_all_scenarios()]).encode())
@@ -104,10 +135,10 @@ def _library_values() -> list[bytes]:
 
 
 def test_library_calls_the_splits_not_the_forwarders(monkeypatch):
-    """The set, value and scenario functions reach each kernel through its
-    split; the module-level *_batch forwarders are kept only for the
-    registry's descriptors and the audit.  ROADMAP item 14 deletes this test
-    together with the forwarders."""
+    """The set, value and scenario functions and the jgamma evaluator reach
+    each kernel through its split; the module-level *_batch forwarders are
+    kept only for the registry's pair_batch kernels and the audit.  ROADMAP
+    item 14 deletes this test together with the forwarders."""
     want = _library_values()
 
     def stub(*args, **kwargs):
