@@ -41,15 +41,18 @@ the least, so a set is one call on its whole rows.
 
 Numeric conventions: each term p*log2(2p/s) follows 0*log2(0) = 0 without
 np.where (_xlog): the log's argument is 2p/s + (p == 0), which is 1 where
-p == 0, so the term is 0 * 0 = 0 there with no warning, and where p > 0 adding
-False leaves the quotient exact.  s is floored at the smallest subnormal, so
-p == q == 0 gives 0/s, never 0/0.  The ratio 2p/s is formed before the log so
-that p == q gives an exact 0 and d(a, a) == 0 bitwise.  Every term is
-elementwise, so each bit of the stacked call is the one that a call per
-channel, or a table of the channel's values, gives.
-Theoretical non-negativity of L is enforced by clamping rounding residues in
-[-1e-15, 0) to 0, while anything more negative raises
-NumericalConsistencyError because it indicates a bug, not rounding.
+p == 0, so the term is 0 * 0 = 0 there with no warning.  s is floored at the
+smallest subnormal, so p == q == 0 gives 0/s, never 0/0.  The ratio 2p/s is
+formed before the log so that p == q gives an exact 0 and d(a, a) == 0
+bitwise.  Theoretical non-negativity of L is enforced by clamping rounding
+residues in [-1e-15, 0) to 0, while anything more negative raises
+NumericalConsistencyError because it indicates a bug, not rounding.  Each
+guard runs only on a block that can trip it: a zero mask on a side holding a
+zero, the floor when both sides hold one, and the clamp unless the block's
+minimum is > 0.  Skipped, each would have been a no-op on the term's
+non-negative arguments, so a value's bits do not depend on the rest of its
+block: each bit of the stacked call is the one that a call per channel or per
+element, or a table of the channel's values, gives.
 """
 
 from __future__ import annotations
@@ -97,25 +100,29 @@ class NumericalConsistencyError(IfsimError, ArithmeticError):
 _SMALLEST_SUBNORMAL = float(np.nextafter(0.0, 1.0))
 
 
-def _xlog(x: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _xlog(x: np.ndarray, q: np.ndarray, has_zero: bool) -> np.ndarray:
     """x * log2(q) with the 0*log2(0) = 0 convention (elementwise), in q.
 
     q is the caller's quotient: a new array of the result's shape, 0 or at
-    most the smallest subnormal where x == 0.  There the argument is raised
-    to q + 1 == 1, so the term is x * 0 == 0 with no warning and no
-    np.where; where x > 0, adding False leaves q exact.  Every step
-    overwrites q, so the term costs no temporary of its own.
+    most the smallest subnormal where x == 0.  If has_zero, the argument is
+    raised there to q + 1 == 1, so the term is x * 0 == 0 with no warning and
+    no np.where.  Otherwise the add is skipped: where x > 0, adding False
+    would leave q >= +0.0 as it is.  Every step overwrites q, so the term
+    costs no temporary of its own.
     """
-    q += x == 0.0
+    if has_zero:
+        q += x == 0.0
     np.log2(q, out=q)
     q *= x
     return q
 
 
 def _clamp_nonneg(x: np.ndarray, what: str) -> np.ndarray:
-    """x with rounding residues in [-L_CLAMP, 0) raised to 0, in place; x
-    must be the caller's own array."""
+    """x with rounding residues in [-L_CLAMP, 0) raised to 0 in place (x is
+    the caller's own), or x untouched when its minimum, never nan, is > 0."""
     low = x.min() if x.size else 0.0
+    if low > 0.0:
+        return x
     if low < -L_CLAMP:
         raise NumericalConsistencyError(f"{what} = {low!r} below 0 beyond rounding")
     return np.maximum(x, 0.0, out=x)
@@ -151,17 +158,22 @@ def _pad(x: np.ndarray, ndim: int) -> np.ndarray:
 
 def _l_stacked(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """L(p, q) = p*log2(2p/s) + q*log2(2q/s), s = p + q, elementwise on
-    broadcastable arrays: channel stacks (_channels), one channel of each
-    side, 0-d in a scalar call, or the two axes of a channel's table.
+    broadcastable arrays p, q >= 0: channel stacks (_channels), one channel of
+    each side, 0-d in a scalar call, or the two axes of a channel's table.
 
     The ratio form makes p == q an exact 0.  s is floored at the smallest
-    subnormal, so that p == q == 0 gives 0/s, never 0/0.  [...] turns the
-    numpy scalar of a 0-d step into the 0-d array that out= needs.
+    subnormal when both sides hold a zero, so that p == q == 0 gives 0/s,
+    never 0/0; a zero-free side makes s >= 5e-324 already.  The zero masks
+    (_xlog) and the clamp also run only where they can act, so a value's bits
+    do not depend on its block.  [...] turns the numpy scalar of a 0-d step
+    into the 0-d array that out= needs.
     """
+    p_zero, q_zero = not p.all(), not q.all()
     s = (p + q)[...]
-    np.maximum(s, _SMALLEST_SUBNORMAL, out=s)
-    total = _xlog(p, (2.0 * p / s)[...])
-    total += _xlog(q, (2.0 * q / s)[...])
+    if p_zero and q_zero:
+        np.maximum(s, _SMALLEST_SUBNORMAL, out=s)
+    total = _xlog(p, (2.0 * p / s)[...], p_zero)
+    total += _xlog(q, (2.0 * q / s)[...], q_zero)
     return _clamp_nonneg(total, "L(p, q)")
 
 

@@ -38,6 +38,7 @@ class PatternLibrary:
     weights: WeightVector
     names: tuple[str, ...] = field(init=False, repr=False, compare=False)
     degrees: np.ndarray = field(init=False, repr=False, compare=False)
+    _name_array: np.ndarray = field(init=False, repr=False, compare=False)  # names, dtype object
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "patterns", tuple((str(n), p) for n, p in self.patterns))
@@ -56,6 +57,7 @@ class PatternLibrary:
         degrees.flags.writeable = False
         object.__setattr__(self, "names", tuple(n for n, _ in by_name))
         object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "_name_array", np.array(self.names, dtype=object))
 
     @property
     def universe(self) -> tuple[str, ...]:
@@ -86,7 +88,7 @@ def classify(
     scores = 1.0 - measure.evaluator(lib, sample, lib.weights)
     # stable, and the stack is in name order: ties keep name order
     order = np.argsort(-scores, kind="stable")
-    scored = tuple(zip([lib.names[i] for i in order.tolist()], scores[order].tolist()))
+    scored = tuple(zip(lib._name_array[order].tolist(), scores[order].tolist()))
     if len(scored) == 1:
         return ClassificationResult(scored, scored[0][0], False, math.inf)
     margin = scored[0][1] - scored[1][1]

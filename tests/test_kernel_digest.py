@@ -20,6 +20,8 @@ zero on equal values, bitwise symmetric and within its range: [0, 1], or
 [0, ln 2] for the raw J_1, which must also hold on the 0.01 grid, with
 exactly ln 2 on the endpoint pair.  On the first ORACLE_PAIRS uniform pairs
 every kernel must lie within 1e-12 of the exact reference (tests/exact.py).
+The JS term decides per block whether its guards run, so every value must
+also have the bits of a one-element and a 0-d call on its own element.
 """
 
 import hashlib
@@ -35,7 +37,7 @@ import pytest
 import exact
 from ifsim import audit, get_measure, grid_points
 from ifsim.baselines import YC_SPLIT, j_gamma_split
-from ifsim.measures import WU_SPLIT, z_score_batch
+from ifsim.measures import WU_SPLIT, _l_stacked, z_score_batch
 
 GOLDEN = Path(__file__).parent / "golden_kernel_digest.json"
 CONFIGS = {
@@ -307,6 +309,66 @@ def test_declared_finish_is_non_decreasing(name):
     side = math.isqrt(SWEEP_BLOCK_CELLS)
     assert pairs.tobytes() == one.tobytes() == f(ladder).tobytes()
     assert f(np.resize(ladder, (side, side))).tobytes() == np.resize(one, (side, side)).tobytes()
+
+
+# values the term's guards exist for: signed zeros, mu = 1.0 (so 1 - mu = 0),
+# both degrees zero, and subnormals beside zeros, as (mu, nu) rows
+PLANTED = np.array([
+    (0.0, 0.5), (-0.0, 0.25), (0.5, 0.0), (0.5, -0.0), (1.0, 0.0), (0.0, 0.0), (1.0, -0.0),
+    (_TINY, 0.5), (0.5, _TINY), (1e-310, 2.5e-320), (float(np.finfo(float).tiny), 0.0),
+    (float(np.nextafter(1.0, 0.0)), _TINY), (0.0, 1.0), (-0.0, -0.0),
+])
+
+
+def _guard_sides():
+    """(label, a, b): point arrays of the open simplex, where no channel of
+    any split holds a zero and every skip is taken; then the same arrays
+    with PLANTED at known positions, on a alone, and on both: where only a
+    or only b holds them, at the same positions (equal points) and at
+    mixed ones."""
+    rng = np.random.default_rng(UNIFORM_SEED)
+    mu = rng.uniform(0.05, 0.9, (2, 56))
+    free = np.stack([mu, (1.0 - mu) * rng.uniform(0.05, 0.9, (2, 56))], axis=-1)
+    assert (free != 0).all() and (free.sum(axis=-1) < 1.0).all()
+    a, b = free[0].copy(), free[1].copy()
+    a[:14], b[14:28], a[28:42], b[28:42] = PLANTED, PLANTED, PLANTED, PLANTED
+    a[42:53], b[45:56] = PLANTED[3:], PLANTED[:-3]
+    yield "zero-free", free[0], free[1]
+    yield "one side planted", a, free[1]
+    yield "both sides planted", a, b
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_values_do_not_depend_on_their_block(name):
+    # each element's bits equal those of a one-element call and of a 0-d
+    # call on it, which take the other branch of each guard that the block
+    # skips (or runs) in measures._l_stacked and measures._clamp_nonneg
+    measure, params = CONFIGS[name]
+    kernel = get_measure(measure, **params).pair_batch
+    for label, a, b in _guard_sides():
+        block = kernel(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
+        for i in range(len(a)):
+            one = kernel(a[i:i + 1, 0], a[i:i + 1, 1], b[i:i + 1, 0], b[i:i + 1, 1])
+            scalar = kernel(float(a[i, 0]), float(a[i, 1]), float(b[i, 0]), float(b[i, 1]))
+            assert block[i:i + 1].tobytes() == one.tobytes() == np.float64(scalar).tobytes(), \
+                (label, i, a[i], b[i])
+
+
+def test_l_term_does_not_depend_on_its_block():
+    # _l_stacked's values on 1-D arrays and on a table (p against q) have
+    # the bits of its calls on one element, as an array and as a 0-d scalar
+    rng = np.random.default_rng(UNIFORM_SEED)
+    free = rng.uniform(1e-3, 3.0, (2, 24))
+    plant = np.array([0.0, -0.0, _TINY, 2.5e-320, 1e-310, float(np.finfo(float).tiny), 0.0])
+    p, q = free[0].copy(), free[1].copy()
+    p[:7], q[4:11], p[12:19], q[12:19] = plant, plant, plant, plant
+    for x, y in ((free[0], free[1]), (p, free[1]), (p, q)):
+        line, table = _l_stacked(x, y), _l_stacked(x[:, None], y[None, :])
+        for i in range(len(x)):
+            one = _l_stacked(x[i:i + 1], y[i:i + 1])
+            assert line[i:i + 1].tobytes() == one.tobytes() == _l_stacked(x[i], y[i]).tobytes()
+            for j in range(len(y)):
+                assert table[i, j].tobytes() == _l_stacked(np.array(x[i]), np.array(y[j])).tobytes()
 
 
 if __name__ == "__main__":

@@ -247,3 +247,38 @@ class TestClassifyBlocks:
         for k, cols in shapes:
             assert cols == n
             assert k * n <= _BLOCK_CELLS if n <= _BLOCK_CELLS else k == 1
+
+
+def _workload_library(rng, patterns=200, n=8):
+    """The shape of the benchmark's classify workload: named patterns of n
+    uniform simplex points, plus samples that are patterns shrunk
+    elementwise by at most 1e-3, one of them a pattern's twin (a tie)."""
+    universe = [f"x{j + 1}" for j in range(n)]
+    mu, nu = rng.random((2, patterns, n))
+    flip = mu + nu > 1.0
+    mu[flip], nu[flip] = 1.0 - mu[flip], 1.0 - nu[flip]
+    sets = [IFS.from_pairs(np.stack([m, v], axis=-1), universe) for m, v in zip(mu, nu)]
+    named = [(f"P{i:03d}", s) for i, s in enumerate(sets)] + [("twin", sets[7])]
+    samples = [IFS.from_pairs(np.stack([np.maximum(0.0, mu[k] - 1e-3 * rng.random(n)),
+                                        np.maximum(0.0, nu[k] - 1e-3 * rng.random(n))], axis=-1),
+                              universe) for k in (0, 99, 199)]
+    return PatternLibrary(tuple(named), uniform_weights(n)), samples + [sets[7]]
+
+
+class TestClassifyRanking:
+    """classify ranks the names of its scores as the per-pattern loop does,
+    ties in name order included."""
+
+    @pytest.mark.parametrize("measure", list(EQUIVALENCE_MEASURES))
+    def test_results_equal_the_per_pattern_loop(self, measure):
+        md = EQUIVALENCE_MEASURES[measure]
+        lib, samples = _workload_library(np.random.default_rng(401))
+        sets, w = builtin_dataset("tableIII")
+        table = PatternLibrary(tuple(sets.items()) + (("S0", sets["S1"]),), w)
+        cases = [(lib, s) for s in samples] + [(table, sets["S1"]), (table, sets["P2"])]
+        tied = 0
+        for lib, sample in cases:
+            got = classify(lib, sample, md)
+            assert got == _reference_classify(lib, sample, md)
+            tied += got.tie_margin == 0.0
+        assert tied == 2  # the library twin and S0 tie at the top
