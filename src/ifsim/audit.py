@@ -27,11 +27,15 @@ floating-point noise.
 
 Every sampled value is computed by the measure's elementwise kernel
 (pair_batch), and each built-in evaluator aggregates that same kernel over
-a universe.  Samples are evaluated under the block rule that aggregate
-uses for sets and libraries (_eval_pairs over measures._blocked), and the
-grid sweep covers every unordered grid pair i <= j, in blocks of the same
-measures._BLOCK_CELLS cells.  Where the channel sums keep their bits when
-mu and nu swap in both points (_mirror), it covers one of each such
+a universe.  The random pairs, the self pairs, the triples and the entropy
+audit's points are evaluated and graded one block at a time (_blocks), cut
+where the block rule of sets and libraries (measures._blocked) cuts, so no
+sample-sized value array is built: each rule keeps its first witness in
+sample order (_Found), and each statistic its blocks' minima or maxima,
+which numpy's reductions combine, so a nan propagates as over one array.
+The grid sweep covers every unordered grid pair i <= j, in blocks of the
+same measures._BLOCK_CELLS cells.  Where the channel sums keep their bits
+when mu and nu swap in both points (_mirror), it covers one of each such
 mirrored pair of pairs, about half the cells.  The sweep does not call
 pair_batch: it tabulates each channel's own term of the descriptor's split
 (measures.KernelSplit) on the channel's distinct grid values, and each block
@@ -255,6 +259,19 @@ def _eval_pairs(kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.asarray(_blocked(kernel, a[..., 0], a[..., 1], b[..., 0], b[..., 1]), dtype=float)
 
 
+def _blocks(n: int) -> list[slice]:
+    """n samples' blocks of measures._BLOCK_CELLS, in order, as _blocked cuts them."""
+    return [slice(lo, lo + measures._BLOCK_CELLS) for lo in range(0, n, measures._BLOCK_CELLS)]
+
+
+def _rows(first: np.ndarray, rest: np.ndarray, s: slice) -> np.ndarray:
+    """Rows s of first, then rest: a view, unless s straddles the two."""
+    g = len(first)
+    if s.start >= g:
+        return rest[s.start - g:s.stop - g]
+    return first[s] if s.stop <= g else np.concatenate([first[s.start:], rest[:s.stop - g]])
+
+
 def _fmt_ifv(mu: float, nu: float) -> str:
     return f"<{mu:.17g}, {nu:.17g}>"
 
@@ -282,6 +299,14 @@ def _verdict(axiom: str, rules: list, detail: str, stats: dict | None = None) ->
         if witness is not None:
             return AxiomCheck(axiom, verdict, witness, why)
     return AxiomCheck(axiom, "pass", detail=detail, stats=stats)
+
+
+class _Found(dict):
+    """rule -> its first witness in sample order, over samples graded block by block."""
+
+    def grade(self, rule: str, mask: np.ndarray, columns: dict) -> None:
+        if self.get(rule) is None:  # an earlier block's witness comes first
+            self[rule] = _witness(mask, columns)
 
 
 def _graded(margin: np.ndarray, tol: float, columns: dict, strict: bool = False) -> list:
@@ -313,13 +338,13 @@ def _sweep_into(outcome: list, *args) -> None:
 def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
     """Audit a measure's distance against S1-S5 and the triangle inequality.
 
-    The grid sweep runs on a helper thread while this thread evaluates the
-    sampled pairs, triples and chains; the thread is joined before S1, S2
-    and S5 read the sweep, and before any error leaves this function.  The
-    sweep's result does not depend on that timing, so the report is the
-    one a serial run gives, byte for byte.  So is the error raised: one from
-    the pairs or self pairs stops the sweep, and the sweep's own error wins
-    over one from the triples or chains.
+    The grid sweep runs on a helper thread while this thread evaluates and
+    grades the blocks of the pairs, self pairs and triples, then the chains;
+    the thread is joined before S1, S2 and S5 read the sweep, and before any
+    error leaves this function.  The sweep's result does not depend on that
+    timing, so the report is the one a serial run gives, byte for byte.  So
+    is the error raised: one from the pairs or self pairs stops the sweep,
+    and the sweep's own error wins over one from the triples or chains.
     """
     t0 = time.perf_counter()
     tol = config.tolerance
@@ -329,24 +354,42 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
                               args=(_sweep_into, outcome, m, grid, tol, stop))
     helper.start()
 
-    kernel = m.pair_batch
+    kernel, found = m.pair_batch, _Found()
+    lows, highs, positives, worsts = [], [], [], []  # each block's statistic
     try:
         pairs = _uniform(config, 0, 2, config.random_pairs)
-        pa, pb = pairs[:, 0], pairs[:, 1]
-        d_ab, d_ba = _eval_pairs(kernel, pa, pb), _eval_pairs(kernel, pb, pa)
-        points = np.vstack([grid, pairs.reshape(-1, 2)])
-        d_self = _eval_pairs(kernel, points, points)
+        for s in _blocks(len(pairs)):
+            pa, pb = pairs[s, 0], pairs[s, 1]
+            d_ab, d_ba = _eval_pairs(kernel, pa, pb), _eval_pairs(kernel, pb, pa)
+            cols, distinct = {"a": pa, "b": pb, "d": d_ab}, (pa != pb).any(axis=1)
+            found.grade("S3", d_ab != d_ba, {"a": pa, "b": pb, "d(a,b)": d_ab, "d(b,a)": d_ba})
+            found.grade("S1", ~((d_ab >= 0.0) & (d_ab <= 1.0)), cols)
+            found.grade("S2 distinct", distinct & ~(d_ab > 0.0), cols)
+            lows.append(np.min(d_ab))
+            highs.append(np.max(d_ab))
+            if distinct.any():
+                positives.append(np.min(d_ab[distinct]))
+        points = pairs.reshape(-1, 2)
+        for s in _blocks(len(grid) + len(points)):  # the grid's, then every pair point
+            p = _rows(grid, points, s)
+            d_self = _eval_pairs(kernel, p, p)
+            found.grade("S2 self", d_self != 0.0, {"a": p, "d(a,a)": d_self})
     except BaseException:
         stop.set()
         helper.join()
         raise
     try:
         triples = _uniform(config, 1, 3, config.random_triples)
-        ta, tb, tc = triples[:, 0], triples[:, 1], triples[:, 2]
-        d1, d2 = _eval_pairs(kernel, ta, tb), _eval_pairs(kernel, tb, tc)
-        d3 = _eval_pairs(kernel, ta, tc)
-        excess = d3 - (d1 + d2)
-        worst = float(np.max(excess))
+        for s in _blocks(len(triples)):
+            ta, tb, tc = triples[s, 0], triples[s, 1], triples[s, 2]
+            d1, d2 = _eval_pairs(kernel, ta, tb), _eval_pairs(kernel, tb, tc)
+            d3 = _eval_pairs(kernel, ta, tc)
+            d12 = d1 + d2
+            excess = d3 - d12
+            found.grade("D-triangle", ~(excess <= tol), {
+                "a": ta, "b": tb, "c": tc, "d(a,c)": d3, "d(a,b)+d(b,c)": d12, "excess": excess})
+            worsts.append(np.max(excess))
+        worst = float(np.max(worsts))
         chains = _chains_array(config)
         chain_checks = _chain_checks(m, chains, tol)
     finally:
@@ -355,31 +398,26 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
             raise outcome[0]
     sweep = outcome[0]
 
-    pair_cols = {"a": pa, "b": pb, "d": d_ab}
-    distinct = (pa != pb).any(axis=1)
-    rng_min = min(sweep["min"], float(np.min(d_ab)))
-    rng_max = max(sweep["max"], float(np.max(d_ab)))
-    min_off = min(sweep["min_off_diagonal"], float(np.min(d_ab[distinct])))
-    triple_cols = {"a": ta, "b": tb, "c": tc, "d(a,c)": d3, "d(a,b)+d(b,c)": d1 + d2, "excess": excess}
+    # numpy's reductions combine the blocks' statistics, so a nan propagates
+    rng_min = min(sweep["min"], float(np.min(lows)))
+    rng_max = max(sweep["max"], float(np.max(highs)))
+    min_off = min(sweep["min_off_diagonal"], float(np.min(positives)))
     checks = [
-        _verdict("S3", [
-            ("fail", _witness(d_ab != d_ba, {"a": pa, "b": pb, "d(a,b)": d_ab, "d(b,a)": d_ba}),
-             "symmetry broken"),
-        ], "exact equality on all sampled pairs"),
+        _verdict("S3", [("fail", found["S3"], "symmetry broken")],
+                 "exact equality on all sampled pairs"),
         _verdict("S1", [
             ("fail", sweep["range_witness"], "value outside [0, 1]"),
-            ("fail", _witness(~((d_ab >= 0.0) & (d_ab <= 1.0)), pair_cols),
-             "value outside [0, 1]"),
+            ("fail", found["S1"], "value outside [0, 1]"),
         ], f"observed range [{rng_min:.17g}, {rng_max:.17g}]", {"min": rng_min, "max": rng_max}),
         _verdict("S2", [
-            ("fail", _witness(d_self != 0.0, {"a": points, "d(a,a)": d_self}), "d(a,a) != 0"),
-            ("fail", _witness(distinct & ~(d_ab > 0.0), pair_cols), "d(a,b) == 0 for a != b"),
+            ("fail", found["S2 self"], "d(a,a) != 0"),
+            ("fail", found["S2 distinct"], "d(a,b) == 0 for a != b"),
             ("fail", sweep["positivity_witness"], "d(a,b) == 0 for a != b"),
         ], "d(a,a)=0 everywhere; d>0 on all distinct sampled pairs", {"min_off_diagonal": min_off}),
         *chain_checks,
         _maximality_check(m, sweep, grid, tol),
         _verdict("D-triangle", [
-            ("fail", _witness(~(excess <= tol), triple_cols), f"violated beyond tolerance {tol:g}"),
+            ("fail", found["D-triangle"], f"violated beyond tolerance {tol:g}"),
         ], f"max excess {worst:.3g} <= {tol:g}", {"max_excess": worst}),
     ]
     counts = {
@@ -690,39 +728,41 @@ def audit_entropy(config: AuditConfig) -> AxiomReport:
     t0 = time.perf_counter()
     grid = grid_points(config.grid_step)
     # the grid, then every point of the distance audit's random pairs
-    samples = np.vstack([grid, _uniform(config, 0, 2, config.random_pairs).reshape(-1, 2)])
-    ent, ent_c = _entropy_batch(samples), _entropy_batch(samples[:, ::-1])
-    grid_ent = ent[: len(grid)]
+    points = _uniform(config, 0, 2, config.random_pairs).reshape(-1, 2)
+    found, g = _Found(), len(grid)
+    for s in _blocks(g + len(points)):
+        p = _rows(grid, points, s)
+        ent, ent_c = _entropy_batch(p), _entropy_batch(p[:, ::-1])
+        k = max(0, g - s.start)  # the block's grid points
+        found.grade("E1", (ent[:k] == 0.0) != _is_endpoint(p[:k]), {"a": p[:k], "E": ent[:k]})
+        found.grade("E2", (ent == 1.0) != (p[:, 0] == p[:, 1]), {"a": p, "E": ent})
+        found.grade("E3", ent != ent_c, {"a": p, "E(a)": ent, "E(a^c)": ent_c})
     pinned = _entropy_batch(_PINNED_ENTROPY)
     nested = _nested_pairs(config)
     lo, hi = nested[:, 0], nested[:, 1]
     e_lo, e_hi = _entropy_batch(lo), _entropy_batch(hi)
-    on_diag = samples[:, 0] == samples[:, 1]
 
     checks = (
         # E1: zero exactly on the crisp endpoints, on the grid and at the endpoints
         _verdict("E1", [
-            ("fail", _witness((grid_ent == 0.0) != _is_endpoint(grid), {"a": grid, "E": grid_ent}),
-             "zero set differs from the two crisp endpoints"),
+            ("fail", found["E1"], "zero set differs from the two crisp endpoints"),
             ("fail", _witness(pinned[:2] != 0.0, {"a": _PINNED_ENTROPY, "E": pinned}),
              "crisp endpoint not at entropy 0"),
         ], "E == 0 exactly at <1,0> and <0,1>"),
         # E2: one exactly on the mu == nu diagonal
         _verdict("E2", [
-            ("fail", _witness((ent == 1.0) != on_diag, {"a": samples, "E": ent}),
-             "unit set differs from the mu == nu diagonal"),
+            ("fail", found["E2"], "unit set differs from the mu == nu diagonal"),
             ("fail", _witness(pinned[2:] != 1.0, {"a": _PINNED_ENTROPY[2:], "E": pinned[2:]}),
              "pinned diagonal value not at entropy 1"),
         ], "E == 1 exactly on mu == nu"),
         # E3: complement symmetry, exact
         _verdict("E3", [
-            ("fail", _witness(ent != ent_c, {"a": samples, "E(a)": ent, "E(a^c)": ent_c}),
-             "complement symmetry broken"),
+            ("fail", found["E3"], "complement symmetry broken"),
         ], "E(a) == E(a^c) exactly on all samples"),
         # E4: monotone toward the diagonal on nested pairs (and mirrored pairs)
         _verdict("E4", _graded(e_lo - e_hi, config.tolerance,
                                {"a": lo, "b": hi, "E(a)": e_lo, "E(b)": e_hi}),
                  f"monotone on {len(nested)} nested pairs (both orientations)"),
     )
-    counts = {"grid": len(grid), "samples": len(samples), "nested_pairs": len(nested)}
+    counts = {"grid": g, "samples": g + len(points), "nested_pairs": len(nested)}
     return AxiomReport("entropy(js_norm)", checks, counts, time.perf_counter() - t0)

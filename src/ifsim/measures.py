@@ -37,7 +37,8 @@ aggregate() of the kernel over the sets' stored degree rows: a weighted
 sum over the universe, or the plain 1/n mean.  One block rule (_blocked)
 runs the kernel on sets, (2, P, n) pattern libraries and audit samples
 alike: leading-axis row blocks of at most _BLOCK_CELLS cells, one row at
-the least, so a set is one call on its whole rows.
+the least, so a set is one call on its whole rows.  The audit cuts its
+largest samples at the same rows itself, to grade each block as it comes.
 
 Numeric conventions: each term p*log2(2p/s) follows 0*log2(0) = 0 without
 np.where (_xlog): the log's argument is 2p/s + (p == 0), which is 1 where
@@ -326,8 +327,7 @@ def _blocked(f: Callable[..., np.ndarray], *args, row_shape: tuple | None = None
     temporaries stay cache-sized; an arg spanning the leading axis is cut,
     any other passed whole, and the results are joined in row order.
     row_shape is the shape of f's value for one row, by default that of the
-    row's cells.  The result is allocated before the first block runs:
-    allocated after, it raised the audit benchmark's peak RSS by 2%."""
+    row's cells, so that the result is allocated before the first block."""
     shape = np.broadcast(*args).shape  # not np.broadcast_shapes: several us slower
     step = max(1, _BLOCK_CELLS // max(1, math.prod(shape[1:])))
     if shape[0] <= step:

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -386,3 +387,204 @@ class TestSweepThread:
             audit_distance(m, TINY)
         assert threading.active_count() == before
         assert 1 <= calls["finish"] < TINY_BLOCKS
+
+
+# ---------------------------------------------------------------------------
+# samples graded block by block, against the whole arrays
+# ---------------------------------------------------------------------------
+
+def _whole(kernel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """kernel on the points a and b in one call, unblocked."""
+    return np.asarray(kernel(a[..., 0], a[..., 1], b[..., 0], b[..., 1]), dtype=float)
+
+
+def _whole_array_distance(m: MeasureDescriptor, c: AuditConfig) -> tuple:
+    """audit_distance's checks and counts with every sample evaluated and
+    graded as one array, serially: the grading the blocks must reproduce."""
+    tol, grid, kernel, w = c.tolerance, grid_points(c.grid_step), m.pair_batch, audit._witness
+    sweep = audit._grid_matrix_sweep(m, grid, tol)
+    pairs = audit._uniform(c, 0, 2, c.random_pairs)
+    pa, pb = pairs[:, 0], pairs[:, 1]
+    d_ab, d_ba = _whole(kernel, pa, pb), _whole(kernel, pb, pa)
+    points = np.vstack([grid, pairs.reshape(-1, 2)])
+    d_self = _whole(kernel, points, points)
+    triples = audit._uniform(c, 1, 3, c.random_triples)
+    ta, tb, tc = triples[:, 0], triples[:, 1], triples[:, 2]
+    d1, d2, d3 = _whole(kernel, ta, tb), _whole(kernel, tb, tc), _whole(kernel, ta, tc)
+    excess = d3 - (d1 + d2)
+    worst = float(np.max(excess))
+    chains = audit._chains_array(c)
+    pair_cols = {"a": pa, "b": pb, "d": d_ab}
+    distinct = (pa != pb).any(axis=1)
+    rng_min, rng_max = min(sweep["min"], float(np.min(d_ab))), max(sweep["max"], float(np.max(d_ab)))
+    min_off = min(sweep["min_off_diagonal"], float(np.min(d_ab[distinct])))
+    triple_cols = {"a": ta, "b": tb, "c": tc, "d(a,c)": d3, "d(a,b)+d(b,c)": d1 + d2,
+                   "excess": excess}
+    checks = (
+        audit._verdict("S3", [
+            ("fail", w(d_ab != d_ba, {"a": pa, "b": pb, "d(a,b)": d_ab, "d(b,a)": d_ba}),
+             "symmetry broken"),
+        ], "exact equality on all sampled pairs"),
+        audit._verdict("S1", [
+            ("fail", sweep["range_witness"], "value outside [0, 1]"),
+            ("fail", w(~((d_ab >= 0.0) & (d_ab <= 1.0)), pair_cols), "value outside [0, 1]"),
+        ], f"observed range [{rng_min:.17g}, {rng_max:.17g}]", {"min": rng_min, "max": rng_max}),
+        audit._verdict("S2", [
+            ("fail", w(d_self != 0.0, {"a": points, "d(a,a)": d_self}), "d(a,a) != 0"),
+            ("fail", w(distinct & ~(d_ab > 0.0), pair_cols), "d(a,b) == 0 for a != b"),
+            ("fail", sweep["positivity_witness"], "d(a,b) == 0 for a != b"),
+        ], "d(a,a)=0 everywhere; d>0 on all distinct sampled pairs", {"min_off_diagonal": min_off}),
+        *audit._chain_checks(m, chains, tol),
+        audit._maximality_check(m, sweep, grid, tol),
+        audit._verdict("D-triangle", [
+            ("fail", w(~(excess <= tol), triple_cols), f"violated beyond tolerance {tol:g}"),
+        ], f"max excess {worst:.3g} <= {tol:g}", {"max_excess": worst}),
+    )
+    counts = {"grid": len(grid), "pairs": c.random_pairs, "triples": c.random_triples,
+              "chains": len(chains)}
+    return checks, counts
+
+
+def _whole_array_entropy(c: AuditConfig) -> tuple:
+    """audit_entropy's checks and counts with its grid-plus-pair points as one array."""
+    entropy = lambda p: 1.0 - _whole(audit.js_norm_batch, p, p[..., ::-1])
+    grid, w = grid_points(c.grid_step), audit._witness
+    samples = np.vstack([grid, audit._uniform(c, 0, 2, c.random_pairs).reshape(-1, 2)])
+    ent, ent_c = entropy(samples), entropy(samples[:, ::-1])
+    grid_ent, pinned = ent[:len(grid)], entropy(audit._PINNED_ENTROPY)
+    nested = audit._nested_pairs(c)
+    lo, hi = nested[:, 0], nested[:, 1]
+    e_lo, e_hi = entropy(lo), entropy(hi)
+    checks = (
+        audit._verdict("E1", [
+            ("fail", w((grid_ent == 0.0) != audit._is_endpoint(grid), {"a": grid, "E": grid_ent}),
+             "zero set differs from the two crisp endpoints"),
+            ("fail", w(pinned[:2] != 0.0, {"a": audit._PINNED_ENTROPY, "E": pinned}),
+             "crisp endpoint not at entropy 0"),
+        ], "E == 0 exactly at <1,0> and <0,1>"),
+        audit._verdict("E2", [
+            ("fail", w((ent == 1.0) != (samples[:, 0] == samples[:, 1]), {"a": samples, "E": ent}),
+             "unit set differs from the mu == nu diagonal"),
+            ("fail", w(pinned[2:] != 1.0, {"a": audit._PINNED_ENTROPY[2:], "E": pinned[2:]}),
+             "pinned diagonal value not at entropy 1"),
+        ], "E == 1 exactly on mu == nu"),
+        audit._verdict("E3", [
+            ("fail", w(ent != ent_c, {"a": samples, "E(a)": ent, "E(a^c)": ent_c}),
+             "complement symmetry broken"),
+        ], "E(a) == E(a^c) exactly on all samples"),
+        audit._verdict("E4", audit._graded(e_lo - e_hi, c.tolerance,
+                                           {"a": lo, "b": hi, "E(a)": e_lo, "E(b)": e_hi}),
+                       f"monotone on {len(nested)} nested pairs (both orientations)"),
+    )
+    return checks, {"grid": len(grid), "samples": len(samples), "nested_pairs": len(nested)}
+
+
+def _over_blocks(block: int) -> AuditConfig:
+    """A config whose pairs, triples and self pairs span several blocks of
+    `block` cells and end in a partial one; its 231 grid points span three
+    blocks of 100."""
+    return AuditConfig(grid_step=0.05, random_pairs=3 * block + 7, random_triples=3 * block + 7,
+                       chain_samples=200, seed=11)
+
+
+def _late(points: np.ndarray, block: int, *offsets: int) -> np.ndarray:
+    """The mu of the points at block + offset, 2 block + offset, ...: a key
+    set that no sample of the first block holds."""
+    return points[[(k + 1) * block + o for k, o in enumerate(offsets)], 0]
+
+
+def _planted_distance(c: AuditConfig, block: int) -> MeasureDescriptor:
+    """wu with values planted in the pairs, self pairs and triples of the
+    second block on, several per rule: out of range (S1), zero (S2), a nan
+    (S1, S2, S3), halved in one order only (S3), nonzero on a self pair (S2),
+    and a triangle whose sides to b are tiny (D-triangle).  Each plant is
+    keyed by a sample point's mu, which no other sample shares."""
+    wu = get_measure("wu")
+    pairs = audit._uniform(c, 0, 2, c.random_pairs)[:, 0]
+    tri_b = audit._uniform(c, 1, 3, c.random_triples)[:, 1]
+    tri_a = audit._uniform(c, 1, 3, c.random_triples)[:, 0]
+    out, zero, halved = _late(pairs, block, 3, 1, 5), _late(pairs, block, 9, 2), _late(pairs, block, 0, 6, 4)
+    nan, selfs = _late(pairs, block, 7), _late(pairs, block // 2, 4, 11, 2)
+    thin, tri_nan = _late(tri_b, block, 2, 8, 1), _late(tri_a, block, 5)
+
+    def planted(ma, na, mb, nb):
+        d = wu.pair_batch(ma, na, mb, nb)
+        same = (ma == mb) & (na == nb)
+        either = lambda keys: np.isin(ma, keys) | np.isin(mb, keys)
+        d = np.where(either(out) & ~same, 1.5, d)
+        d = np.where(either(zero) & ~same, 0.0, d)
+        d = np.where(np.isin(ma, halved) & ~same, 0.5 * d, d)
+        d = np.where(np.isin(ma, selfs) & same, 0.25, d)
+        d = np.where(either(thin), 1e-3, d)
+        return np.where(either(nan) | either(tri_nan), np.nan, d)
+
+    return MeasureDescriptor("wu", {}, wu.evaluator, planted, wu.split)
+
+
+class TestBlockGrading:
+    @pytest.mark.parametrize("block", [measures._BLOCK_CELLS, 100])
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_distance_matches_whole_arrays(self, monkeypatch, block, planted):
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", block)
+        c = _over_blocks(block)
+        m = _planted_distance(c, block) if planted else get_measure("wu")
+        report = audit_distance(m, c)
+        checks, counts = _whole_array_distance(m, c)
+        assert report.checks == checks and report.counts == counts
+        failing = {x.axiom for x in report.checks if x.verdict != "pass"}
+        assert failing == ({"S1", "S2", "S3", "D-triangle"} if planted else set())
+
+    @pytest.mark.parametrize("block", [measures._BLOCK_CELLS, 100])
+    @pytest.mark.parametrize("planted", [False, True])
+    def test_entropy_matches_whole_arrays(self, monkeypatch, block, planted):
+        # E2 and E3 fail from the second block on; E1 fails at four grid
+        # points, which at block 100 lie in the grid's second block
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", block)
+        c = _over_blocks(block)
+        if planted:
+            points = audit._uniform(c, 0, 2, c.random_pairs).reshape(-1, 2)
+            one, halved, nan = _late(points, block, 3, 8), _late(points, block, 1, 6), _late(points, block, 5)
+            grid = grid_points(c.grid_step)
+            # mirror pairs, so that E3 holds at them
+            at = [int(np.flatnonzero(np.isclose(grid, p).all(axis=1))[0])
+                  for p in ((0.35, 0.4), (0.4, 0.35), (0.45, 0.5), (0.5, 0.45))]
+            assert min(at) >= 100
+            crisp = grid[at]
+            js = audit.js_norm_batch
+
+            def planted_js(ma, na, mb, nb):
+                d = js(ma, na, mb, nb)
+                d = np.where(np.isin(ma, one), 0.0, d)  # E = 1 off the diagonal, and E3
+                d = np.where(np.isin(ma, halved), 0.5 * d, d)
+                d = np.where(((ma == crisp[:, :1]) & (na == crisp[:, 1:])).any(axis=0), 1.0, d)
+                return np.where(np.isin(ma, nan), np.nan, d)
+
+            monkeypatch.setattr(audit, "js_norm_batch", planted_js)
+        report = audit_entropy(c)
+        checks, counts = _whole_array_entropy(c)
+        assert report.checks == checks and report.counts == counts
+        failing = {x.axiom for x in report.checks if x.verdict != "pass"}
+        assert failing == ({"E1", "E2", "E3"} if planted else set())
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestSampleMemory:
+    # what stays is the draws and their fold temporaries: no array of one
+    # value per sample is built, so doubling the samples adds the draws only
+    def test_distance_audit(self):
+        wu = get_measure("wu")
+        peak = lambda n: _traced_peak(
+            lambda: audit_distance(wu, AuditConfig(random_pairs=n, random_triples=n)))
+        assert peak(200_000) - peak(100_000) <= 11e6
+
+    def test_entropy_audit(self):
+        peak = lambda n: _traced_peak(lambda: audit_entropy(AuditConfig(random_pairs=n)))
+        assert peak(200_000) - peak(100_000) <= 6e6
