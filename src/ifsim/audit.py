@@ -27,12 +27,15 @@ floating-point noise.
 
 Every sampled value is computed by the measure's elementwise kernel
 (pair_batch), and each built-in evaluator aggregates that same kernel over
-a universe.  The random pairs, the self pairs, the triples and the entropy
-audit's points are evaluated and graded one block at a time (_blocks), cut
-where the block rule of sets and libraries (measures._blocked) cuts, so no
-sample-sized value array is built: each rule keeps its first witness in
-sample order (_Found), and each statistic its blocks' minima or maxima,
-which numpy's reductions combine, so a nan propagates as over one array.
+a universe.  Each sample array is walked once.  The self pairs (the grid's,
+then every pair point's) are graded where their points already are: the
+grid's in one evaluation first, each pair point's in its pair's block.  The
+random pairs, the triples and the entropy audit's pair points are evaluated
+and graded one block at a time (_blocks), cut where the block rule of sets
+and libraries (measures._blocked) cuts, so no sample-sized value array is
+built: each rule keeps its first witness in sample order (_Found), and each
+statistic its blocks' minima or maxima, which numpy's reductions combine,
+so a nan propagates as over one array.
 The grid sweep covers every unordered grid pair i <= j, in blocks of the
 same measures._BLOCK_CELLS cells.  Where the channel sums keep their bits
 when mu and nu swap in both points (_mirror), it covers one of each such
@@ -264,14 +267,6 @@ def _blocks(n: int) -> list[slice]:
     return [slice(lo, lo + measures._BLOCK_CELLS) for lo in range(0, n, measures._BLOCK_CELLS)]
 
 
-def _rows(first: np.ndarray, rest: np.ndarray, s: slice) -> np.ndarray:
-    """Rows s of first, then rest: a view, unless s straddles the two."""
-    g = len(first)
-    if s.start >= g:
-        return rest[s.start - g:s.stop - g]
-    return first[s] if s.stop <= g else np.concatenate([first[s.start:], rest[:s.stop - g]])
-
-
 def _fmt_ifv(mu: float, nu: float) -> str:
     return f"<{mu:.17g}, {nu:.17g}>"
 
@@ -339,7 +334,8 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
     """Audit a measure's distance against S1-S5 and the triangle inequality.
 
     The grid sweep runs on a helper thread while this thread evaluates and
-    grades the blocks of the pairs, self pairs and triples, then the chains;
+    grades the self pairs (the grid's, then every pair point's, each in its
+    pair's block), the blocks of the pairs and triples, then the chains;
     the thread is joined before S1, S2 and S5 read the sweep, and before any
     error leaves this function.  The sweep's result does not depend on that
     timing, so the report is the one a serial run gives, byte for byte.  So
@@ -357,6 +353,8 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
     kernel, found = m.pair_batch, _Found()
     lows, highs, positives, worsts = [], [], [], []  # each block's statistic
     try:
+        d_self = _eval_pairs(kernel, grid, grid)
+        found.grade("S2 self", d_self != 0.0, {"a": grid, "d(a,a)": d_self})
         pairs = _uniform(config, 0, 2, config.random_pairs)
         for s in _blocks(len(pairs)):
             pa, pb = pairs[s, 0], pairs[s, 1]
@@ -369,11 +367,10 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
             highs.append(np.max(d_ab))
             if distinct.any():
                 positives.append(np.min(d_ab[distinct]))
-        points = pairs.reshape(-1, 2)
-        for s in _blocks(len(grid) + len(points)):  # the grid's, then every pair point
-            p = _rows(grid, points, s)
-            d_self = _eval_pairs(kernel, p, p)
-            found.grade("S2 self", d_self != 0.0, {"a": p, "d(a,a)": d_self})
+            # the points' self pairs in the order of pairs.reshape(-1, 2), a then
+            # b: two calls of one block each, so _blocked joins nothing
+            d_self = np.stack([_eval_pairs(kernel, pa, pa), _eval_pairs(kernel, pb, pb)], axis=1)
+            found.grade("S2 self", d_self != 0.0, {"a": pairs[s], "d(a,a)": d_self})
     except BaseException:
         stop.set()
         helper.join()
@@ -730,11 +727,10 @@ def audit_entropy(config: AuditConfig) -> AxiomReport:
     # the grid, then every point of the distance audit's random pairs
     points = _uniform(config, 0, 2, config.random_pairs).reshape(-1, 2)
     found, g = _Found(), len(grid)
-    for s in _blocks(g + len(points)):
-        p = _rows(grid, points, s)
+    for p in (grid, *(points[s] for s in _blocks(len(points)))):
         ent, ent_c = _entropy_batch(p), _entropy_batch(p[:, ::-1])
-        k = max(0, g - s.start)  # the block's grid points
-        found.grade("E1", (ent[:k] == 0.0) != _is_endpoint(p[:k]), {"a": p[:k], "E": ent[:k]})
+        if p is grid:
+            found.grade("E1", (ent == 0.0) != _is_endpoint(p), {"a": p, "E": ent})
         found.grade("E2", (ent == 1.0) != (p[:, 0] == p[:, 1]), {"a": p, "E": ent})
         found.grade("E3", ent != ent_c, {"a": p, "E(a)": ent, "E(a^c)": ent_c})
     pinned = _entropy_batch(_PINNED_ENTROPY)

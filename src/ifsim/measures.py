@@ -321,22 +321,19 @@ def js_norm(a: IFV, b: IFV) -> float:
 # weighted measures on IFSs
 # ---------------------------------------------------------------------------
 
-def _blocked(f: Callable[..., np.ndarray], *args, row_shape: tuple | None = None) -> np.ndarray:
+def _blocked(f: Callable[..., np.ndarray], *args) -> np.ndarray:
     """f(*args) on row blocks of the args' broadcast shape, at most
     _BLOCK_CELLS cells (one row at the least) each, so a kernel's
     temporaries stay cache-sized; an arg spanning the leading axis is cut,
-    any other passed whole, and the results are joined in row order.
-    row_shape is the shape of f's value for one row, by default that of the
-    row's cells, so that the result is allocated before the first block."""
+    any other passed whole, and the results are joined in row order by
+    np.concatenate.  Args of at most one block are one call, not joined."""
     shape = np.broadcast(*args).shape  # not np.broadcast_shapes: several us slower
     step = max(1, _BLOCK_CELLS // max(1, math.prod(shape[1:])))
     if shape[0] <= step:
         return f(*args)
     cut = [x.ndim == len(shape) and len(x) > 1 for x in args]
-    out = np.empty(shape[:1] + (shape[1:] if row_shape is None else row_shape))
-    for lo in range(0, shape[0], step):
-        out[lo:lo + step] = f(*(x[lo:lo + step] if c else x for x, c in zip(args, cut)))
-    return out
+    return np.concatenate([f(*(x[lo:lo + step] if c else x for x, c in zip(args, cut)))
+                           for lo in range(0, shape[0], step)])
 
 
 def aggregate(kernel: Callable[..., np.ndarray], a, b: IFS, w: WeightVector | None = None):
@@ -347,12 +344,13 @@ def aggregate(kernel: Callable[..., np.ndarray], a, b: IFS, w: WeightVector | No
     degree stack of P sets over it (a PatternLibrary); the result is a float
     for an IFS and an array of P values for a stack, value i being that of
     set i alone, bit for bit.  An IFS is a stack of one set, and a stack
-    is scored by _blocked in blocks of whole sets, so the kernel's
-    temporaries stay cache-sized whatever P is.  The kernel gets the stored
-    mu and nu rows as views, without a copy.  The mean is np.add.reduce
-    over n, the reduction and divide of ndarray.mean, and the weighted sum
-    is np.vecdot, which runs one BLAS ddot per row as np.dot does on one
-    set: a row's bits do not depend on its block.  Raises
+    is scored by _blocked in blocks of whole sets, whose values it joins
+    in set order, so the kernel's temporaries stay cache-sized whatever P
+    is.  The kernel gets the stored mu and nu rows as views, without a
+    copy.  The mean is np.add.reduce over n, the reduction and divide of
+    ndarray.mean, and the weighted sum is np.vecdot, which runs one BLAS
+    ddot per row as np.dot does on one set: a row's bits do not depend on
+    its block.  Raises
     UniverseMismatchError unless a and b share a universe, and
     WeightLengthMismatchError for a w of the wrong length."""
     _require_same_universe(a, b)
@@ -367,7 +365,7 @@ def aggregate(kernel: Callable[..., np.ndarray], a, b: IFS, w: WeightVector | No
         return np.vecdot(per_element, w.array)
 
     da, db = a.degrees.reshape(2, -1, n), b.degrees
-    values = _blocked(reduce, da[0], da[1], db[0], db[1], row_shape=())
+    values = _blocked(reduce, da[0], da[1], db[0], db[1])
     return float(values[0]) if a.degrees.ndim == 2 else values
 
 

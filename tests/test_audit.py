@@ -292,9 +292,10 @@ class TestChainGrading:
 
 # The grid sweep runs on a helper thread while the calling thread evaluates
 # the samples.  With TINY every sample is one kernel call, in this order:
-# the pairs (calls 1, 2) and self pairs (3), the triples (4-6), the chains
-# (7-9), then S5's families (10); the sweep of its 0.01 grid (431 blocks)
-# never calls the kernel, only the split.
+# the grid's self pairs (call 1), the pairs (2, 3) and their points' self
+# pairs (4, 5), the triples (6-8), the chains (9-11), then S5's families
+# (12); the sweep of its 0.01 grid (431 blocks) never calls the kernel,
+# only the split.
 TINY = AuditConfig(grid_step=0.01, random_pairs=100, random_triples=100, chain_samples=50,
                    seed=3)
 TINY_BLOCKS = 431
@@ -332,7 +333,7 @@ class TestSweepThread:
         m, calls = _rigged(hook=lambda name: threads[name].add(threading.get_ident()))
         report = audit_distance(m, TINY)
         assert report.passed
-        assert calls == {"kernel": 10, "finish": TINY_BLOCKS}
+        assert calls == {"kernel": 12, "finish": TINY_BLOCKS}
         assert report.checks == audit_distance(get_measure("wu"), TINY).checks
         # the kernel runs on the calling thread only, the finish on one helper
         assert threads["kernel"] == {threading.get_ident()}
@@ -346,12 +347,13 @@ class TestSweepThread:
     @pytest.mark.parametrize("kernel_fails_at,finish_fails_at,raised,blocks", [
         # an error from the pairs or self pairs precedes the sweep's
         (1, 1, "kernel", None), (3, TINY_BLOCKS, "kernel", None),
+        (5, TINY_BLOCKS, "kernel", None),
         # the sweep's error precedes one from the triples or chains
-        (4, TINY_BLOCKS, "sweep", TINY_BLOCKS), (9, 1, "sweep", 1),
+        (6, TINY_BLOCKS, "sweep", TINY_BLOCKS), (9, 1, "sweep", 1),
         (0, TINY_BLOCKS, "sweep", TINY_BLOCKS),
         # which wait for the sweep to finish, as S5 does
-        (4, 0, "kernel", TINY_BLOCKS), (7, 0, "kernel", TINY_BLOCKS),
-        (10, 0, "kernel", TINY_BLOCKS),
+        (6, 0, "kernel", TINY_BLOCKS), (7, 0, "kernel", TINY_BLOCKS),
+        (10, 0, "kernel", TINY_BLOCKS), (12, 0, "kernel", TINY_BLOCKS),
     ])
     def test_errors_keep_the_serial_order(self, kernel_fails_at, finish_fails_at, raised, blocks):
         m, calls = _rigged(kernel_fails_at, finish_fails_at)
@@ -533,6 +535,30 @@ class TestBlockGrading:
         assert report.checks == checks and report.counts == counts
         failing = {x.axiom for x in report.checks if x.verdict != "pass"}
         assert failing == ({"S1", "S2", "S3", "D-triangle"} if planted else set())
+
+    @pytest.mark.parametrize("points", [
+        # a grid point beats every pair point, the first pair's included
+        lambda grid, pairs: (grid[200], pairs[0, 0]),
+        # within one pair, a comes before b
+        lambda grid, pairs: (pairs[150, 0], pairs[150, 1]),
+        # an earlier pair's b comes before a later block's a
+        lambda grid, pairs: (pairs[99, 1], pairs[100, 0]),
+    ], ids=["grid-first", "a-before-b", "b-before-next-block"])
+    def test_self_pair_witness_order(self, monkeypatch, points):
+        # a nonzero d(a,a) planted at two points, the witness first, in
+        # blocks of 100 samples
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", 100)
+        c = _over_blocks(100)
+        plants = np.array(points(grid_points(c.grid_step), audit._uniform(c, 0, 2, c.random_pairs)))
+        wu = get_measure("wu")
+
+        def planted(ma, na, mb, nb):
+            at = ((ma[..., None] == plants[:, 0]) & (na[..., None] == plants[:, 1])).any(axis=-1)
+            return np.where(at & (ma == mb) & (na == nb), 0.25, wu.pair_batch(ma, na, mb, nb))
+
+        entry = audit_distance(MeasureDescriptor("wu", {}, wu.evaluator, planted, wu.split), c).entry("S2")
+        assert (entry.verdict, entry.detail) == ("fail", "d(a,a) != 0")
+        assert entry.witness == {"a": audit._fmt_ifv(*plants[0]), "d(a,a)": "0.25"}
 
     @pytest.mark.parametrize("block", [measures._BLOCK_CELLS, 100])
     @pytest.mark.parametrize("planted", [False, True])

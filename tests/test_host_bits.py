@@ -29,7 +29,7 @@ GOLDEN_TESTS = [
 @pytest.mark.xfail(strict=True, reason="item 18: the goldens hold only under numpy's AVX-512 loops")
 def test_goldens_hold_under_the_avx2_loops():
     child = subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", *GOLDEN_TESTS],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *GOLDEN_TESTS],
         cwd=ROOT, env={**os.environ, **AVX2_ONLY}, capture_output=True, text=True, timeout=600,
     )
     assert child.returncode == 0, child.stdout[-4000:]
