@@ -36,10 +36,12 @@ and libraries (measures._blocked) cuts, so no sample-sized value array is
 built: each rule keeps its first witness in sample order (_Found), and each
 statistic its blocks' minima or maxima, which numpy's reductions combine,
 so a nan propagates as over one array.
-The grid sweep covers every unordered grid pair i <= j, in blocks of the
-same measures._BLOCK_CELLS cells.  Where the channel sums keep their bits
-when mu and nu swap in both points (_mirror), it covers one of each such
-mirrored pair of pairs, about half the cells.  The sweep does not call
+The grid sweep takes its cells under one grid permutation sigma (_mirror),
+in blocks of the same measures._BLOCK_CELLS cells: the rows i <= sigma i,
+each against the columns j with j and sigma j at or past the block's first
+row.  sigma is the mirror <mu, nu> -> <nu, mu> where every channel sum
+keeps its bits under it, which gives about half the pairs i <= j, and the
+identity elsewhere, which gives those pairs.  The sweep does not call
 pair_batch: it tabulates each channel's own term of the descriptor's split
 (measures.KernelSplit) on the channel's distinct grid values, and each block
 adds the gathered table entries by the kernel's own measures.channel_sum,
@@ -60,10 +62,13 @@ out of range, and the range and sup follow numpy's reductions on it.
 
 audit_distance runs the sweep on one helper thread, started after the grid
 is built and joined before S1, S2 and S5 read it, while the calling thread
-evaluates the random pairs, self pairs, triples and chains.  The sweep
-reads nothing those samples write, and its result depends on the grid and
-the kernel alone, so the reports are the same bytes as a serial run's; the
-helper runs under a copy of the caller's context, np.errstate included.
+evaluates the random pairs, self pairs, triples, chains and S5's probes.
+The sweep reads nothing those samples write, and its result depends on
+the grid and the kernel alone, so the reports are the same bytes as a
+serial run's; the helper runs under a copy of the caller's context,
+np.errstate included.  An interrupt in any phase, or during the wait for
+the sweep, stops the sweep within one block, and no thread outlives the
+audit.
 """
 
 from __future__ import annotations
@@ -321,13 +326,15 @@ def _graded(margin: np.ndarray, tol: float, columns: dict, strict: bool = False)
 # distance audit
 # ---------------------------------------------------------------------------
 
-def _sweep_into(outcome: list, *args) -> None:
+def _sweep_into(outcome: list, done: threading.Event, *args) -> None:
     """The helper thread's target: append _grid_matrix_sweep(*args), or the
-    exception it raised, to outcome, for the calling thread to read."""
+    exception it raised, to outcome, for the calling thread to read, and
+    set done."""
     try:
         outcome.append(_grid_matrix_sweep(*args))
     except BaseException as exc:  # raised again in the calling thread
         outcome.append(exc)
+    done.set()
 
 
 def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
@@ -335,23 +342,25 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
 
     The grid sweep runs on a helper thread while this thread evaluates and
     grades the self pairs (the grid's, then every pair point's, each in its
-    pair's block), the blocks of the pairs and triples, then the chains;
-    the thread is joined before S1, S2 and S5 read the sweep, and before any
-    error leaves this function.  The sweep's result does not depend on that
-    timing, so the report is the one a serial run gives, byte for byte.  So
-    is the error raised: one from the pairs or self pairs stops the sweep,
-    and the sweep's own error wins over one from the triples or chains.
+    pair's block), the blocks of the pairs and triples, then the chains and
+    S5's probes; the thread is joined before S1, S2 and S5 read the sweep,
+    and before any error leaves this function.  The sweep's result does not
+    depend on that timing, so the report is the one a serial run gives,
+    byte for byte.  So is an Exception raised: one from the pairs or self
+    pairs stops the sweep, and the sweep's own error wins over one from the
+    triples, chains or probes.  Any other BaseException (an interrupt),
+    raised in any phase or during the wait for the sweep, stops the sweep
+    within one block and is raised once the helper has ended.
     """
     t0 = time.perf_counter()
     tol = config.tolerance
     grid = grid_points(config.grid_step)
-    stop, outcome = threading.Event(), []
-    helper = threading.Thread(target=contextvars.copy_context().run,
-                              args=(_sweep_into, outcome, m, grid, tol, stop))
-    helper.start()
-
-    kernel, found = m.pair_batch, _Found()
+    kernel, found, waits = m.pair_batch, _Found(), False
     lows, highs, positives, worsts = [], [], [], []  # each block's statistic
+    stop, done, outcome = threading.Event(), threading.Event(), []
+    helper = threading.Thread(target=contextvars.copy_context().run,
+                              args=(_sweep_into, outcome, done, m, grid, tol, stop))
+    helper.start()
     try:
         d_self = _eval_pairs(kernel, grid, grid)
         found.grade("S2 self", d_self != 0.0, {"a": grid, "d(a,a)": d_self})
@@ -371,11 +380,7 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
             # b: two calls of one block each, so _blocked joins nothing
             d_self = np.stack([_eval_pairs(kernel, pa, pa), _eval_pairs(kernel, pb, pb)], axis=1)
             found.grade("S2 self", d_self != 0.0, {"a": pairs[s], "d(a,a)": d_self})
-    except BaseException:
-        stop.set()
-        helper.join()
-        raise
-    try:
+        waits = True  # from here on an Exception waits for the sweep
         triples = _uniform(config, 1, 3, config.random_triples)
         for s in _blocks(len(triples)):
             ta, tb, tc = triples[s, 0], triples[s, 1], triples[s, 2]
@@ -389,10 +394,25 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
         worst = float(np.max(worsts))
         chains = _chains_array(config)
         chain_checks = _chain_checks(m, chains, tol)
+        probes = _s5_probes(kernel, grid)
+    except BaseException as exc:
+        if not (waits and isinstance(exc, Exception)):
+            stop.set()  # an error from the pairs, or an interrupt: the sweep is not read
+        raise
     finally:
-        helper.join()
-        if isinstance(outcome[0], BaseException):
-            raise outcome[0]
+        # wait on done, not in join(): on CPython 3.11 a join() that an
+        # interrupt breaks off marks the running thread as ended, and the
+        # next join() returns at once; so join() runs once the sweep is over
+        try:
+            done.wait()
+        except BaseException:  # an interrupt during the wait
+            stop.set()
+            done.wait()
+            raise
+        finally:
+            helper.join()
+        if not stop.is_set() and isinstance(outcome[0], BaseException):
+            raise outcome[0]  # the sweep's error comes first, as in a serial run
     sweep = outcome[0]
 
     # numpy's reductions combine the blocks' statistics, so a nan propagates
@@ -412,7 +432,7 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
             ("fail", sweep["positivity_witness"], "d(a,b) == 0 for a != b"),
         ], "d(a,a)=0 everywhere; d>0 on all distinct sampled pairs", {"min_off_diagonal": min_off}),
         *chain_checks,
-        _maximality_check(m, sweep, grid, tol),
+        _maximality_check(sweep, probes, tol),
         _verdict("D-triangle", [
             ("fail", found["D-triangle"], f"violated beyond tolerance {tol:g}"),
         ], f"max excess {worst:.3g} <= {tol:g}", {"max_excess": worst}),
@@ -426,17 +446,18 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
     return AxiomReport(m.label(), tuple(checks), counts, time.perf_counter() - t0)
 
 
-def _mirror(grid: np.ndarray, tables: list) -> np.ndarray | None:
-    """sigma, the index of each grid point's mirror <nu, mu>, when every
-    channel sum is unchanged by sigma applied to both points; else None.
+def _mirror(grid: np.ndarray, tables: list) -> np.ndarray:
+    """sigma, a permutation of the grid's indices under which every channel
+    sum keeps its bits when applied to both points: the index of each grid
+    point's mirror <nu, mu> where the test below passes, else the identity.
 
-    Each part of the test is exact: the grid is closed under sigma (grid[sigma]
-    has the bytes of grid[:, ::-1]); the tables of channels 0 and 1 have the
-    same bytes, so +-0 and nan payloads are told apart; k0[sigma] == k1; and
-    k[sigma] == k for every later channel.  The sum at (sigma i, sigma j) then
-    adds the entries of (i, j) in channels 0 and 1 in the other order, and
-    fl(+) commutes, so the two sums have the same bits, whatever the terms,
-    but for a nan's payload.
+    Each part of the test is exact: the grid is closed under the mirror
+    (grid[sigma] has the bytes of grid[:, ::-1]); the tables of channels 0
+    and 1 have the same bytes, so +-0 and nan payloads are told apart;
+    k0[sigma] == k1; and k[sigma] == k for every later channel.  The sum at
+    (sigma i, sigma j) then adds the entries of (i, j) in channels 0 and 1
+    in the other order, and fl(+) commutes, so the two sums have the same
+    bits, whatever the terms, but for a nan's payload.
     """
     (t0, k0), (t1, k1), *rest = tables
     sigma = np.empty(len(grid), dtype=np.intp)
@@ -446,7 +467,7 @@ def _mirror(grid: np.ndarray, tables: list) -> np.ndarray | None:
             and np.array_equal(k0[sigma], k1)
             and all(np.array_equal(k[sigma], k) for _, k in rest)):
         return sigma
-    return None
+    return np.arange(len(grid))
 
 
 def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
@@ -456,12 +477,11 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
     the split's finish, which the caller may write into until it asks for
     the next block.
 
-    Where the channel sums are unchanged by the mirror sigma: <mu, nu> ->
-    <nu, mu> applied to both points (_mirror), the rows are those i with
+    For sigma the grid permutation of _mirror, the rows are those i with
     i <= sigma i, in runs of consecutive rows, and a block's columns are the
-    j >= lo with sigma j >= lo, an index array that starts with lo..hi-1.
-    Elsewhere every row is swept, as one run, against the columns lo:, a
-    slice.  _grid_matrix_sweep tells why these cells are enough.
+    j >= lo with sigma j >= lo, a sorted index array that starts with
+    lo..hi-1: every row against the columns lo.. where sigma is the
+    identity.  _grid_matrix_sweep tells why these cells are enough.
 
     Each channel gets a table term(u[:, None], u[None, :]) of its own term
     on its distinct grid values u (KernelSplit._terms), and each grid point
@@ -480,21 +500,17 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
     us, ks = zip(*(np.unique(x, return_inverse=True) for x in m.split.channels(grid[:, 0], grid[:, 1])))
     tables = list(zip(m.split._terms([u[:, None] for u in us], [u[None, :] for u in us]), ks))
     sigma = _mirror(grid, tables)
-    if sigma is None:
-        runs, low = [(0, g)], None
-    else:  # the runs [start, stop) of rows i <= sigma i
-        edges = np.flatnonzero(np.diff(np.arange(g) <= sigma, prepend=False, append=False)).tolist()
-        runs = zip(edges[::2], edges[1::2])
-        # j is a column of block lo when low[j] >= lo; in sigma's array
-        low = np.minimum(np.arange(g), sigma, out=sigma)
+    # the runs [start, stop) of rows i <= sigma i
+    edges = np.flatnonzero(np.diff(np.arange(g) <= sigma, prepend=False, append=False)).tolist()
+    # j is a column of block lo when low[j] >= lo; in sigma's array
+    low = np.minimum(np.arange(g), sigma, out=sigma)
     cells = max(measures._BLOCK_CELLS, g)  # the largest block below
     sums, gathered = np.empty(cells), np.empty(cells)
-    for lo, stop in runs:
+    for lo, stop in zip(edges[::2], edges[1::2]):
         while lo < stop:
-            cols = slice(lo, None) if low is None else lo + np.flatnonzero(low[lo:] >= lo)
-            width = g - lo if low is None else len(cols)
-            hi = min(lo + max(1, measures._BLOCK_CELLS // width), stop)
-            shape, n = (width, hi - lo), width * (hi - lo)  # column-major
+            cols = lo + np.flatnonzero(low[lo:] >= lo)
+            hi = min(lo + max(1, measures._BLOCK_CELLS // len(cols)), stop)
+            shape, n = (len(cols), hi - lo), len(cols) * (hi - lo)  # column-major
             total = sums[:n].reshape(shape)
             # the indices are np.unique's inverse, always in range; "clip"
             # spares the copy that mode="raise" makes of an out= array.
@@ -507,15 +523,6 @@ def _sweep_blocks(m: MeasureDescriptor, grid: np.ndarray):
             lo = hi
 
 
-def _positions(cols, indices: list) -> list:
-    """The positions in cols, a slice start: or a sorted index array, of
-    those grid indices it holds, in the order of indices."""
-    if type(cols) is slice:
-        return [i - cols.start for i in indices if i >= cols.start]
-    at = np.searchsorted(cols, indices).tolist()
-    return [p for p, i in zip(at, indices) if p < len(cols) and cols[p] == i]
-
-
 def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
                        stop: threading.Event | None = None) -> dict | None:
     """Grid x grid pass over the pairs that stand for every ordered pair,
@@ -525,25 +532,21 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
 
     Rows are taken in blocks [lo, hi), each sized to stay in cache and
     filled with channel sums from the split's per-channel term tables
-    (_sweep_blocks), in row-major order of the full matrix.  In general a
-    block's columns are lo:, the upper triangle plus the diagonal tile.
-    This relies on the kernel being exactly symmetric (S3 checks it): a
-    witness at (i, j) with j < i is mirrored by (j, i) in an earlier row,
-    so the first witness and the first argmax in row-major order of the
-    full matrix are the ones found here.
-
-    Where the channel sums are also unchanged by the mirror sigma: <mu, nu>
-    -> <nu, mu> applied to both points (_mirror: xiao, yc and J_gamma, but
-    not wu, whose mu term reads 1 - x), the rows are only those i with
-    i <= sigma i, against the columns j >= lo with sigma j >= lo, about half
-    the cells.  Each orbit {(i, j), (j, i), (sigma i, sigma j), (sigma j,
-    sigma i)} then holds one value: the transpose by the kernel's symmetry,
-    sigma by the tables.  The orbit's row-major first cell (r, c) has
-    r <= c, r <= sigma r and r <= sigma c, so it is swept.  The diagonal and
-    the endpoint pair are both closed under sigma.  So the first witness,
-    the sup's first argmax and every minimum and maximum are those of the
-    full matrix.  Mirrored cells can differ only in a nan payload (x86
-    keeps the first operand's), which no report prints.
+    (_sweep_blocks), in row-major order of the full matrix.  For sigma the
+    grid permutation of _mirror, the rows are those i with i <= sigma i and
+    a block's columns the j >= lo with sigma j >= lo.  sigma is the mirror
+    <mu, nu> -> <nu, mu> where the channel sums keep their bits under it
+    applied to both points (xiao, yc and J_gamma, but not wu, whose mu term
+    reads 1 - x), which sweeps about half the cells, and the identity
+    elsewhere, which sweeps the upper triangle and the diagonal, i <= j.
+    Each orbit {(i, j), (j, i), (sigma i, sigma j), (sigma j, sigma i)}
+    holds one value: the transpose by the kernel's exact symmetry (S3
+    checks it), sigma by the tables.  The orbit's row-major first cell
+    (r, c) has r <= c, r <= sigma r and r <= sigma c, so it is swept.  The
+    diagonal and the endpoint pair are both closed under sigma.  So the
+    first witness, the sup's first argmax and every minimum and maximum
+    are those of the full matrix.  Mirrored cells can differ only in a nan
+    payload (x86 keeps the first operand's), which no report prints.
 
     Each block takes two full reductions, in place: its minimum with the
     diagonal masked to +inf, and its maximum with the diagonal and the
@@ -602,7 +605,8 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
         diag = cells = slice(0, w * (w + 1), w + 1)  # the masked cells, as flat indices
         rows = [e - lo for e in ends if lo <= e < lo + w]
         if rows:  # the two endpoint pairs are exempt from the supremum
-            cells = np.r_[diag, [c * w + r for r in rows for c in _positions(cols, ends)]]
+            at = np.flatnonzero(np.isin(cols, ends))  # the endpoint columns, by position
+            cells = np.r_[diag, [c * w + r for r in rows for c in at]]
         kept = flat[cells].copy()  # saved before any mask
         flat[diag] = np.inf
         off_min = total.min()
@@ -632,8 +636,7 @@ def _grid_matrix_sweep(m: MeasureDescriptor, grid: np.ndarray, tol: float,
             flat[cells] = -np.inf
         if new_sup:
             bi, bj = divmod(int(block.argmax()), block.shape[1])  # row-major, as argmax counts
-            j = lo + bj if type(cols) is slice else int(cols[bj])
-            sup, sup_at = block[bi, bj], (lo + bi, j)
+            sup, sup_at = block[bi, bj], (lo + bi, int(cols[bj]))
         flat[cells] = kept
 
         def witness(mask: np.ndarray, exempt) -> dict | None:
@@ -684,26 +687,29 @@ def _chain_checks(m: MeasureDescriptor, chains: np.ndarray, tol: float) -> list[
     return checks
 
 
-def _maximality_check(m: MeasureDescriptor, sweep: dict, grid: np.ndarray,
-                      tol: float) -> AxiomCheck:
-    """S5: the endpoint pair at distance 1, and no other pair within tol of 1,
-    on the grid or among the parametric families <l,0>, <0,l>, <l,1-l>
-    (l on the grid's mu axis) probed against both endpoints."""
+def _s5_probes(kernel, grid: np.ndarray) -> dict:
+    """S5's probe pairs a, b and their distances d: the endpoint pair, then
+    each parametric family <l,0>, <0,l>, <l,1-l> (l on the grid's mu axis)
+    against each endpoint."""
     lam = np.unique(grid[:, 0])
     zeros = np.zeros_like(lam)
     families = [np.column_stack(f) for f in ((lam, zeros), (zeros, lam), (lam, 1.0 - lam))]
-    # the endpoint pair first, then each family against each endpoint
     a = np.vstack([_ENDPOINTS[:1], *(f for f in families for _ in _ENDPOINTS)])
     b = np.vstack([_ENDPOINTS[1:],
                    *(np.broadcast_to(e, f.shape) for f in families for e in _ENDPOINTS)])
-    d = _eval_pairs(m.pair_batch, a, b)
+    return {"a": a, "b": b, "d": _eval_pairs(kernel, a, b)}
+
+
+def _maximality_check(sweep: dict, probes: dict, tol: float) -> AxiomCheck:
+    """S5: the endpoint pair at distance 1, and no other pair within tol of 1,
+    on the grid or among the parametric families of _s5_probes."""
+    a, b, d = probes["a"], probes["b"], probes["d"]
     exempt = _is_endpoint(a) & _is_endpoint(b) & (a != b).any(axis=1)
-    cols = {"a": a, "b": b, "d": d}
     sup_a, sup_b = sweep["sup_pair"]
     return _verdict("S5", [
-        ("fail", _witness(~(np.abs(d[:1] - 1.0) <= tol), cols), "endpoint pair not at distance 1"),
+        ("fail", _witness(~(np.abs(d[:1] - 1.0) <= tol), probes), "endpoint pair not at distance 1"),
         ("fail", sweep["near_one_witness"], "non-endpoint pair at distance 1"),
-        ("fail", _witness(~(d < 1.0 - tol) & ~exempt, cols),
+        ("fail", _witness(~(d < 1.0 - tol) & ~exempt, probes),
          "non-endpoint pair at distance 1 (parametric family)"),
     ], (
         f"endpoints at 1; sup over non-endpoint pairs {sweep['sup']:.17g} "

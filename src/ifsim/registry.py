@@ -106,15 +106,15 @@ def get_measure(name: str, **params: float) -> MeasureDescriptor:
     # Pinned by perfbench/layers.py, which traces by rebinding module
     # attributes and dataclasses.replace(md, evaluator=, pair_batch=), and
     # whose test wants every layer metric > 0 and ifsim.audit.js_norm_batch:
-    # evaluators look dist_* up at call time, and the wu, xiao, yc and jgamma
-    # kernels are the *_batch forwarders, called only here and from audit.
+    # the wu, xiao and yc evaluators look dist_* up at call time, and the
+    # wu, xiao, yc and jgamma kernels are the *_batch forwarders, called
+    # only here and from audit.  wu-lambda and jgamma aggregate their split.
     if name == "wu":
         kernel, split = measures.js_norm_batch, measures.WU_SPLIT
         ev = lambda a, b, w: measures.dist_wu(a, b, w)
     elif name == "wu-lambda":
-        lam = params["lambda"]
-        kernel = split = measures.wu_lambda_split(lam)
-        ev = lambda a, b, w: measures.dist_wu_lambda(a, b, w, lam)
+        kernel = split = measures.wu_lambda_split(params["lambda"])
+        ev = lambda a, b, w: measures.aggregate(split, a, b, w)
     elif name == "xiao":
         kernel, split = baselines.xiao_elem_batch, baselines.XIAO_SPLIT
         ev = lambda a, b, w: baselines.dist_xiao(a, b)

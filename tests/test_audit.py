@@ -1,5 +1,6 @@
 """The axiom auditor: deterministic sampling, verdicts, witnesses."""
 
+import signal
 import sys
 import threading
 import time
@@ -294,8 +295,8 @@ class TestChainGrading:
 # the samples.  With TINY every sample is one kernel call, in this order:
 # the grid's self pairs (call 1), the pairs (2, 3) and their points' self
 # pairs (4, 5), the triples (6-8), the chains (9-11), then S5's families
-# (12); the sweep of its 0.01 grid (431 blocks) never calls the kernel,
-# only the split.
+# (12), all before the wait for the sweep; the sweep of its 0.01 grid (431
+# blocks) never calls the kernel, only the split.
 TINY = AuditConfig(grid_step=0.01, random_pairs=100, random_triples=100, chain_samples=50,
                    seed=3)
 TINY_BLOCKS = 431
@@ -305,10 +306,16 @@ class Boom(Exception):
     pass
 
 
-def _rigged(kernel_fails_at: int = 0, finish_fails_at: int = 0, hook=None):
-    """wu with a kernel that raises Boom("kernel") on its kernel_fails_at-th
-    call and a split whose finish raises Boom("sweep") on its
-    finish_fails_at-th; hook("kernel" or "finish") runs before each call."""
+class Halt(BaseException):
+    """An interrupt, as KeyboardInterrupt is, but one that pytest does not
+    take for the user's."""
+
+
+def _rigged(kernel_fails_at: int = 0, finish_fails_at: int = 0, hook=None, error=Boom):
+    """wu with a kernel that raises error("kernel") (Boom unless given) on its
+    kernel_fails_at-th call and a split whose finish raises error("sweep")
+    on its finish_fails_at-th; hook("kernel" or "finish") runs before each
+    call."""
     wu = get_measure("wu")
     calls = {"kernel": 0, "finish": 0}
 
@@ -318,13 +325,19 @@ def _rigged(kernel_fails_at: int = 0, finish_fails_at: int = 0, hook=None):
             if hook is not None:
                 hook(name)
             if calls[name] == fails_at:
-                raise Boom("sweep" if name == "finish" else name)
+                raise error("sweep" if name == "finish" else name)
             return f(*args)
         return call
 
     split = wu.split._replace(finish=rigged("finish", finish_fails_at, wu.split.finish))
     kernel = rigged("kernel", kernel_fails_at, wu.pair_batch)
     return MeasureDescriptor("wu", {}, wu.evaluator, kernel, split), calls
+
+
+def _slow_sweep(name: str) -> None:
+    """A hook that makes a sweep of TINY take 2 * TINY_BLOCKS ms at the least."""
+    if name == "finish":
+        time.sleep(0.002)
 
 
 class TestSweepThread:
@@ -390,6 +403,42 @@ class TestSweepThread:
         assert threading.active_count() == before
         assert 1 <= calls["finish"] < TINY_BLOCKS
 
+    @pytest.mark.parametrize("kernel_fails_at", [6, 12])  # the first triple, S5's probes
+    def test_interrupt_stops_the_sweep(self, kernel_fails_at):
+        # an Exception at call 6 or 12 would wait for the whole sweep, whose
+        # own error comes first; an interrupt stops it within one block
+        m, calls = _rigged(kernel_fails_at, hook=_slow_sweep, error=Halt)
+        before = threading.active_count()
+        with pytest.raises(Halt, match="^kernel$"):
+            audit_distance(m, TINY)
+        assert threading.active_count() == before
+        assert calls["kernel"] == kernel_fails_at and calls["finish"] < TINY_BLOCKS
+
+    def test_interrupt_during_the_wait_stops_the_sweep(self):
+        # a timer signal every 5 ms, whose handler raises Halt once the
+        # calling thread, past the chains (call 11), waits in threading for
+        # the sweep
+        m, calls = _rigged(hook=_slow_sweep)
+        waited = []
+
+        def handler(signum, frame):
+            if calls["kernel"] >= 11 and frame.f_code.co_filename == threading.__file__:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+                waited.append(frame.f_code.co_name)
+                raise Halt("wait")
+
+        before = threading.active_count()
+        previous = signal.signal(signal.SIGALRM, handler)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.005, 0.005)
+            with pytest.raises(Halt, match="^wait$"):
+                audit_distance(m, TINY)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0.0)
+            signal.signal(signal.SIGALRM, previous)
+        assert len(waited) == 1 and threading.active_count() == before
+        assert calls["kernel"] == 12 and calls["finish"] < TINY_BLOCKS
+
 
 # ---------------------------------------------------------------------------
 # samples graded block by block, against the whole arrays
@@ -437,7 +486,7 @@ def _whole_array_distance(m: MeasureDescriptor, c: AuditConfig) -> tuple:
             ("fail", sweep["positivity_witness"], "d(a,b) == 0 for a != b"),
         ], "d(a,a)=0 everywhere; d>0 on all distinct sampled pairs", {"min_off_diagonal": min_off}),
         *audit._chain_checks(m, chains, tol),
-        audit._maximality_check(m, sweep, grid, tol),
+        audit._maximality_check(sweep, audit._s5_probes(kernel, grid), tol),
         audit._verdict("D-triangle", [
             ("fail", w(~(excess <= tol), triple_cols), f"violated beyond tolerance {tol:g}"),
         ], f"max excess {worst:.3g} <= {tol:g}", {"max_excess": worst}),

@@ -374,7 +374,7 @@ def test_sweep_allocates_its_buffers_once(monkeypatch):
     # the sweep's reductions work in the two per-sweep buffers, so no block
     # allocates an array of a block's size, and the peak is those buffers
     # and the term tables, whatever the number of blocks; for wu, whose
-    # blocks take the columns lo:, and for xiao, whose sweep is mirrored
+    # sweep takes every row, and for xiao, whose sweep is mirrored
     blocks, grid = audit._sweep_blocks, grid_points(0.01)
     block_bytes = max(measures._BLOCK_CELLS, len(grid)) * 8
     for m in get_measure("wu"), get_measure("xiao"):
@@ -425,21 +425,52 @@ def _mirror_index(grid: np.ndarray) -> np.ndarray:
     return np.array([where[nu, mu] for mu, nu in grid.tolist()])
 
 
+def _sigma(grid: np.ndarray, mirrored: bool) -> np.ndarray:
+    """The grid permutation the sweep should take: the mirror, or the identity."""
+    return _mirror_index(grid) if mirrored else np.arange(len(grid))
+
+
 def _checked_blocks(m: MeasureDescriptor, grid: np.ndarray, mirrored: bool):
-    """The sweep's (lo, cols, block), each checked against its layout as it
-    comes: mirrored, the rows i with i <= sigma i, each block against the
-    columns j >= lo with sigma j >= lo, for sigma the mirror; otherwise every
-    row against the columns lo:.  The rows are checked once all are swept."""
-    g, sigma = len(grid), _mirror_index(grid)
+    """The sweep's (lo, cols, block), each checked against its one layout as
+    it comes: the rows i with i <= sigma i, each block against the columns
+    j >= lo with sigma j >= lo, a sorted index array, for sigma the mirror
+    or, unmirrored, the identity (every row against the columns lo..).  The
+    rows are checked once all are swept."""
+    g, sigma = len(grid), _sigma(grid, mirrored)
     rows = []
     for lo, cols, block in audit._sweep_blocks(m, grid):
-        if mirrored:
-            assert np.array_equal(cols, np.flatnonzero((np.arange(g) >= lo) & (sigma >= lo)))
-        else:
-            assert cols == slice(lo, None)
+        want = np.flatnonzero((np.arange(g) >= lo) & (sigma >= lo))
+        assert cols.dtype == want.dtype and np.array_equal(cols, want)
         rows.extend(range(lo, lo + len(block)))
         yield lo, cols, block
-    assert rows == (np.flatnonzero(np.arange(g) <= sigma) if mirrored else np.arange(g)).tolist()
+    assert rows == np.flatnonzero(np.arange(g) <= sigma).tolist()
+
+
+@pytest.mark.parametrize("block_cells", [None, 97])
+@pytest.mark.parametrize("step", [0.05, 0.07, 0.3])
+@pytest.mark.parametrize("config", ["wu", "wu-lambda(2)", "xiao", "yc", "jgamma(1)"])
+def test_sweep_covers_every_orbit(monkeypatch, config, step, block_cells):
+    # the coverage rule the sweep's statistics rest on: each ordered pair
+    # (i, j) has the value of every cell of its orbit {(i, j), (j, i),
+    # (sigma i, sigma j), (sigma j, sigma i)}, by the kernel's symmetry and
+    # sigma's; the sweep visits a cell once at most, one cell or more of
+    # every orbit, and always the orbit's row-major first cell, the one a
+    # row-major scan of the full matrix meets first
+    if block_cells is not None:
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", block_cells)
+    measure, params = CONFIGS[config]
+    grid = grid_points(step)
+    g, sigma = len(grid), _sigma(grid, config in MIRRORED)
+    visits = np.zeros((g, g), dtype=int)
+    for lo, cols, block in audit._sweep_blocks(get_measure(measure, **params), grid):
+        assert (np.diff(cols) > 0).all()
+        visits[lo:lo + len(block), cols] += 1
+    assert visits.max() == 1
+    i, j = np.indices((g, g))
+    orbits = np.stack([i * g + j, j * g + i, sigma[i] * g + sigma[j], sigma[j] * g + sigma[i]])
+    swept = visits.reshape(-1) == 1
+    assert swept[orbits].any(axis=0).all()
+    assert swept[orbits.min(axis=0)].all()
 
 
 # at 0.05 and 0.07 the pi channel holds more distinct floats than the grid

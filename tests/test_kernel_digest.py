@@ -243,16 +243,17 @@ def test_mirror_identity(name):
 
 @pytest.mark.parametrize("name", list(CONFIGS))
 def test_sweep_mirrors_the_mirror_symmetric_kernels(name):
-    # at 0.01: the rows mu <= nu, each block against the mirror's columns
-    # (an index array), or every row against the columns lo: (a slice)
+    # at 0.01 (5151 points, 51 of them on mu == nu): the rows mu <= nu, each
+    # block against the mirror's columns, or every row against the columns
+    # j >= lo; in both, cols is an index array of the columns
     measure, params = CONFIGS[name]
-    layout = [(type(cols) is slice, block.size)
+    layout = [(len(block), block.size, len(cols))
               for _, cols, block in audit._sweep_blocks(get_measure(measure, **params),
                                                         grid_points(0.01))]
     full = name not in MIRRORED
-    assert {f for f, _ in layout} == {full}
-    assert (sum(n for _, n in layout), len(layout)) == (
-        (13_328_808, 431) if full else (6_715_738, 248))
+    assert all(n == w * c for w, n, c in layout)
+    assert (sum(w for w, _, _ in layout), sum(n for _, n, _ in layout), len(layout)) == (
+        (5151, 13_328_808, 431) if full else (2601, 6_715_738, 248))
 
 
 # the configurations whose finish is declared non-decreasing
