@@ -318,9 +318,14 @@ class WeightVector:
 
 
 def uniform_weights(n: int) -> WeightVector:
-    """Uniform weights (1/n, ..., 1/n); n must be an integer in [1, sys.maxsize]."""
+    """Uniform weights (1/n, ..., 1/n); n must be an integer in [1, sys.maxsize]
+    whose tuple of n weights memory can hold, else OutOfRangeError."""
     _count(n, 1, "n")
-    return WeightVector((1.0 / n,) * n)
+    try:
+        weights = (1.0 / n,) * n
+    except MemoryError:  # bare, with no message; sizes no tuple can have fail before allocating
+        raise OutOfRangeError(f"n = {n} weights do not fit in memory") from None
+    return WeightVector(weights)
 
 
 def check_weights(w: WeightVector, n: int) -> None:

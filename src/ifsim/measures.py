@@ -25,8 +25,9 @@ pi) for the rivals), each channel's two-point term is applied to it (here
 L(1-x, 1-y) on mu, L(x, y) on nu), the channel terms are added in channel
 order (channel_sum), and a finish maps that sum alone to the value
 (sqrt(z/2) here).  The finish gets an array, 0-d in a scalar call.  The
-kernel runs a term shared by every channel once on both sides' stacked
-channels, and a tuple of terms one channel at a time; the audit's grid
+kernel runs a term shared by every channel once on both sides' channels,
+stacked in one array at their broadcast shape (_channels), and a tuple of
+terms one channel at a time, on each channel as it is; the audit's grid
 sweep applies each channel's term to a table per channel, calls the same
 channel_sum on the gathered entries and applies the same finish to the
 sums (only to those its checks read, when the finish is declared
@@ -130,37 +131,21 @@ def _clamp_nonneg(x: np.ndarray, what: str) -> np.ndarray:
 
 
 def _channels(a: tuple, b: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The channel arrays of each side stacked along a new leading axis.
-
-    Each stack is built from its own side's arrays, unbroadcast against the
-    other side; the stack of lower ndim gets unit axes after its channel
-    axis, so the two stacks broadcast against each other as the channels do
-    and only the full-size operations broadcast.
-    """
-    a, b = _stack(a), _stack(b)
-    if a.ndim < b.ndim:
-        return _pad(a, b.ndim), b
-    if b.ndim < a.ndim:
-        return a, _pad(b, a.ndim)
-    return a, b
-
-
-def _stack(channels: tuple) -> np.ndarray:
-    shape = channels[0].shape
-    for c in channels:  # a loop, not a comprehension: no frame per kernel call
-        if c.shape != shape:
-            return np.array(np.broadcast_arrays(*channels))
-    return np.array(channels)
-
-
-def _pad(x: np.ndarray, ndim: int) -> np.ndarray:
-    return x.reshape(x.shape[:1] + (1,) * (ndim - x.ndim) + x.shape[1:])
+    """Both sides' channels in one float64 array of shape (len(a) + len(b),)
+    + the channels' broadcast shape, one channel a row (a 0-d or lower-rank
+    channel broadcasts on assignment), returned as the views of a's rows and
+    of b's rows: each stack has the full broadcast shape."""
+    out = np.empty((len(a) + len(b),) + np.broadcast(*a, *b).shape)
+    for i, c in enumerate(a + b):
+        out[i] = c
+    return out[:len(a)], out[len(a):]
 
 
 def _l_stacked(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """L(p, q) = p*log2(2p/s) + q*log2(2q/s), s = p + q, elementwise on
-    broadcastable arrays p, q >= 0: channel stacks (_channels), one channel of
-    each side, 0-d in a scalar call, or the two axes of a channel's table.
+    broadcastable arrays p, q >= 0: both sides' channel stacks, of one shape
+    (_channels), one channel of each side, 0-d in a scalar call, or the two
+    axes of a channel's table.
 
     The ratio form makes p == q an exact 0.  s is floored at the smallest
     subnormal when both sides hold a zero, so that p == q == 0 gives 0/s,
@@ -207,10 +192,11 @@ class KernelSplit(namedtuple("KernelSplit", "channels term finish")):
     only to the cells its checks read, after its reductions; any other
     runs on every cell first.
     Calling the split is the kernel.  A shared term runs once on both
-    sides' stacked channels (_channels), which saves numpy calls for a term
-    of many steps; a tuple runs each channel's term on that channel
-    (_terms), which saves the stacks' copies for a term of few steps and
-    lets channels differ in their term.  The bits are the same either way
+    sides' channels, copied into one array at the channels' broadcast shape
+    and passed as its two halves (_channels), which saves numpy calls for a
+    term of many steps; a tuple runs each channel's term on that channel as
+    it is (_terms), which saves the copy for a term of few steps and lets
+    channels differ in their term.  The bits are the same either way
     (tests/test_kernel_digest.py).  A term run per channel gets the channel
     as it is, 0-d in a scalar call, so it must accept 0-d arrays and numpy
     scalars, as _l_stacked does.
@@ -350,7 +336,9 @@ def aggregate(kernel: Callable[..., np.ndarray], a, b: IFS, w: WeightVector | No
     copy.  The mean is np.add.reduce over n, the reduction and divide of
     ndarray.mean, and the weighted sum is np.vecdot, which runs one BLAS
     ddot per row as np.dot does on one set: a row's bits do not depend on
-    its block.  Raises
+    its block.  The weighted sum is capped at 1: every weighted measure's
+    kernel value lies in [0, 1], so only weights summing above 1, which
+    WeightVector accepts within WEIGHT_SUM_TOL, can carry it past.  Raises
     UniverseMismatchError unless a and b share a universe, and
     WeightLengthMismatchError for a w of the wrong length."""
     _require_same_universe(a, b)
@@ -362,7 +350,7 @@ def aggregate(kernel: Callable[..., np.ndarray], a, b: IFS, w: WeightVector | No
         per_element = kernel(mu_a, nu_a, mu_b, nu_b)
         if w is None:
             return np.add.reduce(per_element, axis=-1) / n
-        return np.vecdot(per_element, w.array)
+        return np.minimum(np.vecdot(per_element, w.array), 1.0)
 
     da, db = a.degrees.reshape(2, -1, n), b.degrees
     values = _blocked(reduce, da[0], da[1], db[0], db[1])
@@ -374,8 +362,9 @@ def dist_wu(a: IFS, b: IFS, w: WeightVector | None) -> float:
     return aggregate(WU_SPLIT, a, b, w)
 
 
-def sim_wu(a: IFS, b: IFS, w: WeightVector) -> float:
-    """Dual similarity 1 - dist_wu."""
+def sim_wu(a: IFS, b: IFS, w: WeightVector | None) -> float:
+    """Dual similarity 1 - dist_wu; w None gives 1 - the plain 1/n mean,
+    whose bits can differ from those of uniform_weights(n)."""
     return 1.0 - dist_wu(a, b, w)
 
 
@@ -390,8 +379,9 @@ def dist_wu_lambda(a: IFS, b: IFS, w: WeightVector | None, lam: float) -> float:
     return aggregate(wu_lambda_split(lam), a, b, w)
 
 
-def sim_wu_lambda(a: IFS, b: IFS, w: WeightVector, lam: float) -> float:
-    """Dual parametric similarity 1 - dist_wu_lambda."""
+def sim_wu_lambda(a: IFS, b: IFS, w: WeightVector | None, lam: float) -> float:
+    """Dual parametric similarity 1 - dist_wu_lambda; w None gives 1 - the
+    plain 1/n mean, whose bits can differ from those of uniform_weights(n)."""
     return 1.0 - dist_wu_lambda(a, b, w, lam)
 
 
@@ -408,10 +398,10 @@ def entropy_ifv(a: IFV) -> float:
     return 1.0 - js_norm(a, complement(a))
 
 
-def entropy_ifs(a: IFS, w: WeightVector) -> float:
-    """Weighted entropy of an IFS: 1 - dist_wu(a, elementwise complement).
+def entropy_ifs(a: IFS, w: WeightVector | None) -> float:
+    """Weighted entropy of an IFS: 1 - dist_wu(a, elementwise complement, w).
 
-    The pointwise form uses the caller's weights; pass uniform_weights(n)
-    for the unweighted average.
+    w None gives 1 - the plain 1/n mean of the elementwise distances, whose
+    bits can differ from those of uniform_weights(n).
     """
     return 1.0 - dist_wu(a, a.complement(), w)

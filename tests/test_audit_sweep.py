@@ -24,7 +24,8 @@ its finish declared non-decreasing (finished after the reductions) and
 not (finished first).
 
 Re-record both sets in one command (only when a kernel change is meant to
-move the numbers) with ``PYTHONPATH=src python tests/test_audit_sweep.py``.
+move the numbers) with ``PYTHONPATH=src python tests/test_audit_sweep.py``,
+which prints each line it moves (old -> new) before it writes.
 """
 
 import dataclasses
@@ -560,6 +561,8 @@ def test_replaced_kernel_and_evaluator_keep_the_split(name):
 
 
 if __name__ == "__main__":
+    from rerecord import write_golden
+
     for case in [*GOLDEN_CASES, "entropy"]:
-        (GOLDEN / f"audit_{case}.txt").write_text(_report_text(case))
-    (GOLDEN / "coarse_audits.txt").write_text(_coarse_text())
+        write_golden(GOLDEN / f"audit_{case}.txt", _report_text(case))
+    write_golden(GOLDEN / "coarse_audits.txt", _coarse_text())

@@ -248,6 +248,18 @@ class TestWeightsFlag:
             outs.append(out)
         assert outs[0] == outs[1]
 
+    def test_weight_sum_above_one_keeps_values_in_range(self, capsys, tmp_path):
+        # weights summing to 1 + 9e-10, within WEIGHT_SUM_TOL, on the opposite endpoints
+        data, wfile = tmp_path / "d.json", tmp_path / "w.json"
+        data.write_text(json.dumps({"universe": ["x", "y"], "sets": {
+            "A": [[1.0, 0.0], [1.0, 0.0]], "B": [[0.0, 1.0], [0.0, 1.0]]}}), encoding="utf-8")
+        wfile.write_text("[0.5, 0.5000000009]", encoding="utf-8")
+        outs = [run(capsys, *argv, "--data", str(data), "--weights", str(wfile))
+                for argv in (["dist", "--measure", "wu", "--left", "A", "--right", "B"],
+                             ["sim", "--measure", "wu", "--left", "A", "--right", "B"],
+                             ["entropy", "--set", "A"])]
+        assert outs == [(0, "1\n", ""), (0, "0\n", ""), (0, "0\n", "")]
+
     def test_entropy_takes_weights(self, capsys, weights):
         arg, w = weights["file"]
         code, out, _ = run(capsys, "entropy", "--data", "tableIII", "--set", "P1", "--weights", arg)

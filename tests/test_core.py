@@ -192,13 +192,16 @@ class TestWeights:
             uniform_weights(n)
         assert str(info.value) == f"n must be an integer in [1, {sys.maxsize}], got {n!r}"
 
-    # neither n allocates: counts stop at sys.maxsize
-    @pytest.mark.parametrize("n", [10**400, sys.maxsize + 1])
+    # no n allocates: counts stop at sys.maxsize, and the tuple repeat
+    # refuses sys.maxsize weights before it allocates anything
+    @pytest.mark.parametrize("n", [10**400, sys.maxsize + 1, sys.maxsize])
     def test_uniform_n_too_large(self, n):
-        shown = {10**400: "<int of 1329 bits>", sys.maxsize + 1: repr(sys.maxsize + 1)}[n]
+        count = f"n must be an integer in [1, {sys.maxsize}], got "
+        message = {10**400: count + "<int of 1329 bits>", sys.maxsize + 1: count + repr(sys.maxsize + 1),
+                   sys.maxsize: f"n = {sys.maxsize} weights do not fit in memory"}[n]
         with pytest.raises(OutOfRangeError) as info:
             uniform_weights(n)
-        assert str(info.value) == f"n must be an integer in [1, {sys.maxsize}], got {shown}"
+        assert str(info.value) == message
 
     def test_uniform_n_too_long_to_print(self):
         with pytest.raises(OutOfRangeError) as info:

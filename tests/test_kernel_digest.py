@@ -13,7 +13,8 @@ digest:
 
 A rewrite of a kernel that is meant to keep every value leaves the digests
 as they are.  Re-record them (only when a kernel change is meant to move the
-numbers) with ``PYTHONPATH=src python tests/test_kernel_digest.py``.
+numbers) with ``PYTHONPATH=src python tests/test_kernel_digest.py``, which
+prints each digest it moves (old -> new) before it writes.
 
 On the edge corpus every kernel must also be finite, free of RuntimeWarning,
 zero on equal values, bitwise symmetric and within its range: [0, 1], or
@@ -166,13 +167,28 @@ def test_exact_reference(name):
     assert abs_err <= 1e-12
 
 
+def _stack_shapes():
+    """Argument tuples whose sides' channels differ in shape: a (P, n)
+    library against an (n,) sample, an outer product (g, 1) x (1, g), a side
+    whose mu is 0-d and whose nu is an array, and empty arrays."""
+    a, b = (x[:1600].reshape(200, 8, 2) for x in _uniform_pairs())
+    grid, lams = grid_points(0.05), np.linspace(0.0, 1.0, 101)
+    empty = np.empty(0)
+    return [
+        (a[..., 0], a[..., 1], b[0, :, 0], b[0, :, 1]),
+        (grid[:, None, 0], grid[:, None, 1], grid[None, :, 0], grid[None, :, 1]),
+        (0.2, lams * 0.6, lams * 0.4, 1.0 - lams),
+        (empty, empty, empty, empty), (0.3, 0.2, empty, empty),
+    ]
+
+
 # the configurations whose channels share one term; wu's two channels
 # differ in theirs
 @pytest.mark.parametrize("name", ["xiao", "yc", "jgamma(1)", "jgamma(2)", "jgamma(0.5)"])
 def test_stacked_and_unstacked_split_agree(name):
-    # a term shared by the channels runs once on the stacked channels, and
-    # the same term given once per channel runs on each channel as it is,
-    # 0-d in the all-scalar calls
+    # a term shared by the channels runs once on both sides' channels,
+    # stacked at their broadcast shape, and the same term given once per
+    # channel runs on each channel as it is, 0-d in the all-scalar calls
     measure, params = CONFIGS[name]
     split = get_measure(measure, **params).split
     if isinstance(split.term, tuple):
@@ -181,9 +197,9 @@ def test_stacked_and_unstacked_split_agree(name):
     else:
         flipped = split._replace(term=(split.term,) * 3)
     calls = [(a[:, 0], a[:, 1], b[:, 0], b[:, 1]) for a, b in (_uniform_pairs(), edge_pairs())]
-    for args in calls + _scenario_calls():
+    for args in calls + _scenario_calls() + _stack_shapes():
         x, y = split(*args), flipped(*args)
-        assert (x.shape, x.tobytes()) == (y.shape, y.tobytes())
+        assert (x.shape, x.dtype, x.tobytes()) == (y.shape, y.dtype, y.tobytes())
 
 
 @pytest.mark.parametrize("name", list(CONFIGS))
@@ -373,5 +389,7 @@ def test_l_term_does_not_depend_on_its_block():
 
 
 if __name__ == "__main__":
+    from rerecord import write_golden
+
     digests = {name: kernel_digest(name) for name in CONFIGS}
-    GOLDEN.write_text(json.dumps(digests, indent=2) + "\n")
+    write_golden(GOLDEN, json.dumps(digests, indent=2) + "\n")

@@ -285,11 +285,10 @@ class TestDistWu:
         b = IFS.from_pairs([(0.5, 0.5), (0.6, 0.2)], ["x", "y"])
         assert dist_wu(a, b, WeightVector((1.0, 5e-324))) > 0.0
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "range on sets: WeightVector accepts a weight sum within WEIGHT_SUM_TOL "
-        "of 1, so the opposite endpoints give dist_wu = 1 + 9e-10 and a "
-        "negative sim_wu and entropy_ifs; needs a weight rule (ROADMAP item 13)"))
     def test_weight_sum_above_one_keeps_values_in_range(self):
+        # WeightVector accepts a weight sum within WEIGHT_SUM_TOL of 1; the
+        # weighted sum is capped at 1, so the opposite endpoints give 1, not
+        # 1 + 9e-10, and sim_wu and entropy_ifs are 0, not negative
         w = WeightVector((0.5, 0.5 + 9e-10))
         a = IFS.from_pairs([(1.0, 0.0), (1.0, 0.0)], ["x", "y"])
         b = IFS.from_pairs([(0.0, 1.0), (0.0, 1.0)], ["x", "y"])

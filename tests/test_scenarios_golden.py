@@ -6,7 +6,8 @@ description, dtype, shape and row bytes) for every family and the ``fig3``
 alias at several step counts.  A refactor of the scenario or curve builders
 that moves any digit, check, note or column shows up as a line difference.
 Re-record it (only when a change is meant to move the output) with
-``PYTHONPATH=src python tests/test_scenarios_golden.py``.
+``PYTHONPATH=src python tests/test_scenarios_golden.py``, which prints each
+line it moves (old -> new) before it writes.
 """
 
 import hashlib
@@ -52,4 +53,6 @@ def test_scenario_is_timed(sid):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text("\n".join(golden_lines()) + "\n", encoding="utf-8")
+    from rerecord import write_golden
+
+    write_golden(GOLDEN, "\n".join(golden_lines()) + "\n")

@@ -6,7 +6,8 @@ Atanassov order, classified, and serialized.  The golden file holds the
 exact ``repr`` of every value and the SHA-256 of every dump, so a change in
 how sets are stored or built that moves any bit shows up as a line
 difference.  Re-record it (only when a kernel change is meant to move the
-numbers) with ``PYTHONPATH=src python tests/test_set_api_golden.py``.
+numbers) with ``PYTHONPATH=src python tests/test_set_api_golden.py``, which
+prints each line it moves (old -> new) before it writes.
 """
 
 import hashlib
@@ -121,4 +122,6 @@ def test_unweighted_aggregate_is_kernel_mean(name, params):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text("\n".join(golden_lines()) + "\n", encoding="utf-8")
+    from rerecord import write_golden
+
+    write_golden(GOLDEN, "\n".join(golden_lines()) + "\n")
