@@ -61,14 +61,15 @@ full ordered matrix of pair_batch values in row-major order.  A nan is
 out of range, and the range and sup follow numpy's reductions on it.
 
 audit_distance runs the sweep on one helper thread, started after the grid
-is built and joined before S1, S2 and S5 read it, while the calling thread
-evaluates the random pairs, self pairs, triples, chains and S5's probes.
-The sweep reads nothing those samples write, and its result depends on
-the grid and the kernel alone, so the reports are the same bytes as a
-serial run's; the helper runs under a copy of the caller's context,
-np.errstate included.  An interrupt in any phase, or during the wait for
-the sweep, stops the sweep within one block, and no thread outlives the
-audit.
+is built, while the calling thread evaluates the random pairs, self pairs,
+triples, chains and S5's probes and then waits for it, since S1, S2 and S5
+read it.  The sweep reads nothing those samples write, and its result
+depends on the grid and the kernel alone, so the reports do not depend on
+the timing; the helper runs under a copy of the caller's context,
+np.errstate included.  Anything raised on the calling thread, in any phase
+or during the wait, an interrupt included, stops the sweep within one block
+and is what the audit raises; the sweep's own error is raised only when
+the calling thread has finished cleanly.  No thread outlives the audit.
 """
 
 from __future__ import annotations
@@ -343,19 +344,15 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
     The grid sweep runs on a helper thread while this thread evaluates and
     grades the self pairs (the grid's, then every pair point's, each in its
     pair's block), the blocks of the pairs and triples, then the chains and
-    S5's probes; the thread is joined before S1, S2 and S5 read the sweep,
-    and before any error leaves this function.  The sweep's result does not
-    depend on that timing, so the report is the one a serial run gives,
-    byte for byte.  So is an Exception raised: one from the pairs or self
-    pairs stops the sweep, and the sweep's own error wins over one from the
-    triples, chains or probes.  Any other BaseException (an interrupt),
-    raised in any phase or during the wait for the sweep, stops the sweep
-    within one block and is raised once the helper has ended.
+    S5's probes, and then waits for the sweep, which S1, S2 and S5 read.
+    Anything raised on this thread, in any phase or during the wait, stops
+    the sweep within one block and is what this function raises; the
+    sweep's own error is raised only when this thread has finished cleanly.
     """
     t0 = time.perf_counter()
     tol = config.tolerance
     grid = grid_points(config.grid_step)
-    kernel, found, waits = m.pair_batch, _Found(), False
+    kernel, found = m.pair_batch, _Found()
     lows, highs, positives, worsts = [], [], [], []  # each block's statistic
     stop, done, outcome = threading.Event(), threading.Event(), []
     helper = threading.Thread(target=contextvars.copy_context().run,
@@ -380,7 +377,6 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
             # b: two calls of one block each, so _blocked joins nothing
             d_self = np.stack([_eval_pairs(kernel, pa, pa), _eval_pairs(kernel, pb, pb)], axis=1)
             found.grade("S2 self", d_self != 0.0, {"a": pairs[s], "d(a,a)": d_self})
-        waits = True  # from here on an Exception waits for the sweep
         triples = _uniform(config, 1, 3, config.random_triples)
         for s in _blocks(len(triples)):
             ta, tb, tc = triples[s, 0], triples[s, 1], triples[s, 2]
@@ -395,9 +391,9 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
         chains = _chains_array(config)
         chain_checks = _chain_checks(m, chains, tol)
         probes = _s5_probes(kernel, grid)
-    except BaseException as exc:
-        if not (waits and isinstance(exc, Exception)):
-            stop.set()  # an error from the pairs, or an interrupt: the sweep is not read
+        done.wait()  # S1, S2 and S5 read the sweep
+    except BaseException:  # from any phase or the wait: the sweep is not read
+        stop.set()
         raise
     finally:
         # wait on done, not in join(): on CPython 3.11 a join() that an
@@ -405,15 +401,11 @@ def audit_distance(m: MeasureDescriptor, config: AuditConfig) -> AxiomReport:
         # next join() returns at once; so join() runs once the sweep is over
         try:
             done.wait()
-        except BaseException:  # an interrupt during the wait
-            stop.set()
-            done.wait()
-            raise
         finally:
             helper.join()
-        if not stop.is_set() and isinstance(outcome[0], BaseException):
-            raise outcome[0]  # the sweep's error comes first, as in a serial run
     sweep = outcome[0]
+    if isinstance(sweep, BaseException):
+        raise sweep
 
     # numpy's reductions combine the blocks' statistics, so a nan propagates
     rng_min = min(sweep["min"], float(np.min(lows)))

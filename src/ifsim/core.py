@@ -32,6 +32,7 @@ import numpy as np
 
 SIMPLEX_SLACK = 1e-9
 WEIGHT_SUM_TOL = 1e-9
+WEIGHT_FLOOR = 2.0 ** -52
 
 
 class IfsimError(Exception):
@@ -287,9 +288,14 @@ def ifs_strict_subset(a: IFS, b: IFS) -> bool:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Positive weights over the universe, summing to 1 within WEIGHT_SUM_TOL.
+    """Weights in [WEIGHT_FLOOR, 1] over the universe, summing to 1 within
+    WEIGHT_SUM_TOL.
 
-    `array` holds the same weights as a read-only float64 array.
+    The floor, 2**-52, keeps a weighted sum from losing an element: a normal
+    per-element distance d >= 2**-1022 gives w * d >= 2**-1074 > 0, and a
+    sum of non-negative terms never rounds below its largest term, so
+    dist_wu and dist_wu_lambda are positive whenever any element's value is
+    normal.  `array` holds the same weights as a read-only float64 array.
     """
 
     weights: tuple[float, ...]
@@ -300,10 +306,10 @@ class WeightVector:
         if len(self.weights) < 1:
             raise OutOfRangeError("weight vector must be non-empty")
         array = np.array(self.weights, dtype=np.float64)
-        in_range = (array > 0.0) & (array <= 1.0)  # false for nan
+        in_range = (array >= WEIGHT_FLOOR) & (array <= 1.0)  # false for nan
         if not in_range.all():
             j = int(np.argmin(in_range))  # the first weight out of range
-            raise OutOfRangeError(f"weight {j} = {self.weights[j]!r} outside (0, 1]")
+            raise OutOfRangeError(f"weight {j} = {self.weights[j]!r} outside [2**-52, 1]")
         total = sum(self.weights)
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise OutOfRangeError(f"weights sum to {total!r}, expected 1")

@@ -357,25 +357,25 @@ class TestSweepThread:
         audit_distance(get_measure("wu"), TINY)
         assert threading.active_count() == before
 
-    @pytest.mark.parametrize("kernel_fails_at,finish_fails_at,raised,blocks", [
-        # an error from the pairs or self pairs precedes the sweep's
-        (1, 1, "kernel", None), (3, TINY_BLOCKS, "kernel", None),
-        (5, TINY_BLOCKS, "kernel", None),
-        # the sweep's error precedes one from the triples or chains
-        (6, TINY_BLOCKS, "sweep", TINY_BLOCKS), (9, 1, "sweep", 1),
-        (0, TINY_BLOCKS, "sweep", TINY_BLOCKS),
-        # which wait for the sweep to finish, as S5 does
-        (6, 0, "kernel", TINY_BLOCKS), (7, 0, "kernel", TINY_BLOCKS),
-        (10, 0, "kernel", TINY_BLOCKS), (12, 0, "kernel", TINY_BLOCKS),
+    @pytest.mark.parametrize("error", [Boom, Halt], ids=lambda e: e.__name__)
+    @pytest.mark.parametrize("kernel_fails_at,finish_fails_at,raised", [
+        # the calling thread leaves at the grid's self pairs (call 1), the
+        # pairs' points (5), the first triple (6), the first chain (9) or
+        # S5's probes (12), with or without a sweep error at its first block
+        *((k, f, "kernel") for k in (1, 5, 6, 9, 12) for f in (0, 1)),
+        # a clean calling thread: the sweep's error, at its last block
+        (0, TINY_BLOCKS, "sweep"),
     ])
-    def test_errors_keep_the_serial_order(self, kernel_fails_at, finish_fails_at, raised, blocks):
-        m, calls = _rigged(kernel_fails_at, finish_fails_at)
+    def test_one_exit_rule(self, kernel_fails_at, finish_fails_at, raised, error):
+        m, calls = _rigged(kernel_fails_at, finish_fails_at, hook=_slow_sweep, error=error)
         before = threading.active_count()
-        with pytest.raises(Boom, match=f"^{raised}$"):
+        with pytest.raises(error, match=f"^{raised}$"):
             audit_distance(m, TINY)
         assert threading.active_count() == before
-        if blocks is not None:
-            assert calls["finish"] == blocks
+        if raised == "kernel":  # the sweep stopped within one block
+            assert calls["kernel"] == kernel_fails_at and calls["finish"] < TINY_BLOCKS
+        else:
+            assert calls == {"kernel": 12, "finish": TINY_BLOCKS}
 
     def test_sweep_runs_under_the_callers_errstate(self):
         def divide(name):
@@ -385,34 +385,6 @@ class TestSweepThread:
         m, _ = _rigged(hook=divide)
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
             audit_distance(m, TINY)
-
-    def test_callers_error_stops_the_sweep(self):
-        swept = threading.Event()
-
-        def hook(name):
-            if name == "finish":  # a sweep of TINY_BLOCKS ms at the least
-                swept.set()
-                time.sleep(0.001)
-            else:  # the first pair, which fails, waits for the sweep's first block
-                assert swept.wait(timeout=10.0)
-
-        m, calls = _rigged(kernel_fails_at=1, hook=hook)
-        before = threading.active_count()
-        with pytest.raises(Boom, match="^kernel$"):
-            audit_distance(m, TINY)
-        assert threading.active_count() == before
-        assert 1 <= calls["finish"] < TINY_BLOCKS
-
-    @pytest.mark.parametrize("kernel_fails_at", [6, 12])  # the first triple, S5's probes
-    def test_interrupt_stops_the_sweep(self, kernel_fails_at):
-        # an Exception at call 6 or 12 would wait for the whole sweep, whose
-        # own error comes first; an interrupt stops it within one block
-        m, calls = _rigged(kernel_fails_at, hook=_slow_sweep, error=Halt)
-        before = threading.active_count()
-        with pytest.raises(Halt, match="^kernel$"):
-            audit_distance(m, TINY)
-        assert threading.active_count() == before
-        assert calls["kernel"] == kernel_fails_at and calls["finish"] < TINY_BLOCKS
 
     def test_interrupt_during_the_wait_stops_the_sweep(self):
         # a timer signal every 5 ms, whose handler raises Halt once the

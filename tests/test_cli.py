@@ -145,6 +145,7 @@ class TestMalformedFiles:
         ("null", "expected a list of numbers"),
         ("[0.2, 0.3, 0.5]", "3 entries for a universe of 2 elements"),
         ("[0.5, 0.6]", "weights (2 entries)"),
+        ("[1.0, 1e-300]", "weight 1 = 1e-300 outside [2**-52, 1]"),
         ("[0.5,", "cannot read weights file"),
         (f"[{LONG_LITERAL}, 0.5]", "cannot read weights file"),
         (DEEP, "cannot read weights file"),

@@ -19,7 +19,9 @@ prints each digest it moves (old -> new) before it writes.
 On the edge corpus every kernel must also be finite, free of RuntimeWarning,
 zero on equal values, bitwise symmetric and within its range: [0, 1], or
 [0, ln 2] for the raw J_1, which must also hold on the 0.01 grid, with
-exactly ln 2 on the endpoint pair.  On the first ORACLE_PAIRS uniform pairs
+exactly ln 2 on the endpoint pair.  The same checks run on the corpus
+with its slack points added (SLACK_CORPUS), where xiao, yc, J_1 and J_0.5
+still fail (ROADMAP item 2).  On the first ORACLE_PAIRS uniform pairs
 every kernel must lie within 1e-12 of the exact reference (tests/exact.py).
 The JS term decides per block whether its guards run, so every value must
 also have the bits of a one-element and a 0-d call on its own element.
@@ -36,8 +38,9 @@ import numpy as np
 import pytest
 
 import exact
-from ifsim import audit, get_measure, grid_points
+from ifsim import NumericalConsistencyError, audit, get_measure, grid_points
 from ifsim.baselines import YC_SPLIT, j_gamma_split
+from ifsim.core import SIMPLEX_SLACK
 from ifsim.measures import WU_SPLIT, _l_stacked, z_score_batch
 
 GOLDEN = Path(__file__).parent / "golden_kernel_digest.json"
@@ -69,10 +72,25 @@ EDGE_POINTS = np.array([(m, n) for m in EDGE_VALUES for n in EDGE_VALUES
                         if Fraction(m) + Fraction(n) <= 1])
 
 
-def edge_pairs() -> tuple[np.ndarray, np.ndarray]:
-    """All ordered pairs (a, b) of edge points, as two (n*n, 2) arrays."""
-    n = len(EDGE_POINTS)
-    return np.repeat(EDGE_POINTS, n, axis=0), np.tile(EDGE_POINTS, (n, 1))
+def _slack_points() -> np.ndarray:
+    """Points (mu, fl(1 - mu) + delta) of edge values mu, past the simplex
+    but within the SIMPLEX_SLACK that IFV accepts, and their complements."""
+    points = set()
+    for mu in EDGE_VALUES:
+        for delta in (2.0 ** -52, 1e-12, 1e-9):
+            nu = (1.0 - mu) + delta
+            if nu <= 1.0 and mu + nu <= 1.0 + SIMPLEX_SLACK:
+                points |= {(mu, nu), (nu, mu)}
+    return np.array(sorted(points))
+
+
+SLACK_CORPUS = np.vstack([EDGE_POINTS, _slack_points()])
+
+
+def edge_pairs(points: np.ndarray = EDGE_POINTS) -> tuple[np.ndarray, np.ndarray]:
+    """All ordered pairs (a, b) of points, as two (n*n, 2) arrays."""
+    n = len(points)
+    return np.repeat(points, n, axis=0), np.tile(points, (n, 1))
 
 
 def _sweep_blocks(grid: np.ndarray):
@@ -132,20 +150,43 @@ def test_kernel_digest(name):
     assert kernel_digest(name) == json.loads(GOLDEN.read_text())[name]
 
 
-@pytest.mark.parametrize("name", list(CONFIGS))
-def test_edge_corpus(name):
+def _check_corpus(name: str, points: np.ndarray) -> None:
+    """The kernel on all ordered pairs of points: finite, free of
+    RuntimeWarning, bitwise symmetric, zero on equal values, in range."""
     measure, params = CONFIGS[name]
     kernel = get_measure(measure, **params).pair_batch
-    a, b = edge_pairs()
+    a, b = edge_pairs(points)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         d_ab = kernel(a[:, 0], a[:, 1], b[:, 0], b[:, 1])
         d_ba = kernel(b[:, 0], b[:, 1], a[:, 0], a[:, 1])
-        d_aa = kernel(*EDGE_POINTS.T, *EDGE_POINTS.T)
+        d_aa = kernel(*points.T, *points.T)
     assert np.isfinite(d_ab).all()
     assert d_ab.tobytes() == d_ba.tobytes()
-    assert EDGE_POINTS[d_aa != 0.0].tolist() == []
+    assert points[d_aa != 0.0].tolist() == []
     assert 0.0 <= d_ab.min() and d_ab.max() <= HIGH.get(name, 1.0)
+
+
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_edge_corpus(name):
+    _check_corpus(name, EDGE_POINTS)
+
+
+SLACK_DEFECTS = {
+    "xiao": pytest.mark.xfail(strict=True, raises=AssertionError,
+                              reason="item 2: the maximum is 1.00000000025, above 1"),
+    "yc": pytest.mark.xfail(strict=True, raises=NumericalConsistencyError,
+                            reason="item 2: the arccos argument 1.000000001 is refused"),
+    "jgamma(1)": pytest.mark.xfail(strict=True, raises=AssertionError,
+                                   reason="item 2: the maximum is 0.693147180906519, above ln 2"),
+    "jgamma(0.5)": pytest.mark.xfail(strict=True, raises=AssertionError,
+                                     reason="item 2: the maximum is 1.0000000002928933, above 1"),
+}
+
+
+@pytest.mark.parametrize("name", [pytest.param(n, marks=SLACK_DEFECTS.get(n, ())) for n in CONFIGS])
+def test_edge_corpus_slack_points(name):
+    _check_corpus(name, SLACK_CORPUS)
 
 
 def test_j1_range_on_grid():

@@ -277,13 +277,14 @@ class TestDistWu:
         assert 0.0 <= d <= 1.0
         assert d == dist_wu(b, a, w)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "false zero on sets: w_2 * d_2 underflows when w_2 = 5e-324, which "
-        "WeightVector accepts; needs a weight rule (ROADMAP item 13)"))
     def test_subnormal_weight_keeps_unequal_sets_apart(self):
+        # w_2 * d_2 would underflow at w_2 = 5e-324, so WeightVector refuses
+        # it; at the floor 2**-52 the one unequal element keeps the sets apart
+        with pytest.raises(OutOfRangeError, match=r"^weight 1 = 5e-324 outside \[2\*\*-52, 1\]$"):
+            WeightVector((1.0, 5e-324))
         a = IFS.from_pairs([(0.5, 0.5), (0.3, 0.2)], ["x", "y"])
         b = IFS.from_pairs([(0.5, 0.5), (0.6, 0.2)], ["x", "y"])
-        assert dist_wu(a, b, WeightVector((1.0, 5e-324))) > 0.0
+        assert dist_wu(a, b, WeightVector((1.0 - 2.0 ** -52, 2.0 ** -52))) > 0.0
 
     def test_weight_sum_above_one_keeps_values_in_range(self):
         # WeightVector accepts a weight sum within WEIGHT_SUM_TOL of 1; the
