@@ -377,6 +377,37 @@ class TestSweepThread:
         else:
             assert calls == {"kernel": 12, "finish": TINY_BLOCKS}
 
+    @pytest.mark.parametrize("kernel_fails_at,finish_fails_at,raised,blocks", [
+        # the sweep fails at its last block before the calling thread fails
+        # at a pair (call 3) or a pair's point (5): the calling thread's
+        # error is still the one raised, as in a serial run
+        (3, TINY_BLOCKS, "kernel", None), (5, TINY_BLOCKS, "kernel", None),
+        # an error at the first or second triple stops a slow sweep short
+        # of its TINY_BLOCKS blocks
+        (6, 0, "kernel", TINY_BLOCKS), (7, 0, "kernel", TINY_BLOCKS),
+    ])
+    def test_errors_keep_the_serial_order(self, kernel_fails_at, finish_fails_at, raised, blocks):
+        swept = threading.Event()
+
+        def hook(name):
+            if blocks is not None:
+                _slow_sweep(name)
+            elif name == "finish" and calls["finish"] == finish_fails_at:
+                swept.set()
+            elif name == "kernel" and calls["kernel"] == kernel_fails_at:
+                assert swept.wait(timeout=10.0)
+
+        m, calls = _rigged(kernel_fails_at, finish_fails_at, hook=hook)
+        before = threading.active_count()
+        with pytest.raises(Boom, match=f"^{raised}$"):
+            audit_distance(m, TINY)
+        assert threading.active_count() == before
+        assert calls["kernel"] == kernel_fails_at
+        if blocks is None:
+            assert calls["finish"] == finish_fails_at
+        else:
+            assert calls["finish"] < blocks
+
     def test_sweep_runs_under_the_callers_errstate(self):
         def divide(name):
             if name == "finish":
